@@ -1,167 +1,53 @@
 """Exact dyadic laboratory for digit-pattern sets and their iterated sums.
 
 The package models compact subsets of [0, 1] whose binary expansions are
-constrained position by position (each digit forced to 0, forced to 1, or
-free), counts the dyadic cells met by iterated sumsets of such sets with
+constrained position by position (each digit forced to 0 or free),
+counts the dyadic cells met by iterated sumsets of such sets with
 certified lower/upper brackets, and checks finite-scale analogues of the
 classical sumset inequalities.  Everything is integer arithmetic on digit
 masks; no floating point enters a count.
+
+The names below are the library API the README documents; everything
+else stays importable from its module.
 """
 
+from .analysis import count_trace, frequency_report, off_trace, predicted_exponent
 from .constructions import (
-    CANONICAL_EXAMPLES,
-    CONSTRUCTION_NAMES,
-    AdmissibilityReport,
-    BlockParams,
-    CanonicalConfig,
     DimensionTargets,
     PastingPlan,
-    ScaleSequence,
-    block_params,
     build_canonical,
     build_example,
     interleave,
-    make_block,
     make_scale_sequence,
     paste,
-    star_floor,
     validate_targets,
 )
-from .dyadic import (
-    BinaryWord,
-    CellCountBracket,
-    IntervalCover,
-    cell_count,
-    coarsen,
-    cover_sum,
-)
-from .engine import (
-    DEFAULT_ENUM_BUDGET,
-    DEFAULT_STATE_BUDGET,
-    DistinctCountResult,
-    branching_min_average,
-    brute_force_oracle,
-    enumerate_prefixes,
-    free_position_sets,
-    iterated_pattern_sums,
-    prefix_count,
-    sum_prefix_counts,
-    sum_prefix_cover,
-)
-from .errors import (
-    AdmissibilityError,
-    BudgetExceededError,
-    ConfigError,
-    ConstructionError,
-    ScaleError,
-    SumdimError,
-)
-from .analysis import (
-    CountTrace,
-    FrequencyRecord,
-    TraceEntry,
-    count_trace,
-    default_scales,
-    frequency_report,
-    interval_freedom_check,
-    log2_big,
-    off_trace,
-    predicted_exponent,
-    render_count_trace_csv,
-    render_off_trace_csv,
-    sum_block_frequency,
-    targets_of,
-)
-from .patterns import DigitPattern, SetSpec, dumps, from_json_dict, loads, to_json_dict
-from .plunnecke import (
-    FiniteIntSet,
-    PointSample,
-    cover_suite,
-    dyadic_count,
-    parse_points,
-    prop31_check,
-    prop31_suite,
-    render_points,
-    ruzsa_check,
-    ruzsa_suite,
-    sample_from_spec,
-    sumset_cover_bound_check,
-)
+from .engine import brute_force_oracle, sum_prefix_counts
+from .patterns import SetSpec, dumps, loads
+from .plunnecke import cover_suite, prop31_suite, ruzsa_suite
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "AdmissibilityError",
-    "AdmissibilityReport",
-    "BinaryWord",
-    "BlockParams",
-    "BudgetExceededError",
-    "CANONICAL_EXAMPLES",
-    "CONSTRUCTION_NAMES",
-    "CanonicalConfig",
-    "CellCountBracket",
-    "ConfigError",
-    "ConstructionError",
-    "CountTrace",
-    "DEFAULT_ENUM_BUDGET",
-    "DEFAULT_STATE_BUDGET",
-    "DigitPattern",
     "DimensionTargets",
-    "DistinctCountResult",
-    "FiniteIntSet",
-    "FrequencyRecord",
-    "IntervalCover",
     "PastingPlan",
-    "PointSample",
-    "ScaleError",
-    "ScaleSequence",
     "SetSpec",
-    "SumdimError",
-    "TraceEntry",
-    "block_params",
-    "branching_min_average",
     "brute_force_oracle",
     "build_canonical",
     "build_example",
-    "cell_count",
-    "coarsen",
     "count_trace",
-    "cover_sum",
     "cover_suite",
-    "default_scales",
     "dumps",
-    "dyadic_count",
-    "enumerate_prefixes",
-    "free_position_sets",
     "frequency_report",
-    "from_json_dict",
     "interleave",
-    "interval_freedom_check",
-    "iterated_pattern_sums",
     "loads",
-    "log2_big",
-    "make_block",
     "make_scale_sequence",
     "off_trace",
-    "parse_points",
     "paste",
     "predicted_exponent",
-    "prefix_count",
-    "prop31_check",
     "prop31_suite",
-    "render_count_trace_csv",
-    "render_off_trace_csv",
-    "render_points",
-    "ruzsa_check",
     "ruzsa_suite",
-    "sample_from_spec",
-    "star_floor",
-    "sum_block_frequency",
     "sum_prefix_counts",
-    "sum_prefix_cover",
-    "sumset_cover_bound_check",
-    "targets_of",
-    "to_json_dict",
     "validate_targets",
     "__version__",
 ]

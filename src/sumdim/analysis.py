@@ -218,11 +218,10 @@ def targets_of(spec):
 
 def frequency_report(spec, k, fold=2):
     """All fold-wise sum-block frequencies at block index k of a chunked spec."""
-    if not spec.schedule or ":" in spec.schedule[0]:
+    if not spec.schedule or any(":" in entry for entry in spec.schedule[0]):
         raise ValueError("frequency reports need a chunked schedule")
-    rows = [tuple(s.split(",")) for s in spec.schedule]
-    period = len(rows[0])
-    kinds = tuple(row[k % period] for row in rows)
+    period = len(spec.schedule[0])
+    kinds = tuple(row[k % period] for row in spec.schedule)
     variant = spec.param("variant", "full")
     scales = ScaleSequence(spec.boundaries)
     params = block_params(

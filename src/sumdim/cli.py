@@ -24,13 +24,13 @@ import json
 import os
 import sys
 import tempfile
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, field, fields
 from fractions import Fraction
 
 from . import __version__
 from .analysis import (
+    _resolve_scales,
     count_trace,
-    default_scales,
     off_trace,
     render_count_trace_csv,
     render_off_trace_csv,
@@ -61,71 +61,89 @@ from .errors import (
 from .patterns import from_json_dict, to_json_dict
 from .plunnecke import cover_suite, prop31_suite, ruzsa_suite
 
-_CONFIG_FIELDS = {
-    "construction": None,
-    "alpha": None,
-    "beta": None,
-    "gamma": None,
-    "scale_policy": "scaled",
-    "scale_base": 4,
-    "horizon": 6,
-    "depth": None,
-    "folds": (1, 2),
-    "scales": "boundaries",
-    "mode": "bracket",
-    "seed": 0,
-    "budget_enum": DEFAULT_ENUM_BUDGET,
-    "budget_states": DEFAULT_STATE_BUDGET,
-}
+
+def _integer(key, value):
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ConfigError(f"{key} must be an integer, got {value!r}")
+    return value
+
+
+def _integers(key, value):
+    if not isinstance(value, (list, tuple)) or not value:
+        raise ConfigError(f"{key} must be a nonempty list of integers, got {value!r}")
+    return tuple(_integer(key, v) for v in value)
+
+
+def _rationals(key, value):
+    if not isinstance(value, (list, tuple)):
+        raise ConfigError(f"{key} must be a list of rationals, got {value!r}")
+    try:
+        return tuple(Fraction(str(v)) for v in value)
+    except (ValueError, ZeroDivisionError) as exc:
+        raise ConfigError(f"bad rational in {key}: {exc}") from exc
+
+
+def _name(key, value):
+    if not isinstance(value, str):
+        raise ConfigError(f"{key} must be a string, got {value!r}")
+    return value
+
+
+def _folds(key, value):
+    folds = _integers(key, [value] if isinstance(value, int) else value)
+    if any(f < 1 for f in folds):
+        raise ConfigError("folds must be positive")
+    return folds
+
+
+def _scales(key, value):
+    return value if value in ("boundaries", "all") else _integers(key, value)
+
+
+def _choice(*allowed):
+    def check(key, value):
+        if value not in allowed:
+            raise ConfigError(f"unknown {key.replace('_', ' ')} {value!r}")
+        return value
+
+    return check
+
+
+def _optional(check):
+    return lambda key, value: None if value is None else check(key, value)
+
+
+def _key(default, check):
+    """A config key: its default and the check that types a given value."""
+    return field(default=default, metadata={"check": check})
 
 
 @dataclass(frozen=True)
 class RunConfig:
     """Validated run parameters; unknown keys are rejected, never ignored."""
 
-    construction: str | None
-    alpha: tuple | None
-    beta: tuple | None
-    gamma: tuple | None
-    scale_policy: str
-    scale_base: int
-    horizon: int
-    depth: int | None
-    folds: tuple
-    scales: object
-    mode: str
-    seed: int
-    budget_enum: int
-    budget_states: int
+    construction: str | None = _key(None, _optional(_name))
+    alpha: tuple | None = _key(None, _optional(_rationals))
+    beta: tuple | None = _key(None, _optional(_rationals))
+    gamma: tuple | None = _key(None, _optional(_rationals))
+    scale_policy: str = _key("scaled", _choice("tower", "scaled", "geometric"))
+    scale_base: int = _key(4, _integer)
+    horizon: int = _key(6, _integer)
+    depth: int | None = _key(None, _optional(_integer))
+    folds: tuple = _key((1, 2), _folds)
+    scales: object = _key("boundaries", _scales)
+    mode: str = _key("bracket", _choice("exact", "bracket"))
+    seed: int = _key(0, _integer)
+    budget_enum: int = _key(DEFAULT_ENUM_BUDGET, _integer)
+    budget_states: int = _key(DEFAULT_STATE_BUDGET, _integer)
 
     @classmethod
     def from_dict(cls, raw):
-        unknown = sorted(set(raw) - set(_CONFIG_FIELDS))
+        checks = {f.name: f.metadata["check"] for f in fields(cls)}
+        unknown = sorted(set(raw) - set(checks))
         if unknown:
             raise ConfigError(f"unknown config keys: {', '.join(unknown)}")
-        merged = dict(_CONFIG_FIELDS)
-        merged.update(raw)
-        for key in ("alpha", "beta", "gamma"):
-            if merged[key] is not None:
-                try:
-                    merged[key] = tuple(Fraction(str(v)) for v in merged[key])
-                except (ValueError, ZeroDivisionError) as exc:
-                    raise ConfigError(f"bad rational in {key}: {exc}") from exc
-        if merged["scale_policy"] not in ("tower", "scaled", "geometric"):
-            raise ConfigError(f"unknown scale policy {merged['scale_policy']!r}")
-        if merged["mode"] not in ("exact", "bracket"):
-            raise ConfigError(f"unknown mode {merged['mode']!r}")
-        folds = merged["folds"]
-        if isinstance(folds, int):
-            folds = (folds,)
-        merged["folds"] = tuple(int(f) for f in folds)
-        if any(f < 1 for f in merged["folds"]):
-            raise ConfigError("folds must be positive")
-        for key in ("scale_base", "horizon", "seed", "budget_enum", "budget_states"):
-            merged[key] = int(merged[key])
-        if merged["depth"] is not None:
-            merged["depth"] = int(merged["depth"])
-        return cls(**merged)
+        return cls(**{key: checks[key](key, value) for key, value in raw.items()})
 
     def canonical_dict(self):
         out = {}
@@ -314,9 +332,7 @@ def cmd_plunnecke(args, config):
         prop31_suite(seed),
     ]
     doc = {"tool": _tool_dict(config), "reports": reports}
-    if args.out:
-        write_text_atomic(args.out, json.dumps(doc, indent=2, sort_keys=True) + "\n")
-        print(f"wrote {args.out}")
+    _emit(json.dumps(doc, indent=2, sort_keys=True) + "\n", args.out)
     ok = True
     for rep in reports:
         verdict = "PASS" if rep["ok"] else "FAIL"
@@ -350,19 +366,13 @@ def cmd_validate(args, config):
 def cmd_oracle(args, config):
     spec = _resolve_spec(args, config)
     fold = args.fold if args.fold is not None else config.folds[0]
-    scales = _parse_scales(args.scales) or config.scales
-    if scales in (None, "boundaries"):
-        chosen = list(default_scales(spec))
-    elif scales == "all":
-        chosen = list(range(1, spec.depth + 1))
-    else:
-        chosen = list(scales)
+    chosen = _resolve_scales(spec, _parse_scales(args.scales) or config.scales)
     results = sum_prefix_counts(
         spec, fold, chosen, mode="exact", state_budget=config.budget_states
     )
     lines = [_tool_line(config)]
     ok = True
-    for j in sorted(set(chosen)):
+    for j in chosen:
         want = brute_force_oracle(spec, fold, j, config.budget_enum).lower
         got = results[j].bracket
         match = got.lower == got.upper == want and not results[j].fell_back

@@ -447,7 +447,7 @@ def _build_chunked(name, targets, scales, variant, rows):
         name=name,
         params=tuple(params),
         boundaries=scales.values,
-        schedule=tuple(",".join(row) for row in rows),
+        schedule=tuple(tuple(row) for row in rows),
     )
 
 
@@ -483,7 +483,7 @@ def _build_interval(name, alpha, scales, residue_maps):
         ("notable_scales", ",".join(str(n) for n in sorted(notable))),
     )
     schedule = tuple(
-        ",".join(f"{r}:alpha{idx}" for r, idx in sorted(rmap.items()))
+        tuple(f"{r}:alpha{idx}" for r, idx in sorted(rmap.items()))
         for rmap in residue_maps
     )
     return SetSpec(

@@ -14,10 +14,8 @@ count at scale j is the number of distinct top-j digit windows,
 
 so that a single all-free component at fold 2 opens exactly 2^j windows
 at scale j, not 2^j plus carry spill.  Each start s pins its sums to the
-real interval [s * 2^(W-j), (s+1) * 2^(W-j)) exactly; since 2^W <= l + 1
-for l <= 3, every start fits a width-(l+1) window of scale-j cells, the
-extra cell absorbing truncation carry.  The brute-force oracle below is
-the definition; everything else must agree with it.
+real interval [s * 2^(W-j), (s+1) * 2^(W-j)) exactly.  The brute-force
+oracle below is the definition; everything else must agree with it.
 
 Carry automaton
 ---------------
@@ -50,11 +48,26 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
-from .dyadic import CellCountBracket
 from .errors import BudgetExceededError, ScaleError
 
 DEFAULT_STATE_BUDGET = 10**6
 DEFAULT_ENUM_BUDGET = 1 << 24
+
+
+@dataclass(frozen=True)
+class CellCountBracket:
+    """Certified two-sided bound on a count of dyadic cells."""
+
+    lower: int
+    upper: int
+
+    def __post_init__(self):
+        if not 1 <= self.lower <= self.upper:
+            raise ValueError(f"bad bracket [{self.lower}, {self.upper}]")
+
+    @property
+    def is_exact(self):
+        return self.lower == self.upper
 
 
 @dataclass(frozen=True)
@@ -65,13 +78,6 @@ class DistinctCountResult:
     mode: str  # "exact" or "bracket"
     peak_states: int
     fell_back: bool
-
-    @property
-    def cover_width(self):
-        # each start is an aligned run of 2^W scale-j cells and
-        # 2^W <= fold + 1 for folds up to 3; the extra cell absorbs
-        # the carry out of the discarded tail digits
-        return self.fold + 1
 
 
 def free_position_sets(spec):
@@ -90,29 +96,6 @@ def free_position_sets(spec):
 def _check_scale(spec, scale):
     if not 0 <= scale <= spec.depth:
         raise ScaleError(f"scale {scale} outside 0..{spec.depth}")
-
-
-def prefix_count(spec, scale):
-    """Number of distinct length-``scale`` digit prefixes over the union.
-
-    Subset construction over components: reading a 0 keeps every candidate
-    alive (both symbols admit 0), reading a 1 keeps exactly the components
-    free at that position.  Distinct prefixes = root-to-level paths.
-    """
-    _check_scale(spec, scale)
-    fs = free_position_sets(spec)
-    full = (1 << len(spec.components)) - 1
-    dp = {full: 1}
-    for t in range(1, scale + 1):
-        ndp = {}
-        get = ndp.get
-        for s, cnt in dp.items():
-            ndp[s] = get(s, 0) + cnt
-            s1 = s & fs[t]
-            if s1:
-                ndp[s1] = get(s1, 0) + cnt
-        dp = ndp
-    return sum(dp.values())
 
 
 def branching_min_average(spec, n):
@@ -143,6 +126,16 @@ def branching_min_average(spec, n):
     return Fraction(min(dp.values()), n)
 
 
+def _submasks(m):
+    """Every submask of ``m``: the admissible digit strings of free mask ``m``."""
+    s = m
+    while True:
+        yield s
+        if s == 0:
+            return
+        s = (s - 1) & m
+
+
 def enumerate_prefixes(spec, scale, budget=DEFAULT_ENUM_BUDGET):
     """Sorted distinct length-``scale`` prefixes of the union, as integers."""
     _check_scale(spec, scale)
@@ -151,31 +144,12 @@ def enumerate_prefixes(spec, scale, budget=DEFAULT_ENUM_BUDGET):
         raise BudgetExceededError(f"prefix enumeration needs {total} > budget {budget}")
     seen = set()
     for comp in spec.components:
-        m = comp.free_mask >> (spec.depth - scale)
-        s = m
-        while True:
-            seen.add(s)
-            if s == 0:
-                break
-            s = (s - 1) & m
+        seen.update(_submasks(comp.free_mask >> (spec.depth - scale)))
     return sorted(seen)
 
 
 # ---------------------------------------------------------------------------
 # brute-force oracle
-
-
-def _component_values(comp):
-    """Every admissible digit string of one component, as integers (submasks)."""
-    m = comp.free_mask
-    out = []
-    s = m
-    while True:
-        out.append(s)
-        if s == 0:
-            break
-        s = (s - 1) & m
-    return out
 
 
 @lru_cache(maxsize=8)
@@ -190,7 +164,7 @@ def iterated_pattern_sums(spec, fold, budget=DEFAULT_ENUM_BUDGET):
         )
     base = set()
     for comp in spec.components:
-        base.update(_component_values(comp))
+        base.update(_submasks(comp.free_mask))
     sums = base
     for _ in range(fold - 1):
         sums = {x + y for x in sums for y in base}
@@ -450,8 +424,3 @@ def sum_prefix_counts(spec, fold, scales, mode="exact", state_budget=DEFAULT_STA
             used = "bracket"
         results[j] = DistinctCountResult(j, fold, bracket, used, peak, fell_back)
     return results
-
-
-def sum_prefix_cover(spec, fold, scale, mode="exact", state_budget=DEFAULT_STATE_BUDGET):
-    """Single-scale convenience wrapper around sum_prefix_counts."""
-    return sum_prefix_counts(spec, fold, [scale], mode, state_budget)[scale]

@@ -100,10 +100,11 @@ class DigitPattern:
 class SetSpec:
     """A finite union of equal-depth digit patterns, plus build metadata.
 
-    ``params`` is a tuple of (key, value) string pairs so the whole spec stays
-    hashable; ``boundaries`` holds the scale sequence n_1..n_{K+1} when the
-    spec was built from blocks, and ``schedule`` the per-block kind of each
-    component (one row per component, one entry per block).
+    ``params`` is a tuple of (key, value) string pairs, kept sorted, so the
+    whole spec stays hashable and equals its JSON round trip; ``boundaries``
+    holds the scale sequence n_1..n_{K+1} when the spec was built from
+    blocks, and ``schedule`` the per-block kind of each component (one row
+    per component, one entry per block).
     """
 
     components: tuple
@@ -114,6 +115,7 @@ class SetSpec:
     schedule: tuple = field(default=())
 
     def __post_init__(self):
+        object.__setattr__(self, "params", tuple(sorted(self.params)))
         if self.depth < 1:
             raise ValueError("depth must be positive")
         if not self.components:
@@ -157,7 +159,7 @@ def to_json_dict(spec):
 
 def from_json_dict(data):
     comps = tuple(DigitPattern.from_symbols(s) for s in data["components"])
-    params = tuple(sorted((str(k), str(v)) for k, v in data.get("params", {}).items()))
+    params = tuple((str(k), str(v)) for k, v in data.get("params", {}).items())
     return SetSpec(
         comps,
         int(data["depth"]),

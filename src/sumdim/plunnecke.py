@@ -31,21 +31,13 @@ from fractions import Fraction
 
 from .analysis import log2_big
 from .engine import DEFAULT_ENUM_BUDGET, enumerate_prefixes
-from .errors import BudgetExceededError, ScaleError
+from .errors import ScaleError
 from .patterns import SetSpec
 
 __all__ = [
-    "FiniteIntSet",
-    "PointSample",
-    "parse_points",
-    "render_points",
-    "sample_from_spec",
-    "dyadic_count",
     "ruzsa_check",
     "sumset_cover_bound_check",
     "prop31_check",
-    "random_int_set",
-    "random_point_sample",
     "ruzsa_suite",
     "cover_suite",
     "prop31_suite",
@@ -195,9 +187,8 @@ def dyadic_count(x, scale, width=1, budget=DEFAULT_ENUM_BUDGET):
 
     x may be a PointSample, a FiniteIntSet of cell indices at this scale,
     or a SetSpec.  Window i covers [i * 2^-scale, (i + width) * 2^-scale),
-    i >= 0.  For a SetSpec the truncated cells are enumerated exactly when
-    they fit the budget; otherwise a certified upper count is returned as
-    ("upper", n) instead of an int.
+    i >= 0.  For a SetSpec the truncated cells are enumerated exactly;
+    BudgetExceededError is raised when they do not fit the budget.
     """
     if scale < 0:
         raise ScaleError("scale must be nonnegative")
@@ -209,12 +200,7 @@ def dyadic_count(x, scale, width=1, budget=DEFAULT_ENUM_BUDGET):
     if isinstance(x, FiniteIntSet):
         return _window_count_from_cells(x.values, width)
     if isinstance(x, SetSpec):
-        j = min(scale, x.depth)
-        try:
-            cells = enumerate_prefixes(x, j, budget)
-        except BudgetExceededError:
-            upper = sum(1 << c.free_count_prefix(j) for c in x.components)
-            return ("upper", min(upper, 1 << j) * width)
+        cells = enumerate_prefixes(x, min(scale, x.depth), budget)
         if scale > x.depth:
             cells = [c << (scale - x.depth) for c in cells]
         return _window_count_from_cells(cells, width)

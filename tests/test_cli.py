@@ -5,6 +5,7 @@ import json
 import pytest
 
 from sumdim.cli import RunConfig, main, write_text_atomic
+from sumdim.errors import ConfigError
 
 SMALL = {
     "construction": "haus-lowbox",
@@ -39,6 +40,18 @@ def test_unknown_config_key_is_exit_2(tmp_path, capsys):
     path.write_text(json.dumps({**SMALL, "horizont": 3}))
     assert run(["construct", "--config", str(path)]) == 2
     assert "unknown config keys" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "bad", [{"alpha": 0.5}, {"horizon": "x"}, {"scales": ["a"]}, {"folds": [1.5]}]
+)
+def test_mistyped_config_value_is_exit_2(tmp_path, capsys, bad):
+    with pytest.raises(ConfigError):
+        RunConfig.from_dict({**SMALL, **bad})
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps({**SMALL, **bad}))
+    assert run(["count", "--config", str(path)]) == 2
+    assert "configuration error" in capsys.readouterr().err
 
 
 def test_construct_writes_spec_json(cfg, tmp_path, capsys):
@@ -144,12 +157,12 @@ def test_internal_errors_are_exit_5(cfg, capsys):
     assert "internal error" in capsys.readouterr().err
 
 
-def test_plunnecke_suites_pass(tmp_path, capsys):
-    out = tmp_path / "plun.json"
-    assert run(["plunnecke", "--seed", "5", "--out", str(out)]) == 0
+def test_plunnecke_suites_pass(capsys):
+    # without --out the JSON report goes to stdout, ahead of the verdicts
+    assert run(["plunnecke", "--seed", "5"]) == 0
     text = capsys.readouterr().out
     assert text.count("-> PASS") == 3
-    doc = json.loads(out.read_text())
+    doc, _ = json.JSONDecoder().raw_decode(text)
     assert [r["suite"] for r in doc["reports"]] == ["ruzsa", "sumset-cover", "prop31"]
     assert all(r["seed"] == 5 for r in doc["reports"])
 

@@ -5,14 +5,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sumdim.engine import (
+    CellCountBracket,
     branching_min_average,
     brute_force_oracle,
     enumerate_prefixes,
     free_position_sets,
     iterated_pattern_sums,
-    prefix_count,
     sum_prefix_counts,
-    sum_prefix_cover,
 )
 from sumdim.errors import BudgetExceededError, ScaleError
 from sumdim.patterns import DigitPattern, SetSpec
@@ -20,6 +19,16 @@ from sumdim.patterns import DigitPattern, SetSpec
 
 def all_free(depth):
     return SetSpec((DigitPattern.all_free(depth),), depth)
+
+
+def test_bracket_invariants():
+    b = CellCountBracket(3, 7)
+    assert not b.is_exact
+    assert CellCountBracket(4, 4).is_exact
+    with pytest.raises(ValueError):
+        CellCountBracket(5, 4)
+    with pytest.raises(ValueError):
+        CellCountBracket(0, 4)
 
 
 def test_single_free_component_fold2_doubles_per_scale():
@@ -53,7 +62,7 @@ def test_fold1_counts_equal_prefix_counts():
     spec = SetSpec.from_rows(["a0a0aa", "0aa00a", "aaa000"])
     for j in range(0, 7):
         r = sum_prefix_counts(spec, 1, [j])[j]
-        assert r.bracket.lower == prefix_count(spec, j)
+        assert r.bracket == brute_force_oracle(spec, 1, j)
         assert r.bracket.lower == len(enumerate_prefixes(spec, j))
 
 
@@ -102,12 +111,6 @@ def test_bracket_mode_contains_exact_count(spec, fold):
         b = brackets[j].bracket
         e = exacts[j].bracket.lower
         assert b.lower <= e <= b.upper, j
-
-
-def test_cover_width_absorbs_discarded_tail():
-    r = sum_prefix_cover(SetSpec.from_rows(["aaaa"]), 2, 2)
-    assert r.cover_width == 3
-    assert r.scale == 2
 
 
 def test_scale_bounds_checked():
@@ -160,4 +163,4 @@ def test_branching_bound_is_attained_by_some_leaf(spec):
     # 2^(n * OFF_n) never exceeds the number of distinct prefixes
     n = spec.depth
     off = branching_min_average(spec, n)
-    assert 2 ** (n * float(off)) <= prefix_count(spec, n) + 1e-9
+    assert 2 ** (n * float(off)) <= len(enumerate_prefixes(spec, n)) + 1e-9

@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from sumdim.errors import ScaleError
+from sumdim.errors import BudgetExceededError, ScaleError
 from sumdim.patterns import DigitPattern, SetSpec
 from sumdim.plunnecke import (
     FiniteIntSet,
@@ -77,8 +77,8 @@ def test_dyadic_count_specs():
     assert dyadic_count(point, 2, width=2) == 1
     # scales past the depth spread the same cells 2^(j - depth) apart
     assert dyadic_count(dense, 4) == 8
-    got = dyadic_count(SetSpec((DigitPattern.all_free(30),), 30), 5, budget=4)
-    assert got == ("upper", 32)
+    with pytest.raises(BudgetExceededError):
+        dyadic_count(SetSpec((DigitPattern.all_free(30),), 30), 5, budget=4)
 
 
 def test_ruzsa_check_pinned_pair():
