@@ -9,6 +9,7 @@ component combination, so prediction and measurement share arithmetic.
 
 from __future__ import annotations
 
+import decimal
 import itertools
 import math
 from dataclasses import dataclass
@@ -154,7 +155,8 @@ def off_trace(spec, scales=None):
     minimum over the reported scales lower-bounds every deeper dip.
     """
     chosen = _resolve_scales(spec, scales)
-    return tuple((n, branching_min_average(spec, n)) for n in chosen)
+    offs = branching_min_average(spec, chosen)
+    return tuple((n, offs[n]) for n in chosen)
 
 
 def interval_freedom_check(spec, fold):
@@ -248,8 +250,10 @@ def render_count_trace_csv(trace, header=None):
         lines.append(f"# {header}")
     lines.append("j,fold,lower,upper,exp_lower,exp_upper,predicted,mode")
     for e in trace.entries:
+        # Decimal renders counts of any size; str(int) stops at 4,300 digits
+        lower, upper = decimal.Decimal(e.lower), decimal.Decimal(e.upper)
         lines.append(
-            f"{e.scale},{e.fold},{e.lower},{e.upper},"
+            f"{e.scale},{e.fold},{lower},{upper},"
             f"{_g12(e.exp_lower)},{_g12(e.exp_upper)},{_g12(e.predicted)},{e.mode}"
         )
     return "\n".join(lines) + "\n"

@@ -143,7 +143,14 @@ class RunConfig:
         unknown = sorted(set(raw) - set(checks))
         if unknown:
             raise ConfigError(f"unknown config keys: {', '.join(unknown)}")
-        return cls(**{key: checks[key](key, value) for key, value in raw.items()})
+        config = cls(**{key: checks[key](key, value) for key, value in raw.items()})
+        fixed = [k for k in ("scale_policy", "scale_base", "horizon", "depth") if k in raw]
+        if fixed and config.alpha is None and config.construction in CANONICAL_EXAMPLES:
+            raise ConfigError(
+                f"canonical construction {config.construction!r} fixes its own "
+                f"{', '.join(fixed)}; give alpha targets to set them"
+            )
+        return config
 
     def canonical_dict(self):
         out = {}
@@ -161,7 +168,8 @@ class RunConfig:
         return hashlib.sha256(blob.encode()).hexdigest()[:12]
 
 
-def load_config(path):
+def load_config(path, overrides=None):
+    """The RunConfig of a JSON config file, with ``overrides`` given as keys."""
     try:
         with open(path, encoding="utf-8") as fh:
             raw = json.load(fh)
@@ -171,7 +179,7 @@ def load_config(path):
         raise ConfigError(f"config {path} is not valid JSON: {exc}") from exc
     if not isinstance(raw, dict):
         raise ConfigError("config root must be a JSON object")
-    return RunConfig.from_dict(raw)
+    return RunConfig.from_dict({**raw, **(overrides or {})})
 
 
 def _tool_line(config):
@@ -451,19 +459,15 @@ _DISPATCH = {
 def main(argv=None):
     args = build_parser().parse_args(argv)
     try:
+        overrides = {}
+        if getattr(args, "depth", None) is not None:
+            overrides["depth"] = args.depth
         if args.config:
-            config = load_config(args.config)
+            config = load_config(args.config, overrides)
         else:
-            overrides = {}
-            if getattr(args, "depth", None) is not None:
-                overrides["depth"] = args.depth
             if getattr(args, "seed", None) is not None:
                 overrides["seed"] = args.seed
             config = RunConfig.from_dict(overrides)
-        if getattr(args, "depth", None) is not None and args.config:
-            config = RunConfig.from_dict(
-                {**config.canonical_dict(), "depth": args.depth}
-            )
         return _DISPATCH[args.command](args, config)
     except (ConfigError, ScaleError) as exc:
         print(f"configuration error: {exc}", file=sys.stderr)

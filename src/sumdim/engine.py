@@ -34,11 +34,12 @@ For j < W no digits are emitted and the count is over carries shifted by
 W - j.
 
 States are carry *sets* encoded as bitmasks (carry c achievable <=> bit c
-set).  Exact mode runs one subset construction over all addend
-combinations at once; bracket mode counts each combination exactly on its
-own and reports [max, sum] over combinations, which brackets the union;
-the sum is clamped to the count of windows meeting [0, l], the most the
-union can occupy.
+set).  One kernel counts: a subset construction over a group of addend
+combinations.  Exact mode runs it on all combinations at once; bracket
+mode runs the same construction on each combination alone and reports
+[max, sum] over combinations, which brackets the union; the sum is
+clamped to the count of windows meeting [0, l], the most the union can
+occupy.  Both read a combination's free counts from one bytes column.
 """
 
 from __future__ import annotations
@@ -98,19 +99,23 @@ def _check_scale(spec, scale):
         raise ScaleError(f"scale {scale} outside 0..{spec.depth}")
 
 
-def branching_min_average(spec, n):
+def branching_min_average(spec, scales):
     """Minimum over depth-n prefixes of the average branching count, exact.
 
     A position counts as branching when the prefix read so far can be
     extended by both digits, i.e. some still-consistent component is free
-    there (the 0-extension always exists).  Returns a Fraction in [0, 1].
+    there (the 0-extension always exists).  One pass serves every requested
+    scale n: returns {n: Fraction in [0, 1]}.
     """
-    if not 1 <= n <= spec.depth:
-        raise ScaleError(f"scale {n} outside 1..{spec.depth}")
+    want = set(scales)
+    for n in want:
+        if not 1 <= n <= spec.depth:
+            raise ScaleError(f"scale {n} outside 1..{spec.depth}")
     fs = free_position_sets(spec)
     full = (1 << len(spec.components)) - 1
     dp = {full: 0}
-    for t in range(1, n + 1):
+    out = {}
+    for t in range(1, max(want, default=0) + 1):
         ndp = {}
         for s, cost in dp.items():
             s1 = s & fs[t]
@@ -123,7 +128,9 @@ def branching_min_average(spec, n):
                 if prev is None or c < prev:
                     ndp[s1] = c
         dp = ndp
-    return Fraction(min(dp.values()), n)
+        if t in want:
+            out[t] = Fraction(min(dp.values()), t)
+    return out
 
 
 def _submasks(m):
@@ -230,98 +237,64 @@ def _combos(ncomp, fold):
     return tuple(itertools.combinations_with_replacement(range(ncomp), fold))
 
 
-def _initial_carry_masks(spec, fold, scales, free_sets, combos):
-    """Carry-set per combination after absorbing digits below each scale.
+def _free_count_columns(spec, combos):
+    """Per combination, how many of its addends are free at each position.
 
-    One pass per combination from the deepest position upward, recording the
-    reachable-carry mask whenever a requested scale boundary is crossed.
-    Returns {scale: [mask per combination]}.
+    Yields one bytes column per combination: byte t (1..depth) is the free
+    count at position t, byte 0 is unused.  Each free mask is spread to one
+    byte per digit by reading its binary string as bytes, so a column is a
+    big-int sum of its addends' spread masks.
+    """
+    n = spec.depth
+    zero = int.from_bytes(b"0" * n, "big")
+    spread = [
+        int.from_bytes(format(c.free_mask, f"0{n}b").encode(), "big") - zero
+        for c in spec.components
+    ]
+    for combo in combos:
+        yield sum(spread[c] for c in combo).to_bytes(n + 1, "big")
+
+
+def _initial_carry_masks(column, fold, scales):
+    """Carry-set of one combination after absorbing every digit below each scale.
+
+    One pass from the deepest position upward; returns {scale: mask}.
     """
     _, _, nextany = _carry_tables(fold)
-    want = sorted(set(scales), reverse=True)
-    out = {j: [0] * len(combos) for j in want}
-    depth = spec.depth
-    for ci, combo in enumerate(combos):
-        cur = 1  # carry 0 only
-        wi = 0
-        for t in range(depth, 0, -1):
-            if wi < len(want) and want[wi] == t:
-                out[t][ci] = cur
-                wi += 1
-            fs = free_sets[t]
-            f = 0
-            for c in combo:
-                f += (fs >> c) & 1
-            cur = nextany[f][cur]
-        while wi < len(want):  # scale 0: everything absorbed
-            out[want[wi]][ci] = cur
-            wi += 1
+    out = {}
+    cur = 1  # carry 0 only
+    t = len(column) - 1
+    for j in sorted(set(scales), reverse=True):
+        while t > j:
+            cur = nextany[column[t]][cur]
+            t -= 1
+        out[j] = cur
     return out
 
 
-def _bracket_count_one(free_sets, scale, init_mask, combo, fold):
-    """Exact distinct-sum-prefix count for a single combination.
-
-    Path counts are kept per carry-set state; a word's contribution is the
-    number of distinct final carries, since output = word + carry * 2^scale.
-    """
-    next0, next1, _ = _carry_tables(fold)
-    size = 1 << fold
-    cur = [0] * size
-    cur[init_mask] = 1
-    settled = init_mask == 1  # exactly {carry 0}: zero digits are no-ops
-    for t in range(scale, 0, -1):
-        fs = free_sets[t]
-        f = 0
-        for c in combo:
-            f += (fs >> c) & 1
-        if f == 0 and settled:
-            continue
-        t0 = next0[f]
-        t1 = next1[f]
-        new = [0] * size
-        for g in range(1, size):
-            cnt = cur[g]
-            if cnt:
-                a = t0[g]
-                if a:
-                    new[a] += cnt
-                b = t1[g]
-                if b:
-                    new[b] += cnt
-        cur = new
-        settled = cur[1] != 0 and not any(cur[2:])
-    total = 0
-    for g in range(1, size):
-        cnt = cur[g]
-        if cnt:
-            total += cnt * g.bit_count()
-    return total
-
-
-def _exact_count(free_sets, scale, init_masks, combos, fold, state_budget):
-    """Distinct sum prefixes across all combinations at once.
+def _count_outputs(columns, scale, init_masks, fold, carry_shift, state_budget):
+    """Distinct outputs of the given combinations together, by subset construction.
 
     Subset state: a big integer whose bit (ci*fold + c) means combination ci
-    can reach the current output word with carry c.  Returns (count, peak)
-    or (None, peak) when the state budget is exceeded.
+    can reach the current output word with carry c.  Positions scale..1 emit
+    the word; an output is the word with its final carry shifted right by
+    ``carry_shift``.  Returns (count, peak), or (None, peak) when the state
+    budget is exceeded.
     """
     next0, next1, _ = _carry_tables(fold)
     gmask = (1 << fold) - 1
-    s0 = 0
-    for ci, mask in enumerate(init_masks):
+    s0 = quiet = busy = 0
+    for ci, (column, mask) in enumerate(zip(columns, init_masks)):
         s0 |= mask << (ci * fold)
-    # f per (position, combination), packed as bytes rows
-    fvals = [None] * (scale + 1)
-    for t in range(1, scale + 1):
-        fs = free_sets[t]
-        fvals[t] = bytes(
-            sum((fs >> c) & 1 for c in combo) for combo in combos
-        )
+        quiet |= 1 << (ci * fold)  # carry 0 in every combination
+        busy |= int.from_bytes(column, "big")
+    busy = busy.to_bytes(len(columns[0]), "big")  # byte t > 0 iff an addend is free at t
     dp = {s0: 1}
     peak = 1
+    settled = s0 == quiet
     for t in range(scale, 0, -1):
-        fv = fvals[t]
+        if settled and not busy[t]:
+            continue  # zero digits leave carry 0 where it is
         ndp = {}
         get = ndp.get
         for state, cnt in dp.items():
@@ -333,7 +306,7 @@ def _exact_count(free_sets, scale, init_masks, combos, fold, state_budget):
                 ci = (lsb.bit_length() - 1) // fold
                 shift = ci * fold
                 g = (state >> shift) & gmask
-                f = fv[ci]
+                f = columns[ci][t]
                 a |= next0[f][g] << shift
                 b |= next1[f][g] << shift
                 rem &= ~(gmask << shift)
@@ -346,6 +319,7 @@ def _exact_count(free_sets, scale, init_masks, combos, fold, state_budget):
             return None, peak
         if len(dp) > peak:
             peak = len(dp)
+        settled = len(dp) == 1 and quiet in dp
     total = 0
     for state, cnt in dp.items():
         union = 0
@@ -353,7 +327,7 @@ def _exact_count(free_sets, scale, init_masks, combos, fold, state_budget):
         while rem:
             union |= rem & gmask
             rem >>= fold
-        total += cnt * union.bit_count()
+        total += cnt * _carry_values_mask(union, carry_shift).bit_count()
     return total, peak
 
 
@@ -382,45 +356,36 @@ def sum_prefix_counts(spec, fold, scales, mode="exact", state_budget=DEFAULT_STA
     scales = sorted(set(scales))
     for j in scales:
         _check_scale(spec, j)
-    free_sets = free_position_sets(spec)
-    combos = _combos(len(spec.components), fold)
-    emit = sorted({max(j - width, 0) for j in scales})
-    init = _initial_carry_masks(spec, fold, emit, free_sets, combos)
+    columns = _free_count_columns(spec, _combos(len(spec.components), fold))
+    emit = {j: max(j - width, 0) for j in scales}
+    shift = {j: max(width - j, 0) for j in scales}
     results = {}
-    for j in scales:
-        e = j - width
-        sup = ((fold << j) >> width) + 1  # windows meeting [0, fold]
-        peak = 0
-        fell_back = False
-        count = None
-        if e < 0:
-            # every digit is absorbed; outputs are shifted final carries
-            if mode == "exact":
-                union = 0
-                for m in init[0]:
-                    union |= m
-                count = _carry_values_mask(union, -e).bit_count()
+    peaks = {}
+    if mode == "exact":
+        columns = list(columns)
+        init = [_initial_carry_masks(col, fold, emit.values()) for col in columns]
+        for j in scales:
+            e = emit[j]
+            inits = [m[e] for m in init]
+            count, peaks[j] = _count_outputs(columns, e, inits, fold, shift[j], state_budget)
+            if count is not None:
                 bracket = CellCountBracket(count, count)
-                used = "exact"
-            else:
-                per = [_carry_values_mask(m, -e).bit_count() for m in init[0]]
-                bracket = CellCountBracket(max(per), min(sum(per), sup))
-                used = "bracket"
-            results[j] = DistinctCountResult(j, fold, bracket, used, peak, fell_back)
-            continue
-        if mode == "exact":
-            count, peak = _exact_count(free_sets, e, init[e], combos, fold, state_budget)
-            if count is None:
-                fell_back = True
-        if count is not None:
-            bracket = CellCountBracket(count, count)
-            used = "exact"
-        else:
-            per = [
-                _bracket_count_one(free_sets, e, init[e][ci], combo, fold)
-                for ci, combo in enumerate(combos)
-            ]
-            bracket = CellCountBracket(max(per), min(sum(per), sup))
-            used = "bracket"
-        results[j] = DistinctCountResult(j, fold, bracket, used, peak, fell_back)
-    return results
+                results[j] = DistinctCountResult(j, fold, bracket, "exact", peaks[j], False)
+    # bracket mode, and exact mode's fallbacks: each combination alone.
+    # Bracket mode builds one column at a time: at depth, holding them all
+    # raises peak memory.
+    rest = [j for j in scales if j not in results]
+    per = {j: [] for j in rest}
+    for col in columns if rest else ():
+        init = _initial_carry_masks(col, fold, [emit[j] for j in rest])
+        for j in rest:
+            # a lone combination has fewer than 2^fold subset states
+            count, _ = _count_outputs([col], emit[j], [init[emit[j]]], fold, shift[j], 1 << fold)
+            per[j].append(count)
+    for j in rest:
+        sup = ((fold << j) >> width) + 1  # windows meeting [0, fold]
+        bracket = CellCountBracket(max(per[j]), min(sum(per[j]), sup))
+        results[j] = DistinctCountResult(
+            j, fold, bracket, "bracket", peaks.get(j, 0), mode == "exact"
+        )
+    return {j: results[j] for j in scales}

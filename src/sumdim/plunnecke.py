@@ -117,44 +117,6 @@ class PointSample:
         return PointSample.of(x + y for x in self.points for y in other.points)
 
 
-def parse_points(text):
-    """One point per line, decimal ("0.625") or rational ("5/8").
-
-    Blank lines and lines starting with ``#`` are skipped.
-    """
-    pts = []
-    for lineno, raw in enumerate(text.splitlines(), 1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        try:
-            pts.append(Fraction(line))
-        except (ValueError, ZeroDivisionError) as exc:
-            raise ValueError(f"line {lineno}: cannot parse point {line!r}") from exc
-    return PointSample.of(pts)
-
-
-def render_points(sample):
-    """Inverse of parse_points: one exact rational per line."""
-    return "\n".join(str(p) for p in sample.points) + "\n"
-
-
-def sample_from_spec(spec, count, seed):
-    """Seeded draw of admissible points from a pattern spec.
-
-    Each draw picks a component uniformly and fills its free digits with
-    fair coin flips; the point is the exact rational X * 2^-depth.
-    """
-    rng = random.Random(seed)
-    denom = 1 << spec.depth
-    pts = []
-    for _ in range(count):
-        comp = spec.components[rng.randrange(len(spec.components))]
-        x = rng.getrandbits(spec.depth) & comp.free_mask
-        pts.append(Fraction(x, denom))
-    return PointSample.of(pts)
-
-
 # ---------------------------------------------------------------------------
 # window counts
 

@@ -290,7 +290,7 @@ def test_acceptance_5_off_consistency():
     hl = build_canonical("haus-lowbox")
     pins = []
     for n, want in ((48, F(7, 48)), (99, F(4, 33))):
-        got = branching_min_average(hl, n)
+        got = branching_min_average(hl, [n])[n]
         ref = _isolation_reference(hl, n)
         pins.append((n, got, ref, want))
         if not got == ref == want:

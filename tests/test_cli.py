@@ -54,6 +54,22 @@ def test_mistyped_config_value_is_exit_2(tmp_path, capsys, bad):
     assert "configuration error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "config, flags, named",
+    [
+        ({"horizon": 3, "scale_policy": "tower"}, [], "scale_policy, horizon"),
+        ({"scale_base": 8, "depth": 40}, [], "scale_base, depth"),
+        ({}, ["--depth", "5"], "depth"),
+    ],
+)
+def test_canonical_config_rejects_skeleton_keys(tmp_path, capsys, config, flags, named):
+    # a canonical build fixes its own scale sequence and depth
+    path = tmp_path / "run.json"
+    path.write_text(json.dumps({"construction": "haus-lowbox", **config}))
+    assert run(["construct", "--config", str(path), *flags]) == 2
+    assert f"fixes its own {named};" in capsys.readouterr().err
+
+
 def test_construct_writes_spec_json(cfg, tmp_path, capsys):
     out = tmp_path / "spec.json"
     assert run(["construct", "--config", cfg, "--out", str(out)]) == 0

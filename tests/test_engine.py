@@ -76,21 +76,30 @@ def test_oracle_agrees_on_mixed_spec():
 
 
 @st.composite
-def small_specs(draw):
-    # at most 6 free positions per row keeps the 3-fold enumeration
+def small_specs(draw, max_rows=3, max_free=6):
+    # at most 3 rows of 6 free positions keeps the 3-fold enumeration
     # (sum of 2^frees, cubed) inside the default oracle budget
     depth = draw(st.integers(4, 11))
-    ncomp = draw(st.integers(1, 3))
+    ncomp = draw(st.integers(1, max_rows))
     rows = []
     for _ in range(ncomp):
-        frees = draw(st.sets(st.integers(0, depth - 1), max_size=6))
+        frees = draw(st.sets(st.integers(0, depth - 1), max_size=max_free))
         rows.append("".join("a" if i in frees else "0" for i in range(depth)))
     return SetSpec.from_rows(rows)
 
 
-@given(small_specs(), st.integers(1, 3))
-@settings(max_examples=60, deadline=None)
-def test_exact_mode_matches_oracle_everywhere(spec, fold):
+@st.composite
+def specs_with_fold(draw):
+    fold = draw(st.integers(1, 5))
+    # folds 4-5 stay inside the oracle budget with 2 rows of 3 free positions
+    spec = draw(small_specs() if fold <= 3 else small_specs(max_rows=2, max_free=3))
+    return spec, fold
+
+
+@given(specs_with_fold())
+@settings(max_examples=80, deadline=None)
+def test_exact_mode_matches_oracle_everywhere(spec_fold):
+    spec, fold = spec_fold
     scales = list(range(0, spec.depth + 1))
     results = sum_prefix_counts(spec, fold, scales, mode="exact")
     sums = iterated_pattern_sums(spec, fold)
@@ -101,9 +110,10 @@ def test_exact_mode_matches_oracle_everywhere(spec, fold):
         assert got.lower == got.upper == want, j
 
 
-@given(small_specs(), st.integers(1, 3))
-@settings(max_examples=40, deadline=None)
-def test_bracket_mode_contains_exact_count(spec, fold):
+@given(specs_with_fold())
+@settings(max_examples=50, deadline=None)
+def test_bracket_mode_contains_exact_count(spec_fold):
+    spec, fold = spec_fold
     scales = list(range(1, spec.depth + 1))
     brackets = sum_prefix_counts(spec, fold, scales, mode="bracket")
     exacts = sum_prefix_counts(spec, fold, scales, mode="exact")
@@ -111,6 +121,16 @@ def test_bracket_mode_contains_exact_count(spec, fold):
         b = brackets[j].bracket
         e = exacts[j].bracket.lower
         assert b.lower <= e <= b.upper, j
+
+
+@given(small_specs(max_rows=1, max_free=4), st.integers(1, 5))
+@settings(max_examples=40, deadline=None)
+def test_bracket_mode_is_exact_on_one_component(spec, fold):
+    # a single combination: each per-combination count is the union's
+    scales = list(range(0, spec.depth + 1))
+    results = sum_prefix_counts(spec, fold, scales, mode="bracket")
+    for j in scales:
+        assert results[j].bracket == brute_force_oracle(spec, fold, j), j
 
 
 def test_scale_bounds_checked():
@@ -151,10 +171,10 @@ def test_branching_min_average_prefers_quiet_paths():
     # choosing digit 1 at position 1 isolates the first component,
     # whose remaining positions are forced
     spec = SetSpec.from_rows(["a000", "0aaa"])
-    assert branching_min_average(spec, 4).numerator == 1
+    assert branching_min_average(spec, [4])[4].numerator == 1
     # the all-zero path still sees union branching at every position
     dense = SetSpec.from_rows(["aaaa"])
-    assert branching_min_average(dense, 4) == 1
+    assert branching_min_average(dense, [4]) == {4: 1}
 
 
 @given(small_specs())
@@ -162,5 +182,5 @@ def test_branching_min_average_prefers_quiet_paths():
 def test_branching_bound_is_attained_by_some_leaf(spec):
     # 2^(n * OFF_n) never exceeds the number of distinct prefixes
     n = spec.depth
-    off = branching_min_average(spec, n)
+    off = branching_min_average(spec, [n])[n]
     assert 2 ** (n * float(off)) <= len(enumerate_prefixes(spec, n)) + 1e-9

@@ -11,15 +11,12 @@ from sumdim.plunnecke import (
     PointSample,
     cover_suite,
     dyadic_count,
-    parse_points,
     prop31_check,
     prop31_suite,
     random_int_set,
     random_point_sample,
-    render_points,
     ruzsa_check,
     ruzsa_suite,
-    sample_from_spec,
     sumset_cover_bound_check,
 )
 
@@ -46,16 +43,6 @@ def test_point_sample_sorts_and_dedupes():
     assert t.points == (F(1, 4), F(1, 2), F(3, 4))
     with pytest.raises(ValueError):
         PointSample.of([F(-1, 2)])
-
-
-def test_parse_and_render_points_round_trip():
-    text = "# sample\n1/2\n0.625\n\n3\n"
-    s = parse_points(text)
-    assert s.points == (F(1, 2), F(5, 8), F(3))
-    assert render_points(s) == "1/2\n5/8\n3\n"
-    assert parse_points(render_points(s)) == s
-    with pytest.raises(ValueError, match="line 2"):
-        parse_points("1/2\nnope\n")
 
 
 def test_dyadic_count_point_samples_and_int_sets():
@@ -123,17 +110,6 @@ def test_prop31_check_fields():
         prop31_check(a, b, 2, [])
     with pytest.raises(ValueError):
         prop31_check(a, b, 0, [1])
-
-
-def test_sample_from_spec_is_seeded_and_admissible():
-    spec = SetSpec.from_rows(["a0a"])
-    s1 = sample_from_spec(spec, 40, seed=11)
-    s2 = sample_from_spec(spec, 40, seed=11)
-    assert s1 == s2
-    valid = {F(x, 8) for x in (0b000, 0b001, 0b100, 0b101)}
-    assert set(s1.points) <= valid
-    wide = SetSpec((DigitPattern.all_free(16),), 16)
-    assert sample_from_spec(wide, 8, seed=1) != sample_from_spec(wide, 8, seed=2)
 
 
 def test_random_generators_are_bounded():
