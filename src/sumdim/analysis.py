@@ -159,28 +159,6 @@ def off_trace(spec, scales=None):
     return tuple((n, offs[n]) for n in chosen)
 
 
-def interval_freedom_check(spec, fold):
-    """Whether some fold-multiset of components is Free on all deep positions.
-
-    Returns (ok, j0): ok is true when beyond position j0 every digit is
-    free in the positionwise OR of the best multiset, so the iterated sum
-    fills whole dyadic intervals past 2^-j0.
-    """
-    best_tail = 0
-    full = (1 << spec.depth) - 1
-    for combo in itertools.combinations_with_replacement(_distinct_masks(spec), fold):
-        acc = 0
-        for m in combo:
-            acc |= m
-        if acc == full:
-            return True, 0
-        flipped = ~acc & full
-        tail = (flipped & -flipped).bit_length() - 1
-        if tail > best_tail:
-            best_tail = tail
-    return best_tail > 0, spec.depth - best_tail
-
-
 def sum_block_frequency(kinds, k, params):
     """Exact Free frequency of the carry-free sum of same-index blocks.
 

@@ -129,7 +129,6 @@ class RunConfig:
     scale_policy: str = _key("scaled", _choice("tower", "scaled", "geometric"))
     scale_base: int = _key(4, _integer)
     horizon: int = _key(6, _integer)
-    depth: int | None = _key(None, _optional(_integer))
     folds: tuple = _key((1, 2), _folds)
     scales: object = _key("boundaries", _scales)
     mode: str = _key("bracket", _choice("exact", "bracket"))
@@ -144,7 +143,7 @@ class RunConfig:
         if unknown:
             raise ConfigError(f"unknown config keys: {', '.join(unknown)}")
         config = cls(**{key: checks[key](key, value) for key, value in raw.items()})
-        fixed = [k for k in ("scale_policy", "scale_base", "horizon", "depth") if k in raw]
+        fixed = [k for k in ("scale_policy", "scale_base", "horizon") if k in raw]
         if fixed and config.alpha is None and config.construction in CANONICAL_EXAMPLES:
             raise ConfigError(
                 f"canonical construction {config.construction!r} fixes its own "
@@ -231,7 +230,7 @@ def build_from_config(config):
         raise ConfigError(f"unknown construction {config.construction!r}")
     targets = DimensionTargets(config.alpha, config.beta, config.gamma)
     scales = make_scale_sequence(config.scale_policy, config.horizon, config.scale_base)
-    return build_example(config.construction, targets, scales, depth=config.depth)
+    return build_example(config.construction, targets, scales)
 
 
 def load_spec(path):
@@ -333,11 +332,10 @@ def cmd_off(args, config):
 
 
 def cmd_plunnecke(args, config):
-    seed = args.seed if args.seed is not None else config.seed
     reports = [
-        ruzsa_suite(seed),
-        cover_suite(seed),
-        prop31_suite(seed),
+        ruzsa_suite(config.seed),
+        cover_suite(config.seed),
+        prop31_suite(config.seed),
     ]
     doc = {"tool": _tool_dict(config), "reports": reports}
     _emit(json.dumps(doc, indent=2, sort_keys=True) + "\n", args.out)
@@ -415,7 +413,6 @@ def build_parser():
 
     p = sub.add_parser("construct", help="build a pattern spec and write its JSON")
     common(p)
-    p.add_argument("--depth", type=int, help="override the configured depth")
 
     for name, helptext in (
         ("count", "distinct-sum-prefix counts as CSV"),
@@ -460,13 +457,11 @@ def main(argv=None):
     args = build_parser().parse_args(argv)
     try:
         overrides = {}
-        if getattr(args, "depth", None) is not None:
-            overrides["depth"] = args.depth
+        if getattr(args, "seed", None) is not None:
+            overrides["seed"] = args.seed
         if args.config:
             config = load_config(args.config, overrides)
         else:
-            if getattr(args, "seed", None) is not None:
-                overrides["seed"] = args.seed
             config = RunConfig.from_dict(overrides)
         return _DISPATCH[args.command](args, config)
     except (ConfigError, ScaleError) as exc:

@@ -26,6 +26,10 @@ CONSTRUCTION_NAMES = (
     "all-dims-3",
 )
 
+# make_scale_sequence refuses skeletons past this many positions: every
+# component of a spec holds a mask that wide, and counting walks it.
+MAX_SCALE = 1 << 20
+
 
 def _as_fraction_tuple(values):
     out = tuple(Fraction(v) for v in values)
@@ -116,44 +120,32 @@ def make_scale_sequence(policy, horizon, base=2):
     """Scale skeleton under one of three growth policies.
 
     "tower" uses the doubly exponential rule n_k = min{n >= 2^(2^k) :
-    (k-1) | n - n_(k-1)} and refuses horizons past 5 (n_7 needs 128-bit
-    positions).  "scaled" keeps the divisibility invariant with additive
-    gaps: each block is the smallest multiple of k that is >= base.
-    "geometric" grows by a factor >= base instead.
+    (k-1) | n - n_(k-1)}.  "scaled" keeps the divisibility invariant with
+    additive gaps: each block is the smallest multiple of k that is
+    >= base.  "geometric" grows by a factor >= base instead.  A skeleton
+    that passes MAX_SCALE positions is refused as soon as it does.
     """
     if horizon < 2:
         raise ScaleError("horizon must be at least 2")
-    if policy == "tower":
-        if horizon > 5:
-            raise ScaleError(
-                "tower policy overflows past horizon 5 (n_7 >= 2^128); "
-                "use the scaled policy"
-            )
-        vals = [4]
-        for k in range(2, horizon + 2):
-            n = 1 << (1 << k)
-            r = (n - vals[-1]) % (k - 1)
-            if r:
-                n += (k - 1) - r
-            vals.append(n)
-        return ScaleSequence(tuple(vals))
-    if base < 2:
+    if policy not in ("tower", "scaled", "geometric"):
+        raise ScaleError(f"unknown scale policy {policy!r}")
+    if policy != "tower" and base < 2:
         raise ScaleError("base must be at least 2")
-    if policy == "scaled":
-        vals = [base]
-        for k in range(1, horizon + 1):
-            vals.append(vals[-1] + -(-base // k) * k)
-        return ScaleSequence(tuple(vals))
-    if policy == "geometric":
-        vals = [base]
-        for k in range(1, horizon + 1):
+    vals = [4 if policy == "tower" else base]
+    for k in range(1, horizon + 1):
+        if policy == "tower":
+            n = 1 << (1 << (k + 1))
+        elif policy == "scaled":
+            n = vals[-1] + base
+        else:
             n = base * vals[-1]
-            r = (n - vals[-1]) % k
-            if r:
-                n += k - r
-            vals.append(n)
-        return ScaleSequence(tuple(vals))
-    raise ScaleError(f"unknown scale policy {policy!r}")
+        n += -(n - vals[-1]) % k  # block k's width is a multiple of k
+        if n > MAX_SCALE:
+            raise ScaleError(
+                f"{policy} skeleton passes {MAX_SCALE} positions at block {k}"
+            )
+        vals.append(n)
+    return ScaleSequence(tuple(vals))
 
 
 def star_floor(start, alpha, gap, index):
@@ -496,16 +488,8 @@ def _build_interval(name, alpha, scales, residue_maps):
     )
 
 
-def build_example(name, targets, scales, depth=None):
-    """One of the five named families over the given scale skeleton.
-
-    depth, when given, must equal the skeleton's own depth n_{K+1} - 1;
-    it exists so configs can cross-check their expectations.
-    """
-    if depth is not None and depth != scales.depth:
-        raise ConstructionError(
-            f"depth {depth} not aligned: blocks end at {scales.depth}"
-        )
+def build_example(name, targets, scales):
+    """One of the five named families over the given scale skeleton."""
     alpha = targets.alpha
     for i in range(len(alpha) - 1):
         _require(alpha[i] <= alpha[i + 1], f"alpha_{i + 1} <= alpha_{i + 2}")

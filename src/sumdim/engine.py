@@ -143,18 +143,6 @@ def _submasks(m):
         s = (s - 1) & m
 
 
-def enumerate_prefixes(spec, scale, budget=DEFAULT_ENUM_BUDGET):
-    """Sorted distinct length-``scale`` prefixes of the union, as integers."""
-    _check_scale(spec, scale)
-    total = sum(1 << c.free_count_prefix(scale) for c in spec.components)
-    if total > budget:
-        raise BudgetExceededError(f"prefix enumeration needs {total} > budget {budget}")
-    seen = set()
-    for comp in spec.components:
-        seen.update(_submasks(comp.free_mask >> (spec.depth - scale)))
-    return sorted(seen)
-
-
 # ---------------------------------------------------------------------------
 # brute-force oracle
 

@@ -62,12 +62,6 @@ class DigitPattern:
     def free_count(self):
         return self.free_mask.bit_count()
 
-    def free_count_prefix(self, j):
-        """Free positions among 1..j."""
-        if not 0 <= j <= self.length:
-            raise IndexError(f"prefix length {j} outside 0..{self.length}")
-        return (self.free_mask >> (self.length - j)).bit_count()
-
     def prefix(self, j):
         if not 0 <= j <= self.length:
             raise IndexError(f"prefix length {j} outside 0..{self.length}")

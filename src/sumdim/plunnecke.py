@@ -3,8 +3,10 @@
 The window family at scale j and width l is the set of half-open
 intervals [i * 2^-j, (i + l) * 2^-j) with integer i >= 0; the count
 D(j, l, X) is how many of them meet X.  Everything here is exact:
-points are rationals, counts are integers, ratios are Fractions, and
-every check compares cross-multiplied integers rather than floats.
+points are rationals on the 1/GRID grid (a point sample is the
+FiniteIntSet of their numerators), counts are integers, ratios are
+Fractions, and every check compares cross-multiplied integers rather
+than floats.
 
 Three checks are provided.
 
@@ -24,15 +26,13 @@ generator produced the cases.
 
 from __future__ import annotations
 
-import itertools
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 
 from .analysis import log2_big
-from .engine import DEFAULT_ENUM_BUDGET, enumerate_prefixes
 from .errors import ScaleError
-from .patterns import SetSpec
 
 __all__ = [
     "ruzsa_check",
@@ -42,6 +42,11 @@ __all__ = [
     "cover_suite",
     "prop31_suite",
 ]
+
+# Point samples are rationals k / GRID: every denominator 2^j or 3 * 2^j
+# with j <= GRID_SCALE divides GRID.
+GRID_SCALE = 12
+GRID = 3 << GRID_SCALE
 
 
 @dataclass(frozen=True)
@@ -63,29 +68,24 @@ class FiniteIntSet:
             mask |= 1 << v
         return cls(mask)
 
-    @property
+    @cached_property
     def values(self):
+        bits = format(self.mask, "b")[::-1]
         out = []
-        m = self.mask
-        while m:
-            low = m & -m
-            out.append(low.bit_length() - 1)
-            m ^= low
+        v = bits.find("1")
+        while v >= 0:
+            out.append(v)
+            v = bits.find("1", v + 1)
         return tuple(out)
 
     def __len__(self):
         return self.mask.bit_count()
 
     def sumset(self, other):
+        shifts, base = sorted((self, other), key=len)
         acc = 0
-        shifts = self.mask
-        base = other.mask
-        if base.bit_count() < shifts.bit_count():
-            shifts, base = base, shifts
-        while shifts:
-            low = shifts & -shifts
-            acc |= base << (low.bit_length() - 1)
-            shifts ^= low
+        for v in shifts.values:
+            acc |= base.mask << v
         return FiniteIntSet(acc)
 
     def iterated(self, fold):
@@ -97,76 +97,18 @@ class FiniteIntSet:
         return acc
 
 
-@dataclass(frozen=True)
-class PointSample:
-    """Finite set of nonnegative rational points, kept sorted."""
+def dyadic_count(points, scale, width=1):
+    """Number of scale-``scale`` windows of ``width`` cells meeting the points.
 
-    points: tuple
-
-    @classmethod
-    def of(cls, iterable):
-        pts = tuple(sorted({Fraction(p) for p in iterable}))
-        if pts and pts[0] < 0:
-            raise ValueError("negative point in sample")
-        return cls(pts)
-
-    def __len__(self):
-        return len(self.points)
-
-    def sumset(self, other):
-        return PointSample.of(x + y for x in self.points for y in other.points)
-
-
-# ---------------------------------------------------------------------------
-# window counts
-
-
-def _merge_count(intervals):
-    """Total integer points in a union of [lo, hi] ranges, clamped to >= 0."""
-    total = 0
-    cur_lo = cur_hi = None
-    for lo, hi in sorted(intervals):
-        lo = max(lo, 0)
-        if hi < lo:
-            continue
-        if cur_hi is None or lo > cur_hi + 1:
-            if cur_hi is not None:
-                total += cur_hi - cur_lo + 1
-            cur_lo, cur_hi = lo, hi
-        elif hi > cur_hi:
-            cur_hi = hi
-    if cur_hi is not None:
-        total += cur_hi - cur_lo + 1
-    return total
-
-
-def _window_count_from_cells(cells, width):
-    return _merge_count((c - width + 1, c) for c in cells)
-
-
-def dyadic_count(x, scale, width=1, budget=DEFAULT_ENUM_BUDGET):
-    """Number of scale-``scale`` windows of ``width`` cells meeting x.
-
-    x may be a PointSample, a FiniteIntSet of cell indices at this scale,
-    or a SetSpec.  Window i covers [i * 2^-scale, (i + width) * 2^-scale),
-    i >= 0.  For a SetSpec the truncated cells are enumerated exactly;
-    BudgetExceededError is raised when they do not fit the budget.
+    ``points`` holds numerators over ``GRID``.  Window i covers
+    [i * 2^-scale, (i + width) * 2^-scale), i >= 0.
     """
     if scale < 0:
         raise ScaleError("scale must be nonnegative")
     if width < 1:
         raise ValueError("width must be at least 1")
-    if isinstance(x, PointSample):
-        cells = {(p.numerator << scale) // p.denominator for p in x.points}
-        return _window_count_from_cells(cells, width)
-    if isinstance(x, FiniteIntSet):
-        return _window_count_from_cells(x.values, width)
-    if isinstance(x, SetSpec):
-        cells = enumerate_prefixes(x, min(scale, x.depth), budget)
-        if scale > x.depth:
-            cells = [c << (scale - x.depth) for c in cells]
-        return _window_count_from_cells(cells, width)
-    raise TypeError(f"cannot count windows of {type(x).__name__}")
+    cells = {(v << scale) // GRID for v in points.values}
+    return len({c - s for c in cells for s in range(width) if c >= s})
 
 
 # ---------------------------------------------------------------------------
@@ -220,9 +162,7 @@ def sumset_cover_bound_check(samples, scale, width=None):
     lhs = dyadic_count(total, scale, width)
     idx = None
     for s in samples:
-        cells = FiniteIntSet.of(
-            (p.numerator << scale) // p.denominator for p in s.points
-        )
+        cells = FiniteIntSet.of((v << scale) // GRID for v in s.values)
         idx = cells if idx is None else idx.sumset(cells)
     rhs = (fold + 1) * len(idx)
     return {
@@ -302,8 +242,13 @@ def random_int_set(rng, max_size=64, max_value=4096):
     return FiniteIntSet.of(rng.randrange(max_value) for _ in range(size))
 
 
-def random_point_sample(rng, max_size=48, max_scale=12):
-    """Random dyadic-plus-odd rationals in [0, 2), denominators <= 3 * 2^j."""
+def random_point_sample(rng, max_size=48, max_scale=GRID_SCALE):
+    """Random dyadic-plus-odd rationals in [0, 2), denominators <= 3 * 2^j.
+
+    The points come back as their numerators over ``GRID``.
+    """
+    if max_scale > GRID_SCALE:
+        raise ValueError(f"max_scale {max_scale} is finer than the 1/GRID grid")
     size = rng.randint(1, max_size)
     pts = []
     for _ in range(size):
@@ -313,8 +258,8 @@ def random_point_sample(rng, max_size=48, max_scale=12):
         if rng.random() < 0.25:
             den *= 3
             num = rng.randrange(2 * den)
-        pts.append(Fraction(num, den))
-    return PointSample.of(pts)
+        pts.append(num * (GRID // den))
+    return FiniteIntSet.of(pts)
 
 
 def ruzsa_suite(seed, pairs=1000, folds=(2, 3)):

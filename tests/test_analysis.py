@@ -1,4 +1,4 @@
-"""Dimension diagnostics: exponent traces, OFF, freedom checks, rendering."""
+"""Dimension diagnostics: exponent traces, OFF, frequency reports, rendering."""
 
 import math
 from fractions import Fraction
@@ -11,7 +11,6 @@ from sumdim.analysis import (
     count_trace,
     default_scales,
     frequency_report,
-    interval_freedom_check,
     log2_big,
     off_trace,
     predicted_exponent,
@@ -92,22 +91,6 @@ def test_off_trace_exact_rationals():
     assert off_trace(spec, [4]) == ((4, F(1, 4)),)
     dense = SetSpec.from_rows(["aaaa"])
     assert off_trace(dense, [2, 4]) == ((2, F(1)), (4, F(1)))
-
-
-def test_interval_freedom_check_small_specs():
-    assert interval_freedom_check(SetSpec.from_rows(["aa"]), 1) == (True, 0)
-    assert interval_freedom_check(SetSpec.from_rows(["0a"]), 1) == (True, 1)
-    # a forced tail digit blocks interval filling entirely
-    assert interval_freedom_check(SetSpec.from_rows(["a0"]), 1) == (False, 2)
-
-
-def test_interval_freedom_check_canonicals():
-    pair = build_canonical("pair-hausdorff")
-    # single components keep dipping forever; the pair sum is Free everywhere
-    assert interval_freedom_check(pair, 1) == (True, 161)
-    assert interval_freedom_check(pair, 2) == (True, 0)
-    # no triple of all-dims-3 components covers the deepest beta run
-    assert interval_freedom_check(build_canonical("all-dims-3"), 3) == (False, 102)
 
 
 def test_targets_of_round_trip():

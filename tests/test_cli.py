@@ -1,10 +1,11 @@
 """Command-line interface: exit codes, output formats, determinism."""
 
 import json
+import time
 
 import pytest
 
-from sumdim.cli import RunConfig, main, write_text_atomic
+from sumdim.cli import RunConfig, load_config, main, write_text_atomic
 from sumdim.errors import ConfigError
 
 SMALL = {
@@ -55,19 +56,33 @@ def test_mistyped_config_value_is_exit_2(tmp_path, capsys, bad):
 
 
 @pytest.mark.parametrize(
-    "config, flags, named",
+    "config, error",
     [
-        ({"horizon": 3, "scale_policy": "tower"}, [], "scale_policy, horizon"),
-        ({"scale_base": 8, "depth": 40}, [], "scale_base, depth"),
-        ({}, ["--depth", "5"], "depth"),
+        ({"horizon": 3, "scale_policy": "tower"}, "fixes its own scale_policy, horizon;"),
+        # depth is no config key: the scale sequence alone sets it
+        ({"depth": 126}, "unknown config keys: depth"),
     ],
+    ids=["scale_policy, horizon", "depth"],
 )
-def test_canonical_config_rejects_skeleton_keys(tmp_path, capsys, config, flags, named):
+def test_canonical_config_rejects_skeleton_keys(tmp_path, capsys, config, error):
     # a canonical build fixes its own scale sequence and depth
     path = tmp_path / "run.json"
     path.write_text(json.dumps({"construction": "haus-lowbox", **config}))
-    assert run(["construct", "--config", str(path), *flags]) == 2
-    assert f"fixes its own {named};" in capsys.readouterr().err
+    assert run(["construct", "--config", str(path)]) == 2
+    assert error in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "skeleton",
+    [{"horizon": 100000}, {"horizon": 10**9}, {"scale_policy": "tower", "horizon": 4}],
+)
+def test_too_deep_skeleton_is_exit_2_at_once(tmp_path, capsys, skeleton):
+    path = tmp_path / "deep.json"
+    path.write_text(json.dumps({**SMALL, **skeleton}))
+    start = time.perf_counter()
+    assert run(["construct", "--config", str(path)]) == 2
+    assert time.perf_counter() - start < 1
+    assert "skeleton passes 1048576 positions" in capsys.readouterr().err
 
 
 def test_construct_writes_spec_json(cfg, tmp_path, capsys):
@@ -181,6 +196,24 @@ def test_plunnecke_suites_pass(capsys):
     doc, _ = json.JSONDecoder().raw_decode(text)
     assert [r["suite"] for r in doc["reports"]] == ["ruzsa", "sumset-cover", "prop31"]
     assert all(r["seed"] == 5 for r in doc["reports"])
+
+
+def test_seed_flag_enters_the_config_digest(tmp_path):
+    base = {"construction": "haus-lowbox", "seed": 0}
+    cfg = tmp_path / "run.json"
+    cfg.write_text(json.dumps(base))
+    digests = []
+    for seed in (5, 6):
+        out = tmp_path / f"report{seed}.json"
+        assert run(["plunnecke", "--config", str(cfg), "--seed", str(seed),
+                    "--out", str(out)]) == 0
+        doc = json.loads(out.read_text())
+        assert all(r["seed"] == seed for r in doc["reports"])
+        seeded = tmp_path / f"seed{seed}.json"
+        seeded.write_text(json.dumps({**base, "seed": seed}))
+        assert doc["tool"]["config_digest"] == load_config(str(seeded)).digest()
+        digests.append(doc["tool"]["config_digest"])
+    assert digests[0] != digests[1]
 
 
 def test_atomic_write_leaves_no_temp_files(tmp_path):

@@ -211,14 +211,6 @@ def test_pair_hausdorff_vanishing_top_target_drops_component():
     assert len(spec.components) == 1
 
 
-def test_build_example_depth_cross_check():
-    scales = make_scale_sequence("scaled", 3, base=4)
-    with pytest.raises(ConstructionError):
-        build_example("haus-lowbox", HL, scales, depth=99)
-    spec = build_example("haus-lowbox", HL, scales, depth=scales.depth)
-    assert spec.depth == scales.depth
-
-
 def test_build_example_rejects_bad_targets():
     scales = make_scale_sequence("scaled", 3, base=4)
     with pytest.raises(ConstructionError):

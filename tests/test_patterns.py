@@ -24,7 +24,6 @@ def test_position_queries():
     assert p.free_at(1) and p.free_at(4)
     assert not p.free_at(2)
     assert p.free_count() == 2
-    assert p.free_count_prefix(3) == 1
     with pytest.raises(IndexError):
         p.free_at(6)
 

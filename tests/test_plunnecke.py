@@ -1,14 +1,15 @@
 """Exact sumset growth and window-count checks."""
 
-from fractions import Fraction
+import hashlib
+import json
+import random
 
 import pytest
 
-from sumdim.errors import BudgetExceededError, ScaleError
-from sumdim.patterns import DigitPattern, SetSpec
+from sumdim.errors import ScaleError
 from sumdim.plunnecke import (
+    GRID,
     FiniteIntSet,
-    PointSample,
     cover_suite,
     dyadic_count,
     prop31_check,
@@ -20,7 +21,10 @@ from sumdim.plunnecke import (
     sumset_cover_bound_check,
 )
 
-F = Fraction
+
+def grid(*points):
+    """The point sample of rationals given as (numerator, denominator) pairs."""
+    return FiniteIntSet.of(num * GRID // den for num, den in points)
 
 
 def test_finite_int_set_basics():
@@ -29,6 +33,7 @@ def test_finite_int_set_basics():
     assert s.values == (0, 1)
     assert s.sumset(FiniteIntSet.of([0, 2])).values == (0, 1, 2, 3)
     assert s.iterated(3).values == (0, 1, 2, 3)
+    assert FiniteIntSet(0).values == ()
     with pytest.raises(ValueError):
         FiniteIntSet.of([-1])
     with pytest.raises(ValueError):
@@ -36,36 +41,28 @@ def test_finite_int_set_basics():
 
 
 def test_point_sample_sorts_and_dedupes():
-    s = PointSample.of(["1/2", F(1, 2), "0.25"])
-    assert s.points == (F(1, 4), F(1, 2))
+    s = grid((1, 2), (2, 4), (1, 4))
+    assert s.values == (GRID // 4, GRID // 2)
     assert len(s) == 2
-    t = s.sumset(PointSample.of([0, F(1, 4)]))
-    assert t.points == (F(1, 4), F(1, 2), F(3, 4))
-    with pytest.raises(ValueError):
-        PointSample.of([F(-1, 2)])
+    t = s.sumset(grid((0, 1), (1, 4)))
+    assert t.values == (GRID // 4, GRID // 2, 3 * GRID // 4)
+    # thirds lie on the grid too
+    assert grid((1, 3), (2, 3)).values == (GRID // 3, 2 * GRID // 3)
 
 
 def test_dyadic_count_point_samples_and_int_sets():
-    assert dyadic_count(PointSample.of([0, 1]), 1) == 2
-    # width-2 windows ending at cells 0 and 3: three windows total
-    assert dyadic_count(FiniteIntSet.of([0, 3]), 5, width=2) == 3
+    assert dyadic_count(grid((0, 1), (1, 1)), 1) == 2
+    # 1/3 and 1/2 lie in cells 1 and 2 at scale 2; at width 2 the windows
+    # meeting them, {0, 1} and {1, 2}, share window 1: three in all
+    thirds = grid((1, 3), (1, 2))
+    assert dyadic_count(thirds, 2) == 2
+    assert dyadic_count(thirds, 2, width=2) == 3
+    # windows start at i >= 0: a point in cell 0 meets one window
+    assert dyadic_count(grid((0, 1)), 5, width=3) == 1
     with pytest.raises(ScaleError):
-        dyadic_count(PointSample.of([0]), -1)
+        dyadic_count(grid((0, 1)), -1)
     with pytest.raises(ValueError):
-        dyadic_count(PointSample.of([0]), 1, width=0)
-    with pytest.raises(TypeError):
-        dyadic_count([0, 1], 1)
-
-
-def test_dyadic_count_specs():
-    dense = SetSpec((DigitPattern.all_free(3),), 3)
-    assert dyadic_count(dense, 3, width=2) == 8
-    point = SetSpec.from_rows(["000"])
-    assert dyadic_count(point, 2, width=2) == 1
-    # scales past the depth spread the same cells 2^(j - depth) apart
-    assert dyadic_count(dense, 4) == 8
-    with pytest.raises(BudgetExceededError):
-        dyadic_count(SetSpec((DigitPattern.all_free(30),), 30), 5, budget=4)
+        dyadic_count(grid((0, 1)), 1, width=0)
 
 
 def test_ruzsa_check_pinned_pair():
@@ -83,8 +80,8 @@ def test_ruzsa_check_pinned_pair():
 
 
 def test_sumset_cover_bound_check_fields():
-    a = PointSample.of([0, F(1, 2)])
-    b = PointSample.of([0, F(1, 4)])
+    a = grid((0, 1), (1, 2))
+    b = grid((0, 1), (1, 4))
     res = sumset_cover_bound_check([a, b], 2)
     assert res["ok"]
     assert res["fold"] == 2
@@ -96,8 +93,8 @@ def test_sumset_cover_bound_check_fields():
 
 
 def test_prop31_check_fields():
-    a = PointSample.of([0, F(1, 2)])
-    b = PointSample.of([0, F(1, 4), F(1, 2)])
+    a = grid((0, 1), (1, 2))
+    b = grid((0, 1), (1, 4), (1, 2))
     res = prop31_check(a, b, 2, [1, 2, 4])
     assert res["ok"]
     assert res["j_star"] in (1, 2, 4)
@@ -113,8 +110,6 @@ def test_prop31_check_fields():
 
 
 def test_random_generators_are_bounded():
-    import random
-
     rng = random.Random(3)
     for _ in range(20):
         s = random_int_set(rng, max_size=10, max_value=64)
@@ -122,7 +117,10 @@ def test_random_generators_are_bounded():
         assert all(v < 64 for v in s.values)
         p = random_point_sample(rng, max_size=6, max_scale=4)
         assert 1 <= len(p) <= 6
-        assert all(0 <= q < 2 for q in p.points)
+        # points in [0, 2) with denominators dividing 3 * 2^4
+        assert all(0 <= v < 2 * GRID and v % (GRID // 48) == 0 for v in p.values)
+    with pytest.raises(ValueError):
+        random_point_sample(rng, max_scale=13)
 
 
 def test_suites_pass_and_are_deterministic():
@@ -135,3 +133,17 @@ def test_suites_pass_and_are_deterministic():
     p1 = prop31_suite(7, samples=20, max_scale=8)
     assert p1 == prop31_suite(7, samples=20, max_scale=8)
     assert p1["ok"] and p1["cases"] == 20
+
+
+@pytest.mark.parametrize(
+    "suite, digest",
+    [
+        (cover_suite, "45c1ade87623f3aa27cced25bd45660be7d38d07767c98f648ca74efc42c3356"),
+        (prop31_suite, "7fab99bcbc0f8640115b52c5ab58040d481dd4f2e1e3bb94e8bc0d1e9ab2d837"),
+    ],
+    ids=["cover", "prop31"],
+)
+def test_full_size_suite_reports_are_pinned(suite, digest):
+    # the digests were taken from reports computed with Fraction points
+    report = json.dumps(suite(0), sort_keys=True)
+    assert hashlib.sha256(report.encode()).hexdigest() == digest

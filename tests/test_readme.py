@@ -1,7 +1,10 @@
-"""The README's library quick start runs as written."""
+"""The README's library quick start runs as written; its config table is complete."""
 
 import re
+from dataclasses import fields
 from pathlib import Path
+
+from sumdim.cli import RunConfig
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 
@@ -15,3 +18,12 @@ def test_readme_library_quick_start_runs(capsys):
     printed = capsys.readouterr().out.splitlines()
     claimed = re.findall(r"# -> (.*)", blocks[0])
     assert claimed and printed == claimed
+
+
+def test_readme_config_table_lists_every_config_key():
+    text = README.read_text(encoding="utf-8")
+    table = text.split("Config keys", 1)[1].split("\n\n")[1]
+    keys = set()
+    for row in table.splitlines()[2:]:
+        keys.update(re.findall(r"`(\w+)`", row.split("|")[1]))
+    assert keys == {f.name for f in fields(RunConfig)}
