@@ -55,21 +55,32 @@ def test_mistyped_config_value_is_exit_2(tmp_path, capsys, bad):
     assert "configuration error" in capsys.readouterr().err
 
 
+# depth is neither a config key nor a flag any more: the scale sequence alone sets it
+SKELETON_ERRORS = {
+    "scale_policy, horizon": "fixes its own scale_policy, horizon;",
+    "scale_base, depth": "unknown config keys: depth",
+    "depth": "unrecognized arguments: --depth 5",
+}
+
+
 @pytest.mark.parametrize(
-    "config, error",
+    "config, flags, named",
     [
-        ({"horizon": 3, "scale_policy": "tower"}, "fixes its own scale_policy, horizon;"),
-        # depth is no config key: the scale sequence alone sets it
-        ({"depth": 126}, "unknown config keys: depth"),
+        ({"horizon": 3, "scale_policy": "tower"}, [], "scale_policy, horizon"),
+        ({"scale_base": 8, "depth": 40}, [], "scale_base, depth"),
+        ({}, ["--depth", "5"], "depth"),
     ],
-    ids=["scale_policy, horizon", "depth"],
 )
-def test_canonical_config_rejects_skeleton_keys(tmp_path, capsys, config, error):
+def test_canonical_config_rejects_skeleton_keys(tmp_path, capsys, config, flags, named):
     # a canonical build fixes its own scale sequence and depth
     path = tmp_path / "run.json"
     path.write_text(json.dumps({"construction": "haus-lowbox", **config}))
-    assert run(["construct", "--config", str(path)]) == 2
-    assert error in capsys.readouterr().err
+    try:
+        code = run(["construct", "--config", str(path), *flags])
+    except SystemExit as exc:  # argparse exits on an unknown flag
+        code = exc.code
+    assert code == 2
+    assert SKELETON_ERRORS[named] in capsys.readouterr().err
 
 
 @pytest.mark.parametrize(
