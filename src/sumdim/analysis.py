@@ -21,7 +21,12 @@ from .constructions import (
     block_params,
     chunk_symbols,
 )
-from .engine import DEFAULT_STATE_BUDGET, branching_min_average, sum_prefix_counts
+from .engine import (
+    DEFAULT_STATE_BUDGET,
+    branching_min_average,
+    sum_prefix_counts,
+    undominated_masks,
+)
 from .errors import ScaleError
 from .patterns import DigitPattern
 
@@ -64,14 +69,6 @@ class CountTrace:
         return min(e.exp_lower for e in self.entries)
 
 
-def _distinct_masks(spec):
-    seen = []
-    for comp in spec.components:
-        if comp.free_mask not in seen:
-            seen.append(comp.free_mask)
-    return seen
-
-
 def predicted_exponent(spec, fold, scale):
     """Best cumulative Free density of any fold-multiset of components.
 
@@ -85,7 +82,7 @@ def predicted_exponent(spec, fold, scale):
     if not 1 <= scale <= spec.depth:
         raise ScaleError(f"scale {scale} outside 1..{spec.depth}")
     shift = spec.depth + (fold - 1).bit_length() - scale
-    masks = [m >> shift for m in _distinct_masks(spec)]
+    masks = [m >> shift for m in undominated_masks(c.free_mask for c in spec.components)]
     best = 0
     for combo in itertools.combinations_with_replacement(masks, fold):
         acc = 0

@@ -35,11 +35,15 @@ W - j.
 
 States are carry *sets* encoded as bitmasks (carry c achievable <=> bit c
 set).  One kernel counts: a subset construction over a group of addend
-combinations.  Exact mode runs it on all combinations at once; bracket
-mode runs the same construction on each combination alone and reports
-[max, sum] over combinations, which brackets the union; the sum is
-clamped to the count of windows meeting [0, l], the most the union can
-occupy.  Both read a combination's free counts from one bytes column.
+combinations.  Combinations are drawn from the undominated free masks
+only: a duplicate mask, or one contained in another, adds nothing to
+any l-fold sum set (``undominated_masks``).  That rule assumes every
+digit is forced 0 or free; a forced-1 symbol must revisit it.  Exact
+mode runs the construction on all combinations at once; bracket mode
+runs it on each combination alone and reports [max, sum] over
+combinations, which brackets the union; the sum is clamped to the count
+of windows meeting [0, l], the most the union can occupy.  Both read a
+combination's free counts from one bytes column.
 """
 
 from __future__ import annotations
@@ -153,15 +157,19 @@ def iterated_pattern_sums(spec, fold, budget=DEFAULT_ENUM_BUDGET):
     if fold < 1:
         raise ValueError("fold must be at least 1")
     total = sum(1 << c.free_count() for c in spec.components)
-    if total**fold > budget:
+    if total > budget:
         raise BudgetExceededError(
-            f"enumeration of {total}^{fold} addend tuples exceeds budget {budget}"
+            f"enumeration of {total} component digit strings exceeds budget {budget}"
         )
     base = set()
     for comp in spec.components:
         base.update(_submasks(comp.free_mask))
     sums = base
     for _ in range(fold - 1):
+        if len(sums) * len(base) > budget:
+            raise BudgetExceededError(
+                f"enumeration of {len(sums)} x {len(base)} pair sums exceeds budget {budget}"
+            )
         sums = {x + y for x in sums for y in base}
     return tuple(sorted(sums))
 
@@ -221,26 +229,34 @@ def _carry_tables(fold):
     return next0, next1, nextany
 
 
+def undominated_masks(masks):
+    """The distinct free masks that no other mask contains, in first-seen order.
+
+    A component whose free mask lies inside another's adds no digit string,
+    so no l-fold sum, that the other does not: dropping it leaves every
+    union, and so every count, unchanged.  This holds because digits are
+    forced 0 or free; a forced-1 symbol would need its own rule.
+    """
+    distinct = list(dict.fromkeys(masks))
+    return [m for m in distinct if not any(k != m and m & ~k == 0 for k in distinct)]
+
+
 def _combos(ncomp, fold):
     return tuple(itertools.combinations_with_replacement(range(ncomp), fold))
 
 
-def _free_count_columns(spec, combos):
+def _free_count_columns(masks, depth, combos):
     """Per combination, how many of its addends are free at each position.
 
-    Yields one bytes column per combination: byte t (1..depth) is the free
-    count at position t, byte 0 is unused.  Each free mask is spread to one
-    byte per digit by reading its binary string as bytes, so a column is a
-    big-int sum of its addends' spread masks.
+    Yields one bytes column per combination of indices into ``masks``: byte
+    t (1..depth) is the free count at position t, byte 0 is unused.  Each
+    free mask is spread to one byte per digit by reading its binary string
+    as bytes, so a column is a big-int sum of its addends' spread masks.
     """
-    n = spec.depth
-    zero = int.from_bytes(b"0" * n, "big")
-    spread = [
-        int.from_bytes(format(c.free_mask, f"0{n}b").encode(), "big") - zero
-        for c in spec.components
-    ]
+    zero = int.from_bytes(b"0" * depth, "big")
+    spread = [int.from_bytes(format(m, f"0{depth}b").encode(), "big") - zero for m in masks]
     for combo in combos:
-        yield sum(spread[c] for c in combo).to_bytes(n + 1, "big")
+        yield sum(spread[c] for c in combo).to_bytes(depth + 1, "big")
 
 
 def _initial_carry_masks(column, fold, scales):
@@ -344,7 +360,8 @@ def sum_prefix_counts(spec, fold, scales, mode="exact", state_budget=DEFAULT_STA
     scales = sorted(set(scales))
     for j in scales:
         _check_scale(spec, j)
-    columns = _free_count_columns(spec, _combos(len(spec.components), fold))
+    masks = undominated_masks(c.free_mask for c in spec.components)
+    columns = _free_count_columns(masks, spec.depth, _combos(len(masks), fold))
     emit = {j: max(j - width, 0) for j in scales}
     shift = {j: max(width - j, 0) for j in scales}
     results = {}

@@ -53,19 +53,8 @@ class DigitPattern:
             return ""
         return format(self.free_mask, f"0{self.length}b").replace("1", FREE)
 
-    def free_at(self, position):
-        """Whether 1-indexed position is free."""
-        if not 1 <= position <= self.length:
-            raise IndexError(f"position {position} outside 1..{self.length}")
-        return (self.free_mask >> (self.length - position)) & 1 == 1
-
     def free_count(self):
         return self.free_mask.bit_count()
-
-    def prefix(self, j):
-        if not 0 <= j <= self.length:
-            raise IndexError(f"prefix length {j} outside 0..{self.length}")
-        return DigitPattern(j, self.free_mask >> (self.length - j))
 
     def window(self, lo, hi):
         """Subpattern on positions [lo, hi), half-open."""

@@ -238,12 +238,11 @@ def test_interval_components_are_free_outside_zero_runs():
     spec = build_example(
         "pair-hausdorff", DimensionTargets((F(1, 2), F(1))), scales
     )
-    comp = spec.components[0]
+    symbols = spec.components[0].symbols()
     # block 3 opens at n_3 = 27 with residue 0: the alpha_1 zero run covers
-    # positions [27, floor(27/(1/2))) = [27, 54)
-    for j in range(27, 54):
-        assert not comp.free_at(j)
-    assert comp.free_at(54)
+    # positions [27, floor(27/(1/2))) = [27, 54), 1-indexed
+    assert symbols[27 - 1 : 54 - 1] == "0" * 27
+    assert symbols[54 - 1] == "a"
 
 
 # ---------------------------------------------------------------------------

@@ -1,9 +1,18 @@
 """Counting engine vs the definitional brute-force oracle."""
 
+from fractions import Fraction
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from sumdim.constructions import (
+    DimensionTargets,
+    build_canonical,
+    build_example,
+    interleave,
+    make_scale_sequence,
+)
 from sumdim.engine import (
     CellCountBracket,
     branching_min_average,
@@ -11,6 +20,7 @@ from sumdim.engine import (
     free_position_sets,
     iterated_pattern_sums,
     sum_prefix_counts,
+    undominated_masks,
 )
 from sumdim.errors import BudgetExceededError, ScaleError
 from sumdim.patterns import DigitPattern, SetSpec
@@ -131,6 +141,55 @@ def test_bracket_mode_is_exact_on_one_component(spec, fold):
         assert results[j].bracket == brute_force_oracle(spec, fold, j), j
 
 
+@st.composite
+def specs_with_redundant_rows(draw):
+    # the spec, and the spec plus a duplicate of one component and a strict
+    # submask of another (strict unless that component has no free digit)
+    spec, fold = draw(specs_with_fold())
+    comps = spec.components
+    dup = draw(st.sampled_from(comps))
+    host = draw(st.sampled_from(comps)).free_mask
+    sub = host & draw(st.integers(0, host))
+    if sub == host:
+        sub &= sub - 1
+    padded = SetSpec(comps + (dup, DigitPattern(spec.depth, sub)), spec.depth)
+    return spec, padded, fold
+
+
+@given(specs_with_redundant_rows())
+@settings(max_examples=60, deadline=None)
+def test_dominated_components_change_no_result(case):
+    spec, padded, fold = case
+    scales = list(range(0, spec.depth + 1))
+    for mode in ("exact", "bracket"):
+        want = sum_prefix_counts(spec, fold, scales, mode=mode)
+        got = sum_prefix_counts(padded, fold, scales, mode=mode)
+        for j in scales:
+            assert (got[j].bracket, got[j].mode) == (want[j].bracket, want[j].mode), (mode, j)
+            if mode == "exact":
+                assert got[j].bracket == brute_force_oracle(padded, fold, j), j
+
+
+def test_undominated_masks_drops_duplicates_and_submasks():
+    assert undominated_masks([0b0110, 0b1110, 0b0110, 0b0001, 0b0000]) == [0b1110, 0b0001]
+    assert undominated_masks([0b101, 0b011]) == [0b101, 0b011]
+    canonical = build_canonical("all-dims-3")
+    assert len(canonical.components) == 18
+    assert len(undominated_masks(c.free_mask for c in canonical.components)) == 15
+    # the benchmark's deep-bracket spec: acceptance 7's interleave at horizon 120
+    scales = make_scale_sequence("scaled", 120, 4)
+
+    def half(fams):
+        targets = DimensionTargets(*(tuple(map(Fraction, f)) for f in fams))
+        return build_example("all-dims-3", targets, scales)
+
+    prime = half((("1/4", "1/2", "5/8"), ("1/4", "1/2", "5/8"), ("1/4", "1/2", "3/4")))
+    flat = half((("1/2",) * 3,) * 3)
+    deep = interleave(prime, flat, (1, 22, 72, 121))
+    assert len(deep.components) == 18
+    assert len(undominated_masks(c.free_mask for c in deep.components)) == 14
+
+
 def test_scale_bounds_checked():
     spec = all_free(4)
     with pytest.raises(ScaleError):
@@ -145,8 +204,21 @@ def test_enumeration_budget_enforced():
         iterated_pattern_sums(spec, 2, budget=1 << 10)
 
 
+def test_enumeration_budget_counts_set_work():
+    # 40 copies of one 4-free row: 640 digit strings, 640^3 > 2^24 addend
+    # triples, but only 16 distinct strings and 31 distinct pair sums
+    spec = SetSpec.from_rows(["aaaa"] * 40)
+    assert iterated_pattern_sums(spec, 3) == tuple(range(46))
+    assert brute_force_oracle(spec, 3, 4) == sum_prefix_counts(spec, 3, [4])[4].bracket
+    # the last fold step adds 16 strings to each of 31 pair sums
+    one = SetSpec.from_rows(["aaaa"])
+    assert len(iterated_pattern_sums(one, 3, budget=16 * 31)) == 46
+    with pytest.raises(BudgetExceededError):
+        iterated_pattern_sums(one, 3, budget=16 * 31 - 1)
+
+
 def test_state_budget_falls_back_to_bracket():
-    rows = ["a" * 7, "a0a0a00", "0a0a0a0"]
+    rows = ["aaaa000", "a0a0a0a", "0a0a0a0"]  # no row contains another
     spec = SetSpec.from_rows(rows)
     res = sum_prefix_counts(spec, 3, [7], mode="exact", state_budget=2)[7]
     assert res.fell_back

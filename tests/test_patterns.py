@@ -21,16 +21,16 @@ def test_from_symbols_rejects_junk():
 
 def test_position_queries():
     p = DigitPattern.from_symbols("a00a0")
-    assert p.free_at(1) and p.free_at(4)
-    assert not p.free_at(2)
+    # position t is bit (length - t) of the free mask
+    assert [(p.free_mask >> (p.length - t)) & 1 for t in range(1, 6)] == [1, 0, 0, 1, 0]
     assert p.free_count() == 2
     with pytest.raises(IndexError):
-        p.free_at(6)
+        p.window(6, 7)
 
 
 def test_window_and_prefix():
     p = DigitPattern.from_symbols("a0aa00")
-    assert p.prefix(3).symbols() == "a0a"
+    assert DigitPattern(3, p.free_mask >> 3).symbols() == "a0a"
     assert p.window(2, 5).symbols() == "0aa"
     assert p.window(1, 7).symbols() == p.symbols()
     assert p.window(3, 3).length == 0
