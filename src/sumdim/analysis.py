@@ -62,12 +62,6 @@ class CountTrace:
     def scales(self):
         return tuple(e.scale for e in self.entries)
 
-    def max_upper(self):
-        return max(e.exp_upper for e in self.entries)
-
-    def min_lower(self):
-        return min(e.exp_lower for e in self.entries)
-
 
 def predicted_exponent(spec, fold, scale):
     """Best cumulative Free density of any fold-multiset of components.
@@ -174,10 +168,6 @@ class FrequencyRecord:
     kinds: tuple
     frequencies: tuple  # ((kind, ...), Fraction) pairs, sorted by kind tuple
     extremal: tuple
-
-    @property
-    def extremal_frequency(self):
-        return dict(self.frequencies)[self.extremal]
 
 
 def targets_of(spec):

@@ -111,10 +111,6 @@ class ScaleSequence:
         """Deepest constrained position: the last block ends at n_{K+1} - 1."""
         return self.values[-1] - 1
 
-    def boundary_scales(self):
-        """Prefix lengths at which a block has just been completed."""
-        return tuple(v - 1 for v in self.values[1:])
-
 
 def make_scale_sequence(policy, horizon, base=2):
     """Scale skeleton under one of three growth policies.

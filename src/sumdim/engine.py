@@ -34,21 +34,35 @@ For j < W no digits are emitted and the count is over carries shifted by
 W - j.
 
 States are carry *sets* encoded as bitmasks (carry c achievable <=> bit c
-set).  One kernel counts: a subset construction over a group of addend
-combinations.  Combinations are drawn from the undominated free masks
-only: a duplicate mask, or one contained in another, adds nothing to
-any l-fold sum set (``undominated_masks``).  That rule assumes every
-digit is forced 0 or free; a forced-1 symbol must revisit it.  Exact
-mode runs the construction on all combinations at once; bracket mode
-runs it on each combination alone and reports [max, sum] over
-combinations, which brackets the union; the sum is clamped to the count
-of windows meeting [0, l], the most the union can occupy.  Both read a
-combination's free counts from one bytes column.
+set).  Combinations are drawn from the undominated free masks only: a
+duplicate mask, or one contained in another, adds nothing to any l-fold
+sum set (``undominated_masks``).  That rule assumes every digit is
+forced 0 or free; a forced-1 symbol must revisit it.  Exact mode runs a
+subset construction on all combinations at once, position by position,
+reading each combination's free counts from one bytes column.  Bracket
+mode, and exact mode when its state budget overflows, counts each
+combination alone and reports [max, sum] over combinations, which
+brackets the union; the sum is clamped to the count of windows meeting
+[0, l], the most the union can occupy.
+
+Runs
+----
+A lone combination's state is one nonempty carry set, and a position
+where f of its addends are free acts on those states as a small integer
+transfer matrix M_f: entry (S, S') counts the output bits that take S to
+S'.  The positions where any mask changes digit cut the depth into
+segments shared by every combination.  A combination's free count is
+constant on each segment, and adjacent segments with equal count merge
+into runs.  A run of r positions is one vector product with M_f^r (the
+transfer-matrix method), built from cached squarings M_f^(2^k).  The low
+phase steps the same runs with nextany[f] composed by squaring.
 """
 
 from __future__ import annotations
 
 import itertools
+import re
+from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -248,10 +262,11 @@ def _combos(ncomp, fold):
 def _free_count_columns(masks, depth, combos):
     """Per combination, how many of its addends are free at each position.
 
-    Yields one bytes column per combination of indices into ``masks``: byte
-    t (1..depth) is the free count at position t, byte 0 is unused.  Each
-    free mask is spread to one byte per digit by reading its binary string
-    as bytes, so a column is a big-int sum of its addends' spread masks.
+    Exact mode's per-position input.  Yields one bytes column per
+    combination of indices into ``masks``: byte t (1..depth) is the free
+    count at position t, byte 0 is unused.  Each free mask is spread to
+    one byte per digit by reading its binary string as bytes, so a column
+    is a big-int sum of its addends' spread masks.
     """
     zero = int.from_bytes(b"0" * depth, "big")
     spread = [int.from_bytes(format(m, f"0{depth}b").encode(), "big") - zero for m in masks]
@@ -259,21 +274,123 @@ def _free_count_columns(masks, depth, combos):
         yield sum(spread[c] for c in combo).to_bytes(depth + 1, "big")
 
 
-def _initial_carry_masks(column, fold, scales):
+def _free_count_runs(masks, depth, combos):
+    """Per combination, its runs of positions with one free count.
+
+    Bit i of ``m ^ (m >> 1)`` is set where the digit at position depth - i
+    differs from the one at position depth - i - 1, so the OR over the
+    masks marks where a segment starts.  Each mask is spread to one byte
+    per segment, and a combination's counts are the byte-wise sum of its
+    addends' spreads, like a bytes column with one byte per segment.
+    Adjacent segments with equal count merge.  Yields ``(starts, counts)``:
+    run i covers positions starts[i]..starts[i+1]-1 with counts[i] addends
+    free; starts ends with depth + 1.
+    """
+    change = 0
+    for m in masks:
+        change |= m ^ (m >> 1)
+    change &= (1 << (depth - 1)) - 1  # bit depth - 1 would compare position 1 with 0
+    marks = format(change, f"0{depth}b")  # character t - 1 is position t
+    seg = [1] + [t + 1 for t in range(1, depth) if marks[t] == "1"]
+    spread = [int.from_bytes(bytes((m >> (depth - t)) & 1 for t in seg), "big") for m in masks]
+    seg.append(depth + 1)
+    for combo in combos:
+        column = sum(spread[c] for c in combo).to_bytes(len(seg) - 1, "big")
+        runs = [m.start() for m in re.finditer(rb"(.)\1*", column, re.S)]
+        yield [seg[i] for i in runs] + [depth + 1], [column[i] for i in runs]
+
+
+def _run_steps(runs, hi, lo):
+    """(free count, length) of each run's overlap with positions hi down to lo."""
+    starts, counts = runs
+    i = bisect_right(starts, hi) - 1
+    while hi >= lo:
+        start = max(starts[i], lo)
+        yield counts[i], hi - start + 1
+        hi = start - 1
+        i -= 1
+
+
+@lru_cache(maxsize=None)
+def _absorb_power(fold, f, k):
+    """nextany[f] composed 2^k times, as a table over carry sets."""
+    if k == 0:
+        return tuple(_carry_tables(fold)[2][f])
+    half = _absorb_power(fold, f, k - 1)
+    return tuple(half[s] for s in half)
+
+
+def _initial_carry_masks(runs, fold, scales):
     """Carry-set of one combination after absorbing every digit below each scale.
 
-    One pass from the deepest position upward; returns {scale: mask}.
+    One pass from the deepest position upward, a run at a time; returns
+    {scale: mask}.
     """
-    _, _, nextany = _carry_tables(fold)
     out = {}
     cur = 1  # carry 0 only
-    t = len(column) - 1
+    top = runs[0][-1] - 1
     for j in sorted(set(scales), reverse=True):
-        while t > j:
-            cur = nextany[column[t]][cur]
-            t -= 1
+        for f, r in _run_steps(runs, top, j + 1):
+            for k in range(r.bit_length()):
+                if r >> k & 1:
+                    cur = _absorb_power(fold, f, k)[cur]
+        top = j
         out[j] = cur
     return out
+
+
+def _times(vec, rows):
+    """A sparse row vector times a matrix of sparse rows.
+
+    A sparse vector is a tuple of (carry set, count) pairs with nonzero
+    counts; row S of a matrix is such a vector.
+    """
+    acc = {}
+    get = acc.get
+    for s, x in vec:
+        for t, m in rows[s]:
+            acc[t] = get(t, 0) + x * m
+    return tuple(acc.items())
+
+
+@lru_cache(maxsize=None)
+def _transfer_power(fold, f, k):
+    """M_f^(2^k): paths of 2^k output bits between nonempty carry sets."""
+    if k == 0:
+        next0, next1, _ = _carry_tables(fold)
+        rows = [()]  # the empty carry set is dropped
+        for s in range(1, 1 << fold):
+            row = {}
+            for t in (next0[f][s], next1[f][s]):
+                if t:
+                    row[t] = row.get(t, 0) + 1
+            rows.append(tuple(row.items()))
+        return tuple(rows)
+    half = _transfer_power(fold, f, k - 1)
+    return tuple(_times(row, half) for row in half)
+
+
+def _lone_count(runs, scale, init_mask, fold, carry_shift):
+    """Distinct outputs of one combination, stepping positions scale..1 by runs.
+
+    Equals ``_count_outputs`` on the combination's column alone.
+    """
+    width = (fold - 1).bit_length()
+    vec = ((init_mask, 1),)
+    doublings = 0  # the counts in ``vec`` are times 2^doublings
+    for f, r in _run_steps(runs, scale, 1):
+        if f < 2 and vec[0][0] == 1 and len(vec) == 1:
+            # carry 0 stays alone: each position has 2^f output bits
+            doublings += f * r
+            continue
+        if not f:
+            # with no addend free the carries halve: after ``width``
+            # positions every carry set is {0}
+            r = min(r, width)
+        for k in range(r.bit_length()):
+            if r >> k & 1:
+                vec = _times(vec, _transfer_power(fold, f, k))
+    return sum(x * _carry_values_mask(s, carry_shift).bit_count() for s, x in vec) << doublings
 
 
 def _count_outputs(columns, scale, init_masks, fold, carry_shift, state_budget):
@@ -361,14 +478,15 @@ def sum_prefix_counts(spec, fold, scales, mode="exact", state_budget=DEFAULT_STA
     for j in scales:
         _check_scale(spec, j)
     masks = undominated_masks(c.free_mask for c in spec.components)
-    columns = _free_count_columns(masks, spec.depth, _combos(len(masks), fold))
+    combos = _combos(len(masks), fold)
     emit = {j: max(j - width, 0) for j in scales}
     shift = {j: max(width - j, 0) for j in scales}
     results = {}
     peaks = {}
     if mode == "exact":
-        columns = list(columns)
-        init = [_initial_carry_masks(col, fold, emit.values()) for col in columns]
+        columns = list(_free_count_columns(masks, spec.depth, combos))
+        runs = _free_count_runs(masks, spec.depth, combos)
+        init = [_initial_carry_masks(rn, fold, emit.values()) for rn in runs]
         for j in scales:
             e = emit[j]
             inits = [m[e] for m in init]
@@ -376,17 +494,14 @@ def sum_prefix_counts(spec, fold, scales, mode="exact", state_budget=DEFAULT_STA
             if count is not None:
                 bracket = CellCountBracket(count, count)
                 results[j] = DistinctCountResult(j, fold, bracket, "exact", peaks[j], False)
-    # bracket mode, and exact mode's fallbacks: each combination alone.
-    # Bracket mode builds one column at a time: at depth, holding them all
-    # raises peak memory.
+    # bracket mode, and exact mode's fallbacks: each combination alone,
+    # its runs built when it is counted
     rest = [j for j in scales if j not in results]
     per = {j: [] for j in rest}
-    for col in columns if rest else ():
-        init = _initial_carry_masks(col, fold, [emit[j] for j in rest])
+    for rn in _free_count_runs(masks, spec.depth, combos) if rest else ():
+        init = _initial_carry_masks(rn, fold, [emit[j] for j in rest])
         for j in rest:
-            # a lone combination has fewer than 2^fold subset states
-            count, _ = _count_outputs([col], emit[j], [init[emit[j]]], fold, shift[j], 1 << fold)
-            per[j].append(count)
+            per[j].append(_lone_count(rn, emit[j], init[emit[j]], fold, shift[j]))
     for j in rest:
         sup = ((fold << j) >> width) + 1  # windows meeting [0, fold]
         bracket = CellCountBracket(max(per[j]), min(sum(per[j]), sup))

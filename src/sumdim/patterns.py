@@ -44,10 +44,6 @@ class DigitPattern:
     def all_zero(cls, n):
         return cls(n, 0)
 
-    @classmethod
-    def all_free(cls, n):
-        return cls(n, (1 << n) - 1)
-
     def symbols(self):
         if self.length == 0:
             return ""
@@ -113,14 +109,6 @@ class SetSpec:
             if n <= prev:
                 raise ValueError("boundaries must be strictly increasing and positive")
             prev = n
-
-    @classmethod
-    def from_rows(cls, rows, name="", **kwargs):
-        """Build from symbol strings; mostly a convenience for tests."""
-        comps = tuple(DigitPattern.from_symbols(r) for r in rows)
-        if not comps:
-            raise ValueError("a spec needs at least one component")
-        return cls(comps, comps[0].length, name=name, **kwargs)
 
     def param(self, key, default=None):
         for k, v in self.params:

@@ -26,7 +26,8 @@ from sumdim.constructions import (
     validate_targets,
 )
 from sumdim.errors import AdmissibilityError, ConstructionError, ScaleError
-from sumdim.patterns import SetSpec
+
+from helpers import from_rows
 
 F = Fraction
 
@@ -40,7 +41,6 @@ def test_tower_policy_matches_hand_values():
     assert seq.values == (4, 16, 256, 65536)
     assert seq.horizon == 3
     assert seq.depth == 65535
-    assert seq.boundary_scales() == (15, 255, 65535)
 
 
 def test_tower_policy_refuses_deep_horizons():
@@ -312,8 +312,8 @@ def test_pasting_plan_offsets_and_ordering():
 
 
 def test_paste_concatenates_digit_constraints():
-    first = SetSpec.from_rows(["aa"])
-    second = SetSpec.from_rows(["0a", "a0"])
+    first = from_rows(["aa"])
+    second = from_rows(["0a", "a0"])
     out = paste([first, second], PastingPlan((2, 2)))
     assert out.depth == 4
     assert sorted(c.symbols() for c in out.components) == ["aa0a", "aaa0"]
@@ -327,9 +327,10 @@ def test_paste_concatenates_digit_constraints():
 def test_paste_respects_block_boundaries():
     scales = make_scale_sequence("scaled", 3, base=4)
     spec = build_example("haus-lowbox", HL, scales)
-    plan = PastingPlan((scales.boundary_scales()[0], spec.depth))
+    # scale values (4, 8, 12, 18): the first block ends at position 7
+    plan = PastingPlan((7, spec.depth))
     out = paste([spec, spec], plan)
-    assert out.depth == scales.boundary_scales()[0] + spec.depth
+    assert out.depth == 7 + spec.depth
     with pytest.raises(ConstructionError):
         paste([spec, spec], PastingPlan((6, spec.depth)))
 

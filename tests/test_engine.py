@@ -15,6 +15,13 @@ from sumdim.constructions import (
 )
 from sumdim.engine import (
     CellCountBracket,
+    _carry_tables,
+    _combos,
+    _count_outputs,
+    _free_count_columns,
+    _free_count_runs,
+    _initial_carry_masks,
+    _lone_count,
     branching_min_average,
     brute_force_oracle,
     free_position_sets,
@@ -25,9 +32,12 @@ from sumdim.engine import (
 from sumdim.errors import BudgetExceededError, ScaleError
 from sumdim.patterns import DigitPattern, SetSpec
 
+from helpers import from_rows
+from test_acceptance import _oracle_corpus
+
 
 def all_free(depth):
-    return SetSpec((DigitPattern.all_free(depth),), depth)
+    return from_rows(["a" * depth])
 
 
 def test_bracket_invariants():
@@ -60,7 +70,7 @@ def test_single_free_component_fold3_closed_form():
 
 
 def test_deep_tail_stays_invisible_at_shallow_scales():
-    spec = SetSpec.from_rows(["0" * 8 + "aa"])
+    spec = from_rows(["0" * 8 + "aa"])
     for fold in (1, 2, 3):
         for j in range(0, 5):
             r = sum_prefix_counts(spec, fold, [j])[j]
@@ -68,14 +78,14 @@ def test_deep_tail_stays_invisible_at_shallow_scales():
 
 
 def test_fold1_counts_equal_prefix_counts():
-    spec = SetSpec.from_rows(["a0a0aa", "0aa00a", "aaa000"])
+    spec = from_rows(["a0a0aa", "0aa00a", "aaa000"])
     for j in range(0, 7):
         r = sum_prefix_counts(spec, 1, [j])[j]
         assert r.bracket == brute_force_oracle(spec, 1, j)
 
 
 def test_oracle_agrees_on_mixed_spec():
-    spec = SetSpec.from_rows(["a00a0a", "0aaa00"])
+    spec = from_rows(["a00a0a", "0aaa00"])
     for fold in (1, 2, 3):
         for j in range(0, 7):
             got = sum_prefix_counts(spec, fold, [j])[j].bracket
@@ -93,7 +103,7 @@ def small_specs(draw, max_rows=3, max_free=6):
     for _ in range(ncomp):
         frees = draw(st.sets(st.integers(0, depth - 1), max_size=max_free))
         rows.append("".join("a" if i in frees else "0" for i in range(depth)))
-    return SetSpec.from_rows(rows)
+    return from_rows(rows)
 
 
 @st.composite
@@ -170,6 +180,106 @@ def test_dominated_components_change_no_result(case):
                 assert got[j].bracket == brute_force_oracle(padded, fold, j), j
 
 
+def _lone_setup(spec, fold, scales):
+    width = (fold - 1).bit_length()
+    masks = undominated_masks(c.free_mask for c in spec.components)
+    shifts = {j: (max(j - width, 0), max(width - j, 0)) for j in scales}
+    return masks, _combos(len(masks), fold), shifts
+
+
+def per_position_lone_counts(spec, fold, scales):
+    """{scale: [count]}: each combination alone through the per-position kernel."""
+    masks, combos, shifts = _lone_setup(spec, fold, scales)
+    nextany = _carry_tables(fold)[2]
+    out = {j: [] for j in scales}
+    for column in _free_count_columns(masks, spec.depth, combos):
+        for j, (e, shift) in shifts.items():
+            init = 1
+            for t in range(spec.depth, e, -1):
+                init = nextany[column[t]][init]
+            count, _ = _count_outputs([column], e, [init], fold, shift, 1 << fold)
+            out[j].append(count)
+    return out
+
+
+def run_stepped_lone_counts(spec, fold, scales):
+    """{scale: [count]}: each combination alone, stepped a run at a time."""
+    masks, combos, shifts = _lone_setup(spec, fold, scales)
+    out = {j: [] for j in scales}
+    for runs in _free_count_runs(masks, spec.depth, combos):
+        init = _initial_carry_masks(runs, fold, [e for e, _ in shifts.values()])
+        for j, (e, shift) in shifts.items():
+            out[j].append(_lone_count(runs, e, init[e], fold, shift))
+    return out
+
+
+def test_runs_cover_the_depth_with_each_columns_counts():
+    spec = from_rows(["aa00a0aaa", "0aaa00a0a", "a0000a00a"])
+    masks, combos, _ = _lone_setup(spec, 3, [])
+    columns = _free_count_columns(masks, spec.depth, combos)
+    for (starts, counts), column in zip(_free_count_runs(masks, spec.depth, combos), columns):
+        assert starts[0] == 1 and starts[-1] == spec.depth + 1
+        assert all(a != b for a, b in zip(counts, counts[1:]))  # adjacent runs differ
+        for i, f in enumerate(counts):
+            assert set(column[starts[i]:starts[i + 1]]) == {f}
+
+
+@given(specs_with_fold())
+@settings(max_examples=80, deadline=None)
+def test_run_stepping_matches_the_per_position_kernel(spec_fold):
+    spec, fold = spec_fold
+    scales = list(range(0, spec.depth + 1))
+    assert run_stepped_lone_counts(spec, fold, scales) == per_position_lone_counts(
+        spec, fold, scales
+    )
+
+
+@given(small_specs(max_rows=1, max_free=4), st.integers(1, 5))
+@settings(max_examples=40, deadline=None)
+def test_run_stepping_matches_the_oracle_on_one_component(spec, fold):
+    scales = list(range(0, spec.depth + 1))
+    got = run_stepped_lone_counts(spec, fold, scales)
+    for j in scales:
+        assert got[j] == [brute_force_oracle(spec, fold, j).lower], j
+
+
+def test_run_stepping_matches_the_per_position_kernel_on_the_oracle_corpus():
+    specs = _oracle_corpus()
+    assert len(specs) == 57
+    for spec in specs:
+        scales = list(range(0, spec.depth + 1))
+        for fold in (1, 2, 3):
+            want = per_position_lone_counts(spec, fold, scales)
+            assert run_stepped_lone_counts(spec, fold, scales) == want, (spec.name, fold)
+
+
+@pytest.mark.parametrize(
+    "rows",
+    [
+        ["a"],
+        ["0"],
+        ["a0000"],  # free at position 1 only
+        ["0000a"],  # free at the last position only
+        ["a000a"],
+        ["00000"],  # all zero: one run
+        ["aaaaa"],  # all free: one run
+        ["00000", "a000a"],
+    ],
+)
+def test_run_stepping_edge_cases(rows):
+    spec = from_rows(rows)
+    scales = list(range(0, spec.depth + 1))
+    for fold in range(1, 6):
+        got = run_stepped_lone_counts(spec, fold, scales)
+        assert got == per_position_lone_counts(spec, fold, scales), fold
+        if len(undominated_masks(c.free_mask for c in spec.components)) == 1:
+            for j in scales:
+                assert got[j] == [brute_force_oracle(spec, fold, j).lower], (fold, j)
+    masks, combos, _ = _lone_setup(spec, 1, [])
+    if not any(masks):
+        assert list(_free_count_runs(masks, spec.depth, combos)) == [([1, spec.depth + 1], [0])]
+
+
 def test_undominated_masks_drops_duplicates_and_submasks():
     assert undominated_masks([0b0110, 0b1110, 0b0110, 0b0001, 0b0000]) == [0b1110, 0b0001]
     assert undominated_masks([0b101, 0b011]) == [0b101, 0b011]
@@ -207,11 +317,11 @@ def test_enumeration_budget_enforced():
 def test_enumeration_budget_counts_set_work():
     # 40 copies of one 4-free row: 640 digit strings, 640^3 > 2^24 addend
     # triples, but only 16 distinct strings and 31 distinct pair sums
-    spec = SetSpec.from_rows(["aaaa"] * 40)
+    spec = from_rows(["aaaa"] * 40)
     assert iterated_pattern_sums(spec, 3) == tuple(range(46))
     assert brute_force_oracle(spec, 3, 4) == sum_prefix_counts(spec, 3, [4])[4].bracket
     # the last fold step adds 16 strings to each of 31 pair sums
-    one = SetSpec.from_rows(["aaaa"])
+    one = from_rows(["aaaa"])
     assert len(iterated_pattern_sums(one, 3, budget=16 * 31)) == 46
     with pytest.raises(BudgetExceededError):
         iterated_pattern_sums(one, 3, budget=16 * 31 - 1)
@@ -219,7 +329,7 @@ def test_enumeration_budget_counts_set_work():
 
 def test_state_budget_falls_back_to_bracket():
     rows = ["aaaa000", "a0a0a0a", "0a0a0a0"]  # no row contains another
-    spec = SetSpec.from_rows(rows)
+    spec = from_rows(rows)
     res = sum_prefix_counts(spec, 3, [7], mode="exact", state_budget=2)[7]
     assert res.fell_back
     assert res.mode == "bracket"
@@ -228,7 +338,7 @@ def test_state_budget_falls_back_to_bracket():
 
 
 def test_free_position_sets_indexing():
-    spec = SetSpec.from_rows(["a00", "0a0"])
+    spec = from_rows(["a00", "0a0"])
     fs = free_position_sets(spec)
     assert fs[1] == 0b01  # component 0 free at position 1
     assert fs[2] == 0b10
@@ -238,10 +348,10 @@ def test_free_position_sets_indexing():
 def test_branching_min_average_prefers_quiet_paths():
     # choosing digit 1 at position 1 isolates the first component,
     # whose remaining positions are forced
-    spec = SetSpec.from_rows(["a000", "0aaa"])
+    spec = from_rows(["a000", "0aaa"])
     assert branching_min_average(spec, [4])[4].numerator == 1
     # the all-zero path still sees union branching at every position
-    dense = SetSpec.from_rows(["aaaa"])
+    dense = from_rows(["aaaa"])
     assert branching_min_average(dense, [4]) == {4: 1}
 
 

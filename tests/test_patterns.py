@@ -6,6 +6,8 @@ from sumdim.analysis import frequency_report
 from sumdim.constructions import CANONICAL_EXAMPLES, build_canonical
 from sumdim.patterns import DigitPattern, SetSpec, dumps, loads
 
+from helpers import from_rows
+
 
 def test_symbols_round_trip():
     p = DigitPattern.from_symbols("a00a0")
@@ -42,7 +44,6 @@ def test_concat_repeat():
     assert a.repeat(3).symbols() == "a0a0a0"
     assert a.repeat(0).length == 0
     assert DigitPattern.all_zero(3).symbols() == "000"
-    assert DigitPattern.all_free(2).symbols() == "aa"
 
 
 @given(st.text(alphabet="0a", min_size=1, max_size=40))
@@ -64,17 +65,17 @@ def test_spec_validation():
     with pytest.raises(ValueError):
         SetSpec((DigitPattern.from_symbols("a0"),), 3)
     with pytest.raises(ValueError):
-        SetSpec.from_rows(["a0", "a0"], boundaries=(2, 2))
+        from_rows(["a0", "a0"], boundaries=(2, 2))
 
 
 def test_spec_params_lookup():
-    spec = SetSpec.from_rows(["a0"], name="tiny", params=(("alpha", "1/2"),))
+    spec = from_rows(["a0"], name="tiny", params=(("alpha", "1/2"),))
     assert spec.param("alpha") == "1/2"
     assert spec.param("missing", "x") == "x"
 
 
 def test_json_round_trip():
-    spec = SetSpec.from_rows(
+    spec = from_rows(
         ["a0a", "0aa"],
         name="pair",
         params=(("construction", "adhoc"),),
@@ -86,7 +87,7 @@ def test_json_round_trip():
 
 
 def test_dumps_is_stable():
-    spec = SetSpec.from_rows(["a0"], name="t")
+    spec = from_rows(["a0"], name="t")
     assert dumps(spec) == dumps(loads(dumps(spec)))
 
 
