@@ -39,7 +39,8 @@ duplicate mask, or one contained in another, adds nothing to any l-fold
 sum set (``undominated_masks``).  That rule assumes every digit is
 forced 0 or free; a forced-1 symbol must revisit it.  Exact mode runs a
 subset construction on all combinations at once, position by position,
-reading each combination's free counts from one bytes column.  Bracket
+reading each combination's free counts from one bytes column and pruning
+each state (below).  Bracket
 mode, and exact mode when its state budget overflows, counts each
 combination alone and reports [max, sum] over combinations, which
 brackets the union; the sum is clamped to the count of windows meeting
@@ -56,6 +57,27 @@ constant on each segment, and adjacent segments with equal count merge
 into runs.  A run of r positions is one vector product with M_f^r (the
 transfer-matrix method), built from cached squarings M_f^(2^k).  The low
 phase steps the same runs with nextany[f] composed by squaring.
+
+Pruning
+-------
+A subset state's output language is the union of what its members
+(combination, carry) can still emit at the positions left, t-1..1.  The
+exact kernel keeps each successor in a canonical form by two rules read
+over those positions.  Merge: combinations whose free counts are equal
+there emit the same from each carry, so their lanes fold into the
+lowest-index one, which takes the OR of their carry sets.  Prune: when
+B's free count is at least A's at every remaining position, B can pick
+every digit sum A can, so (B, c) emits all that (A, c) does, and (A, c)
+is dropped while B holds carry c.  After the merge such a B differs from
+A somewhere, so dominance is a strict partial order and every dropped
+member keeps an undominated witness.  Neither rule changes a state's
+language, so states that coincide afterwards add their word counts and
+the count stays exact; this is the counting analogue of antichain
+subsumption (De Wulf, Doyen, Henzinger and Raskin, CAV 2006).  Both
+relations change only at the segment cuts and only grow as positions
+are consumed: ``_antichain`` finds them once per call, as bitmasks over
+combination indices, and the kernel spreads what a combination dominates
+to lane form when it first needs it.
 """
 
 from __future__ import annotations
@@ -274,17 +296,15 @@ def _free_count_columns(masks, depth, combos):
         yield sum(spread[c] for c in combo).to_bytes(depth + 1, "big")
 
 
-def _free_count_runs(masks, depth, combos):
-    """Per combination, its runs of positions with one free count.
+def _segments(masks, depth):
+    """Where the masks cut the depth, and each mask as one byte per segment.
 
     Bit i of ``m ^ (m >> 1)`` is set where the digit at position depth - i
     differs from the one at position depth - i - 1, so the OR over the
-    masks marks where a segment starts.  Each mask is spread to one byte
-    per segment, and a combination's counts are the byte-wise sum of its
-    addends' spreads, like a bytes column with one byte per segment.
-    Adjacent segments with equal count merge.  Yields ``(starts, counts)``:
-    run i covers positions starts[i]..starts[i+1]-1 with counts[i] addends
-    free; starts ends with depth + 1.
+    masks marks where a segment starts.  Returns the segment starts
+    (beginning with 1) and, per mask, an integer whose bytes are its digit
+    on each segment: a combination's free counts are the byte-wise sum of
+    its addends' spreads.
     """
     change = 0
     for m in masks:
@@ -293,11 +313,81 @@ def _free_count_runs(masks, depth, combos):
     marks = format(change, f"0{depth}b")  # character t - 1 is position t
     seg = [1] + [t + 1 for t in range(1, depth) if marks[t] == "1"]
     spread = [int.from_bytes(bytes((m >> (depth - t)) & 1 for t in seg), "big") for m in masks]
+    return seg, spread
+
+
+def _free_count_runs(masks, depth, combos):
+    """Per combination, its runs of positions with one free count.
+
+    A combination's free count is constant on each of ``_segments``'
+    segments; adjacent segments with equal count merge.  Yields
+    ``(starts, counts)``: run i covers positions starts[i]..starts[i+1]-1
+    with counts[i] addends free; starts ends with depth + 1.
+    """
+    seg, spread = _segments(masks, depth)
     seg.append(depth + 1)
     for combo in combos:
         column = sum(spread[c] for c in combo).to_bytes(len(seg) - 1, "big")
         runs = [m.start() for m in re.finditer(rb"(.)\1*", column, re.S)]
         yield [seg[i] for i in runs] + [depth + 1], [column[i] for i in runs]
+
+
+@lru_cache(maxsize=None)
+def _count_map(v, at_least):
+    """A bytes.translate table: byte b to "1" if b >= v (or b == v), else "0"."""
+    return bytes.maketrans(
+        bytes(range(256)), bytes(49 if (b >= v if at_least else b == v) else 48 for b in range(256))
+    )
+
+
+def _antichain(masks, depth, combos, top):
+    """Merge targets and strict dominators over positions 1..p, for p < ``top``.
+
+    Level k stands for the positions of the first k segments (level 0 for
+    none).  At a level, combination A merges into the lowest-index
+    combination whose free counts equal A's there, and B strictly dominates
+    A when B's counts are at least A's everywhere there and differ
+    somewhere.  Both come from one running AND per combination, over the
+    segments' "count = v" and "count >= v" sets of combinations, kept as
+    bitmasks in combination-index space.  Only a combination that is its
+    own merge target gets dominators: a merged one has no lane.  The tables
+    are stored at the top level with, per level k, ``undo[k]``: the flat
+    triples A, dominators, target that hold at level k - 1 for each A that
+    changed on entering level k.  Combinations that tie at a level share
+    one dominator set.  Returns ``(segment starts, dominators, targets,
+    undo)``.
+    """
+    starts, spread = _segments(masks, depth)
+    columns = [sum(spread[c] for c in combo).to_bytes(len(starts), "big") for combo in combos]
+    n = len(combos)
+    full = (1 << n) - 1
+    ge = [full] * n
+    eq = [full] * n
+    dominators = [0] * n
+    targets = [0] * n
+    undo = [[]]
+    active = range(n)
+    for k in range(bisect_right(starts, top - 1)):
+        row = bytes(col[k] for col in reversed(columns))  # combination 0 is the low bit
+        ge_v = {}
+        eq_v = {}
+        shared = {}
+        changed = []
+        for a in active:
+            v = columns[a][k]
+            if v not in ge_v:
+                ge_v[v] = int(row.translate(_count_map(v, True)), 2)
+                eq_v[v] = int(row.translate(_count_map(v, False)), 2)
+            g = ge[a] = ge[a] & ge_v[v]
+            e = eq[a] = eq[a] & eq_v[v]
+            r = (e & -e).bit_length() - 1
+            d = g & ~e if r == a else 0  # a merged lane is empty: nothing to drop
+            if d != dominators[a] or r != targets[a]:
+                changed += (a, dominators[a], targets[a])
+                dominators[a], targets[a] = shared.setdefault(d, d), r
+        undo.append(changed)
+        active = [a for a in active if ge[a] != 1 << a]
+    return starts, dominators, targets, undo
 
 
 def _run_steps(runs, hi, lo):
@@ -393,44 +483,124 @@ def _lone_count(runs, scale, init_mask, fold, carry_shift):
     return sum(x * _carry_values_mask(s, carry_shift).bit_count() for s, x in vec) << doublings
 
 
-def _count_outputs(columns, scale, init_masks, fold, carry_shift, state_budget):
+def _bits(x):
+    """Indices of the set bits of ``x``."""
+    while x:
+        low = x & -x
+        yield low.bit_length() - 1
+        x ^= low
+
+
+class _Kills(dict):
+    """What one combination B kills, per carry set g it holds in a successor.
+
+    Entry g is the lane-form mask of the members (A, c) with A strictly
+    dominated by B and c in g; entries are built on first use.
+    """
+
+    __slots__ = ("dominated", "fold")
+
+    def __init__(self, dominated, fold):
+        super().__init__({0: 0})
+        self.dominated = dominated
+        self.fold = fold
+
+    def __missing__(self, g):
+        fold = self.fold
+        spread = {48: "0" * fold, 49: "0" * (fold - 1) + "1"}  # bit A to bit A * fold
+        lanes = int(format(self.dominated, "b").translate(spread), 2)
+        out = self[g] = sum(lanes << c for c in _bits(g))
+        return out
+
+
+def _count_outputs(columns, scale, init_masks, fold, carry_shift, state_budget, antichain):
     """Distinct outputs of the given combinations together, by subset construction.
 
     Subset state: a big integer whose bit (ci*fold + c) means combination ci
     can reach the current output word with carry c.  Positions scale..1 emit
     the word; an output is the word with its final carry shifted right by
-    ``carry_shift``.  Returns (count, peak), or (None, peak) when the state
-    budget is exceeded.
+    ``carry_shift``.  Each successor is kept canonical over the positions
+    still to come, by the ``_antichain`` tables: a lane moves into its merge
+    target's, and a member whose carry a live strict dominator holds is
+    dropped.  Returns (count, peak), or (None, peak) when the state budget
+    is exceeded.
     """
     next0, next1, _ = _carry_tables(fold)
+    steps = [tuple(zip(next0[f], next1[f])) for f in range(fold + 1)]
     gmask = (1 << fold) - 1
+    starts, dominators, targets, undo = antichain
+    dominators = list(dominators)
+    targets = list(targets)
+    # dominated[B]: every A that B has strictly dominated since the top level.
+    # An A that later ties B shares B's merge target, so it has no lane of
+    # its own and B's kills can never reach a live member of A.
+    dominated = [0] * len(columns)
+    for a, d in enumerate(dominators):
+        for b in _bits(d):
+            dominated[b] |= 1 << a
+    none = _Kills(0, fold)
+    kills = [_Kills(x, fold) if x and targets[b] == b else none for b, x in enumerate(dominated)]
+
+    def descend(k):
+        """Move the tables from level k to level k - 1."""
+        changes = undo[k]
+        grown = set()
+        for i in range(0, len(changes), 3):
+            a, d = changes[i], changes[i + 1]
+            for b in _bits(d & ~dominators[a]):
+                dominated[b] |= 1 << a
+                grown.add(b)
+            dominators[a], targets[a] = d, changes[i + 2]
+        for b in grown:
+            kills[b] = _Kills(dominated[b], fold) if targets[b] == b else none
+
+    k = len(undo) - 1
+    while k and starts[k - 1] >= scale:
+        descend(k)
+        k -= 1
+    cuts = set(starts)
     s0 = quiet = busy = 0
     for ci, (column, mask) in enumerate(zip(columns, init_masks)):
         s0 |= mask << (ci * fold)
         quiet |= 1 << (ci * fold)  # carry 0 in every combination
         busy |= int.from_bytes(column, "big")
     busy = busy.to_bytes(len(columns[0]), "big")  # byte t > 0 iff an addend is free at t
+    lifted = ((quiet << fold) - quiet) ^ quiet  # every carry but 0
     dp = {s0: 1}
     peak = 1
-    settled = s0 == quiet
+    settled = not s0 & lifted
+    lanes = None  # per state bit: its lane's shift, steps, target shift and kills
     for t in range(scale, 0, -1):
+        if t + 1 in cuts:  # free counts change
+            lanes = None
+        if k and starts[k - 1] == t:  # positions below t leave level k
+            descend(k)
+            k -= 1
+            lanes = None
         if settled and not busy[t]:
             continue  # zero digits leave carry 0 where it is
+        if lanes is None:
+            lanes = [
+                (ci * fold, steps[column[t]], r * fold, kills[r])
+                for ci, (column, r) in enumerate(zip(columns, targets))
+                for _ in range(fold)
+            ]
         ndp = {}
         get = ndp.get
         for state, cnt in dp.items():
-            a = 0
-            b = 0
+            a = b = ka = kb = 0
             rem = state
             while rem:
-                lsb = rem & -rem
-                ci = (lsb.bit_length() - 1) // fold
-                shift = ci * fold
-                g = (state >> shift) & gmask
-                f = columns[ci][t]
-                a |= next0[f][g] << shift
-                b |= next1[f][g] << shift
-                rem &= ~(gmask << shift)
+                shift, step, to, kill = lanes[(rem & -rem).bit_length() - 1]
+                g = (rem >> shift) & gmask
+                rem ^= g << shift
+                g0, g1 = step[g]
+                a |= g0 << to
+                b |= g1 << to
+                ka |= kill[g0]
+                kb |= kill[g1]
+            a &= ~ka
+            b &= ~kb
             if a:
                 ndp[a] = get(a, 0) + cnt
             if b:
@@ -440,7 +610,7 @@ def _count_outputs(columns, scale, init_masks, fold, carry_shift, state_budget):
             return None, peak
         if len(dp) > peak:
             peak = len(dp)
-        settled = len(dp) == 1 and quiet in dp
+        settled = len(dp) == 1 and not next(iter(dp)) & lifted
     total = 0
     for state, cnt in dp.items():
         union = 0
@@ -487,10 +657,13 @@ def sum_prefix_counts(spec, fold, scales, mode="exact", state_budget=DEFAULT_STA
         columns = list(_free_count_columns(masks, spec.depth, combos))
         runs = _free_count_runs(masks, spec.depth, combos)
         init = [_initial_carry_masks(rn, fold, emit.values()) for rn in runs]
+        antichain = _antichain(masks, spec.depth, combos, max(emit.values()))
         for j in scales:
             e = emit[j]
             inits = [m[e] for m in init]
-            count, peaks[j] = _count_outputs(columns, e, inits, fold, shift[j], state_budget)
+            count, peaks[j] = _count_outputs(
+                columns, e, inits, fold, shift[j], state_budget, antichain
+            )
             if count is not None:
                 bracket = CellCountBracket(count, count)
                 results[j] = DistinctCountResult(j, fold, bracket, "exact", peaks[j], False)

@@ -1,11 +1,14 @@
 """Command-line interface: exit codes, output formats, determinism."""
 
+import dataclasses
 import json
 import time
 
 import pytest
 
-from sumdim.cli import RunConfig, load_config, main, write_text_atomic
+from sumdim import cli
+from sumdim.cli import MAX_FOLD, RunConfig, load_config, main, write_text_atomic
+from sumdim.engine import CellCountBracket
 from sumdim.errors import ConfigError
 
 SMALL = {
@@ -170,6 +173,52 @@ def test_oracle_budget_exhaustion_is_exit_4(tmp_path, capsys):
     assert "budget exceeded" in capsys.readouterr().err
 
 
+def test_oracle_state_budget_fallback_is_exit_4(tmp_path, capsys):
+    # brackets that contain the oracle count are fallbacks, not mismatches
+    path = tmp_path / "tight.json"
+    path.write_text(json.dumps({**SMALL, "budget_states": 2}))
+    assert run(["oracle", "--config", str(path), "--fold", "2", "--scales", "all"]) == 4
+    captured = capsys.readouterr()
+    assert "MISMATCH" not in captured.out
+    assert " FALLBACK\n" in captured.out and "verdict: FALLBACK" in captured.out
+    assert "budget exceeded" in captured.err
+
+
+def test_oracle_mismatch_is_exit_5(cfg, monkeypatch, capsys):
+    real = cli.sum_prefix_counts
+
+    def off_by_one(*args, **kwargs):
+        out = real(*args, **kwargs)
+        return {j: dataclasses.replace(r, bracket=CellCountBracket(
+            r.bracket.lower + 1, r.bracket.upper + 1)) for j, r in out.items()}
+
+    monkeypatch.setattr(cli, "sum_prefix_counts", off_by_one)
+    assert run(["oracle", "--config", cfg, "--fold", "2", "--scales", "5,11"]) == 5
+    assert "verdict: MISMATCH" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize(
+    "argv, folds",
+    [
+        (["count", "--fold", "0"], None),
+        (["dims", "--fold", "-1"], None),
+        (["oracle", "--fold", str(MAX_FOLD + 1)], None),
+        (["count"], [MAX_FOLD + 1]),
+        (["dims"], [2, MAX_FOLD + 1]),
+    ],
+)
+def test_fold_outside_its_range_is_exit_2(tmp_path, monkeypatch, capsys, argv, folds):
+    def no_count(*args, **kwargs):
+        raise AssertionError("a count started")
+
+    for name in ("count_trace", "sum_prefix_counts", "build_from_config"):
+        monkeypatch.setattr(cli, name, no_count)
+    path = tmp_path / "run.json"
+    path.write_text(json.dumps({**SMALL, **({"folds": folds} if folds else {})}))
+    assert run(argv + ["--config", str(path)]) == 2
+    assert f"1..{MAX_FOLD}" in capsys.readouterr().err
+
+
 def test_validate_reports_violations_with_exit_3(tmp_path, capsys):
     path = tmp_path / "bad.json"
     path.write_text(json.dumps({**SMALL, "beta": ["1/5", "1/2"]}))
@@ -194,9 +243,13 @@ def test_bad_scales_value_is_exit_2(cfg, capsys):
     assert "configuration error" in capsys.readouterr().err
 
 
-def test_internal_errors_are_exit_5(cfg, capsys):
-    assert run(["count", "--config", cfg, "--fold", "0"]) == 5
-    assert "internal error" in capsys.readouterr().err
+def test_internal_errors_are_exit_5(cfg, monkeypatch, capsys):
+    def broken(*args, **kwargs):
+        raise ValueError("engine fault")
+
+    monkeypatch.setattr(cli, "count_trace", broken)
+    assert run(["count", "--config", cfg, "--fold", "2"]) == 5
+    assert "internal error: engine fault" in capsys.readouterr().err
 
 
 def test_plunnecke_suites_pass(capsys):
@@ -209,7 +262,20 @@ def test_plunnecke_suites_pass(capsys):
     assert all(r["seed"] == 5 for r in doc["reports"])
 
 
-def test_seed_flag_enters_the_config_digest(tmp_path):
+def test_seed_flag_enters_the_config_digest(tmp_path, monkeypatch):
+    # the suites are stubbed: only the seed they receive matters here
+    seen = []
+
+    def stub(suite):
+        def run_suite(seed):
+            seen.append((suite, seed))
+            return {"suite": suite, "seed": seed, "cases": 0, "failures": [], "ok": True}
+
+        return run_suite
+
+    suites = ("ruzsa_suite", "cover_suite", "prop31_suite")
+    for name in suites:
+        monkeypatch.setattr(cli, name, stub(name))
     base = {"construction": "haus-lowbox", "seed": 0}
     cfg = tmp_path / "run.json"
     cfg.write_text(json.dumps(base))
@@ -225,6 +291,7 @@ def test_seed_flag_enters_the_config_digest(tmp_path):
         assert doc["tool"]["config_digest"] == load_config(str(seeded)).digest()
         digests.append(doc["tool"]["config_digest"])
     assert digests[0] != digests[1]
+    assert seen == [(name, seed) for seed in (5, 6) for name in suites]
 
 
 def test_atomic_write_leaves_no_temp_files(tmp_path):

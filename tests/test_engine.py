@@ -1,5 +1,7 @@
 """Counting engine vs the definitional brute-force oracle."""
 
+import dataclasses
+import random
 from fractions import Fraction
 
 import pytest
@@ -17,7 +19,6 @@ from sumdim.engine import (
     CellCountBracket,
     _carry_tables,
     _combos,
-    _count_outputs,
     _free_count_columns,
     _free_count_runs,
     _initial_carry_masks,
@@ -32,7 +33,7 @@ from sumdim.engine import (
 from sumdim.errors import BudgetExceededError, ScaleError
 from sumdim.patterns import DigitPattern, SetSpec
 
-from helpers import from_rows
+from helpers import from_rows, unpruned_count_outputs, unpruned_prefix_counts
 from test_acceptance import _oracle_corpus
 
 
@@ -197,7 +198,7 @@ def per_position_lone_counts(spec, fold, scales):
             init = 1
             for t in range(spec.depth, e, -1):
                 init = nextany[column[t]][init]
-            count, _ = _count_outputs([column], e, [init], fold, shift, 1 << fold)
+            count, _ = unpruned_count_outputs([column], e, [init], fold, shift, 1 << fold)
             out[j].append(count)
     return out
 
@@ -325,6 +326,50 @@ def test_enumeration_budget_counts_set_work():
     assert len(iterated_pattern_sums(one, 3, budget=16 * 31)) == 46
     with pytest.raises(BudgetExceededError):
         iterated_pattern_sums(one, 3, budget=16 * 31 - 1)
+
+
+def test_pruned_kernel_matches_the_unpruned_one_on_the_oracle_corpus():
+    # merging tied combinations and dropping dominated members keeps every
+    # count and never adds a state
+    for spec in _oracle_corpus():
+        scales = list(range(0, spec.depth + 1))
+        for fold in (2, 3):
+            got = sum_prefix_counts(spec, fold, scales, mode="exact")
+            want = unpruned_prefix_counts(spec, fold, scales)
+            for j in scales:
+                count, peak = want[j]
+                oracle = brute_force_oracle(spec, fold, j).lower
+                assert got[j].bracket.lower == got[j].bracket.upper == count == oracle
+                assert got[j].peak_states <= peak, (spec.name, fold, j)
+
+
+def test_canonical_fold3_stays_exact_under_a_small_state_budget():
+    # the peaks pin how much the canonical form merges and prunes: the
+    # unpruned kernel peaks at 3,071 states at scale 56 and overflows at 102
+    spec = build_canonical("all-dims-3")
+    res = sum_prefix_counts(spec, 3, [56, spec.depth], mode="exact", state_budget=4096)
+    assert [(r.mode, r.fell_back, r.peak_states) for r in res.values()] == [
+        ("exact", False, 878),
+        ("exact", False, 3115),
+    ]
+    assert res[56].bracket.lower == res[56].bracket.upper == 692887472
+    assert res[spec.depth].bracket.lower == res[spec.depth].bracket.upper == 4526985846313008
+
+
+@pytest.mark.parametrize("name, fold", [("all-dims-2", 3), ("all-dims-3", 2)])
+def test_component_order_changes_no_count_and_no_peak(name, fold):
+    # tied combinations merge into the lowest index: the choice must not
+    # leak into counts or state counts
+    spec = build_canonical(name)
+    scales = list(range(1, spec.depth + 1, 7))
+    want = sum_prefix_counts(spec, fold, scales, mode="exact")
+    comps = list(spec.components)
+    random.Random(1).shuffle(comps)
+    assert comps != list(spec.components)
+    shuffled = dataclasses.replace(spec, components=tuple(comps), schedule=())
+    got = sum_prefix_counts(shuffled, fold, scales, mode="exact")
+    for j in scales:
+        assert (got[j].bracket, got[j].peak_states) == (want[j].bracket, want[j].peak_states)
 
 
 def test_state_budget_falls_back_to_bracket():
