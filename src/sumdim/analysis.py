@@ -107,7 +107,11 @@ def _resolve_scales(spec, scales):
         return default_scales(spec)
     if scales == "all":
         return tuple(range(1, spec.depth + 1))
-    return tuple(sorted(set(int(j) for j in scales)))
+    chosen = tuple(sorted(set(int(j) for j in scales)))
+    for j in chosen:
+        if not 1 <= j <= spec.depth:
+            raise ScaleError(f"scale {j} outside 1..{spec.depth}")
+    return chosen
 
 
 def count_trace(spec, fold, scales=None, mode="bracket", state_budget=DEFAULT_STATE_BUDGET):

@@ -90,7 +90,7 @@ def _name(key, value):
 
 
 # The carry automaton tabulates 2^fold carry sets, and free counts are
-# packed one byte per position, so larger folds would exhaust time or memory.
+# packed one byte per segment, so larger folds would exhaust time or memory.
 MAX_FOLD = 8
 
 

@@ -653,10 +653,6 @@ class AdmissibilityReport:
     ok: bool
     violations: tuple = ()
 
-    @property
-    def first(self):
-        return self.violations[0] if self.violations else None
-
 
 def _recursion_bound(fam, l):
     # fam is 0-indexed; bound for fam_l, l >= 2
@@ -677,17 +673,15 @@ def _recursion_name(name, l):
     )
 
 
-def validate_targets(targets, fold_max=None):
-    """Admissibility of a target triple up to the requested fold.
+def validate_targets(targets):
+    """Admissibility of a target triple up to its fold capacity.
 
     Checks monotonicity within each family, pointwise alpha <= beta <=
     gamma, and the sumset recursion for the beta and gamma families
     (Hausdorff targets are unconstrained beyond monotonicity).  Returns a
     report; never raises.
     """
-    if fold_max is None:
-        fold_max = targets.fold_capacity
-    fold_max = min(fold_max, targets.fold_capacity)
+    fold_max = targets.fold_capacity
     violations = []
     fams = [("alpha", targets.alpha)]
     if targets.beta is not None:

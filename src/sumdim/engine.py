@@ -39,24 +39,26 @@ duplicate mask, or one contained in another, adds nothing to any l-fold
 sum set (``undominated_masks``).  That rule assumes every digit is
 forced 0 or free; a forced-1 symbol must revisit it.  Exact mode runs a
 subset construction on all combinations at once, position by position,
-reading each combination's free counts from one bytes column and pruning
-each state (below).  Bracket
-mode, and exact mode when its state budget overflows, counts each
-combination alone and reports [max, sum] over combinations, which
-brackets the union; the sum is clamped to the count of windows meeting
-[0, l], the most the union can occupy.
+and prunes each state (below).  Bracket mode, and exact mode when its
+state budget overflows, counts each combination alone and reports
+[max, sum] over combinations, which brackets the union; the sum is
+clamped to the count of windows meeting [0, l], the most the union can
+occupy.
 
-Runs
-----
-A lone combination's state is one nonempty carry set, and a position
-where f of its addends are free acts on those states as a small integer
-transfer matrix M_f: entry (S, S') counts the output bits that take S to
-S'.  The positions where any mask changes digit cut the depth into
-segments shared by every combination.  A combination's free count is
-constant on each segment, and adjacent segments with equal count merge
-into runs.  A run of r positions is one vector product with M_f^r (the
-transfer-matrix method), built from cached squarings M_f^(2^k).  The low
-phase steps the same runs with nextany[f] composed by squaring.
+Segments and runs
+-----------------
+The positions where any mask changes digit cut the depth into segments
+shared by every combination, and a combination's free count is constant
+on each.  One segment table per call, built by ``_segments``, holds the
+segment starts and one bytes column per combination with its free count
+on each segment; every counting path reads free counts from it.  A lone
+combination's state is one nonempty carry set, and a position where f of
+its addends are free acts on those states as a small integer transfer
+matrix M_f: entry (S, S') counts the output bits that take S to S'.
+Adjacent segments with equal count merge into runs.  A run of r
+positions is one vector product with M_f^r (the transfer-matrix method),
+built from cached squarings M_f^(2^k).  The low phase steps the same runs
+with nextany[f] composed by squaring.
 
 Pruning
 -------
@@ -106,10 +108,6 @@ class CellCountBracket:
         if not 1 <= self.lower <= self.upper:
             raise ValueError(f"bad bracket [{self.lower}, {self.upper}]")
 
-    @property
-    def is_exact(self):
-        return self.lower == self.upper
-
 
 @dataclass(frozen=True)
 class DistinctCountResult:
@@ -119,19 +117,6 @@ class DistinctCountResult:
     mode: str  # "exact" or "bracket"
     peak_states: int
     fell_back: bool
-
-
-def free_position_sets(spec):
-    """Per position 1..depth, the bitmask of components free there (index 0 unused)."""
-    n = spec.depth
-    out = [0] * (n + 1)
-    for ci, comp in enumerate(spec.components):
-        m = comp.free_mask
-        while m:
-            low = m & -m
-            out[n - low.bit_length() + 1] |= 1 << ci
-            m ^= low
-    return out
 
 
 def _check_scale(spec, scale):
@@ -144,32 +129,37 @@ def branching_min_average(spec, scales):
 
     A position counts as branching when the prefix read so far can be
     extended by both digits, i.e. some still-consistent component is free
-    there (the 0-extension always exists).  One pass serves every requested
-    scale n: returns {n: Fraction in [0, 1]}.
+    there (the 0-extension always exists).  A dominated component is
+    consistent only where its dominator is, so the undominated masks
+    suffice.  The state is the set of consistent masks; a segment of r
+    positions with free set F takes S to S and, if S & F is nonempty, to
+    S & F, each at cost r when S & F is nonempty.  One pass serves every
+    requested scale n: returns {n: Fraction in [0, 1]}.
     """
-    want = set(scales)
+    want = sorted(set(scales), reverse=True)
     for n in want:
         if not 1 <= n <= spec.depth:
             raise ScaleError(f"scale {n} outside 1..{spec.depth}")
-    fs = free_position_sets(spec)
-    full = (1 << len(spec.components)) - 1
-    dp = {full: 0}
+    masks = undominated_masks(c.free_mask for c in spec.components)
+    starts, columns = _segments(masks, spec.depth, _combos(len(masks), 1))
+    dp = {(1 << len(masks)) - 1: 0}
     out = {}
-    for t in range(1, max(want, default=0) + 1):
+    for i, start in enumerate(starts[:-1]):
+        free = sum(column[i] << ci for ci, column in enumerate(columns))
+        end = starts[i + 1]
+        while want and want[-1] < end:
+            n = want.pop()
+            out[n] = Fraction(min(c + (n - start + 1) * bool(s & free) for s, c in dp.items()), n)
+        if not want:
+            break
         ndp = {}
         for s, cost in dp.items():
-            s1 = s & fs[t]
-            c = cost + (1 if s1 else 0)
-            prev = ndp.get(s)
-            if prev is None or c < prev:
-                ndp[s] = c
-            if s1:
-                prev = ndp.get(s1)
-                if prev is None or c < prev:
-                    ndp[s1] = c
+            s1 = s & free
+            c = cost + (end - start if s1 else 0)
+            for t in (s, s1) if s1 else (s,):
+                if t not in ndp or c < ndp[t]:
+                    ndp[t] = c
         dp = ndp
-        if t in want:
-            out[t] = Fraction(min(dp.values()), t)
     return out
 
 
@@ -281,55 +271,40 @@ def _combos(ncomp, fold):
     return tuple(itertools.combinations_with_replacement(range(ncomp), fold))
 
 
-def _free_count_columns(masks, depth, combos):
-    """Per combination, how many of its addends are free at each position.
-
-    Exact mode's per-position input.  Yields one bytes column per
-    combination of indices into ``masks``: byte t (1..depth) is the free
-    count at position t, byte 0 is unused.  Each free mask is spread to
-    one byte per digit by reading its binary string as bytes, so a column
-    is a big-int sum of its addends' spread masks.
-    """
-    zero = int.from_bytes(b"0" * depth, "big")
-    spread = [int.from_bytes(format(m, f"0{depth}b").encode(), "big") - zero for m in masks]
-    for combo in combos:
-        yield sum(spread[c] for c in combo).to_bytes(depth + 1, "big")
-
-
-def _segments(masks, depth):
-    """Where the masks cut the depth, and each mask as one byte per segment.
+def _segments(masks, depth, combos):
+    """The segment table: where the masks cut the depth, and each combination's free counts.
 
     Bit i of ``m ^ (m >> 1)`` is set where the digit at position depth - i
     differs from the one at position depth - i - 1, so the OR over the
-    masks marks where a segment starts.  Returns the segment starts
-    (beginning with 1) and, per mask, an integer whose bytes are its digit
-    on each segment: a combination's free counts are the byte-wise sum of
-    its addends' spreads.
+    masks marks where a segment starts.  Returns ``(starts, columns)``:
+    segment i covers positions starts[i]..starts[i+1]-1, from starts[0] = 1
+    to starts[-1] = depth + 1, and byte i of columns[ci] is how many of
+    combination ci's addends are free there.  Each mask is spread to one
+    byte per segment, so a column is the big-int sum of its addends'
+    spreads.
     """
     change = 0
     for m in masks:
         change |= m ^ (m >> 1)
     change &= (1 << (depth - 1)) - 1  # bit depth - 1 would compare position 1 with 0
     marks = format(change, f"0{depth}b")  # character t - 1 is position t
-    seg = [1] + [t + 1 for t in range(1, depth) if marks[t] == "1"]
-    spread = [int.from_bytes(bytes((m >> (depth - t)) & 1 for t in seg), "big") for m in masks]
-    return seg, spread
+    starts = [1] + [t + 1 for t in range(1, depth) if marks[t] == "1"]
+    spread = [int.from_bytes(bytes((m >> (depth - t)) & 1 for t in starts), "big") for m in masks]
+    columns = [sum(spread[c] for c in combo).to_bytes(len(starts), "big") for combo in combos]
+    return starts + [depth + 1], columns
 
 
-def _free_count_runs(masks, depth, combos):
-    """Per combination, its runs of positions with one free count.
+def _free_count_runs(table):
+    """Per combination of the segment table, its runs of positions with one free count.
 
-    A combination's free count is constant on each of ``_segments``'
-    segments; adjacent segments with equal count merge.  Yields
-    ``(starts, counts)``: run i covers positions starts[i]..starts[i+1]-1
-    with counts[i] addends free; starts ends with depth + 1.
+    Adjacent segments with equal count merge.  Yields ``(starts, counts)``:
+    run i covers positions starts[i]..starts[i+1]-1 with counts[i] addends
+    free; starts ends with depth + 1.
     """
-    seg, spread = _segments(masks, depth)
-    seg.append(depth + 1)
-    for combo in combos:
-        column = sum(spread[c] for c in combo).to_bytes(len(seg) - 1, "big")
+    starts, columns = table
+    for column in columns:
         runs = [m.start() for m in re.finditer(rb"(.)\1*", column, re.S)]
-        yield [seg[i] for i in runs] + [depth + 1], [column[i] for i in runs]
+        yield [starts[i] for i in runs] + [starts[-1]], [column[i] for i in runs]
 
 
 @lru_cache(maxsize=None)
@@ -340,26 +315,25 @@ def _count_map(v, at_least):
     )
 
 
-def _antichain(masks, depth, combos, top):
+def _antichain(table, top):
     """Merge targets and strict dominators over positions 1..p, for p < ``top``.
 
-    Level k stands for the positions of the first k segments (level 0 for
-    none).  At a level, combination A merges into the lowest-index
-    combination whose free counts equal A's there, and B strictly dominates
-    A when B's counts are at least A's everywhere there and differ
-    somewhere.  Both come from one running AND per combination, over the
-    segments' "count = v" and "count >= v" sets of combinations, kept as
-    bitmasks in combination-index space.  Only a combination that is its
-    own merge target gets dominators: a merged one has no lane.  The tables
-    are stored at the top level with, per level k, ``undo[k]``: the flat
-    triples A, dominators, target that hold at level k - 1 for each A that
-    changed on entering level k.  Combinations that tie at a level share
-    one dominator set.  Returns ``(segment starts, dominators, targets,
-    undo)``.
+    Level k stands for the positions of the first k segments of the
+    segment table (level 0 for none).  At a level, combination A merges
+    into the lowest-index combination whose free counts equal A's there,
+    and B strictly dominates A when B's counts are at least A's everywhere
+    there and differ somewhere.  Both come from one running AND per
+    combination, over the segments' "count = v" and "count >= v" sets of
+    combinations, kept as bitmasks in combination-index space.  Only a
+    combination that is its own merge target gets dominators: a merged one
+    has no lane.  The tables are stored at the top level with, per level
+    k, ``undo[k]``: the flat triples A, dominators, target that hold at
+    level k - 1 for each A that changed on entering level k.  Combinations
+    that tie at a level share one dominator set.  Returns ``(dominators,
+    targets, undo)``.
     """
-    starts, spread = _segments(masks, depth)
-    columns = [sum(spread[c] for c in combo).to_bytes(len(starts), "big") for combo in combos]
-    n = len(combos)
+    starts, columns = table
+    n = len(columns)
     full = (1 << n) - 1
     ge = [full] * n
     eq = [full] * n
@@ -387,7 +361,7 @@ def _antichain(masks, depth, combos, top):
                 dominators[a], targets[a] = shared.setdefault(d, d), r
         undo.append(changed)
         active = [a for a in active if ge[a] != 1 << a]
-    return starts, dominators, targets, undo
+    return dominators, targets, undo
 
 
 def _run_steps(runs, hi, lo):
@@ -513,12 +487,13 @@ class _Kills(dict):
         return out
 
 
-def _count_outputs(columns, scale, init_masks, fold, carry_shift, state_budget, antichain):
+def _count_outputs(table, scale, init_masks, fold, carry_shift, state_budget, antichain):
     """Distinct outputs of the given combinations together, by subset construction.
 
     Subset state: a big integer whose bit (ci*fold + c) means combination ci
     can reach the current output word with carry c.  Positions scale..1 emit
-    the word; an output is the word with its final carry shifted right by
+    the word, each reading its segment's free counts from the segment
+    table; an output is the word with its final carry shifted right by
     ``carry_shift``.  Each successor is kept canonical over the positions
     still to come, by the ``_antichain`` tables: a lane moves into its merge
     target's, and a member whose carry a live strict dominator holds is
@@ -528,7 +503,8 @@ def _count_outputs(columns, scale, init_masks, fold, carry_shift, state_budget, 
     next0, next1, _ = _carry_tables(fold)
     steps = [tuple(zip(next0[f], next1[f])) for f in range(fold + 1)]
     gmask = (1 << fold) - 1
-    starts, dominators, targets, undo = antichain
+    starts, columns = table
+    dominators, targets, undo = antichain
     dominators = list(dominators)
     targets = list(targets)
     # dominated[B]: every A that B has strictly dominated since the top level.
@@ -558,30 +534,31 @@ def _count_outputs(columns, scale, init_masks, fold, carry_shift, state_budget, 
     while k and starts[k - 1] >= scale:
         descend(k)
         k -= 1
-    cuts = set(starts)
     s0 = quiet = busy = 0
     for ci, (column, mask) in enumerate(zip(columns, init_masks)):
         s0 |= mask << (ci * fold)
         quiet |= 1 << (ci * fold)  # carry 0 in every combination
         busy |= int.from_bytes(column, "big")
-    busy = busy.to_bytes(len(columns[0]), "big")  # byte t > 0 iff an addend is free at t
+    busy = busy.to_bytes(len(columns[0]), "big")  # byte i > 0 iff an addend is free on segment i
     lifted = ((quiet << fold) - quiet) ^ quiet  # every carry but 0
     dp = {s0: 1}
     peak = 1
     settled = not s0 & lifted
     lanes = None  # per state bit: its lane's shift, steps, target shift and kills
+    i = bisect_right(starts, scale) - 1  # the segment that holds position t
     for t in range(scale, 0, -1):
-        if t + 1 in cuts:  # free counts change
+        if t < starts[i]:  # free counts change
+            i -= 1
             lanes = None
         if k and starts[k - 1] == t:  # positions below t leave level k
             descend(k)
             k -= 1
             lanes = None
-        if settled and not busy[t]:
+        if settled and not busy[i]:
             continue  # zero digits leave carry 0 where it is
         if lanes is None:
             lanes = [
-                (ci * fold, steps[column[t]], r * fold, kills[r])
+                (ci * fold, steps[column[i]], r * fold, kills[r])
                 for ci, (column, r) in enumerate(zip(columns, targets))
                 for _ in range(fold)
             ]
@@ -653,16 +630,15 @@ def sum_prefix_counts(spec, fold, scales, mode="exact", state_budget=DEFAULT_STA
     shift = {j: max(width - j, 0) for j in scales}
     results = {}
     peaks = {}
-    if mode == "exact":
-        columns = list(_free_count_columns(masks, spec.depth, combos))
-        runs = _free_count_runs(masks, spec.depth, combos)
-        init = [_initial_carry_masks(rn, fold, emit.values()) for rn in runs]
-        antichain = _antichain(masks, spec.depth, combos, max(emit.values()))
+    table = _segments(masks, spec.depth, combos)
+    if mode == "exact" and scales:
+        init = [_initial_carry_masks(rn, fold, emit.values()) for rn in _free_count_runs(table)]
+        antichain = _antichain(table, max(emit.values()))
         for j in scales:
             e = emit[j]
             inits = [m[e] for m in init]
             count, peaks[j] = _count_outputs(
-                columns, e, inits, fold, shift[j], state_budget, antichain
+                table, e, inits, fold, shift[j], state_budget, antichain
             )
             if count is not None:
                 bracket = CellCountBracket(count, count)
@@ -671,7 +647,7 @@ def sum_prefix_counts(spec, fold, scales, mode="exact", state_budget=DEFAULT_STA
     # its runs built when it is counted
     rest = [j for j in scales if j not in results]
     per = {j: [] for j in rest}
-    for rn in _free_count_runs(masks, spec.depth, combos) if rest else ():
+    for rn in _free_count_runs(table) if rest else ():
         init = _initial_carry_masks(rn, fold, [emit[j] for j in rest])
         for j in rest:
             per[j].append(_lone_count(rn, emit[j], init[emit[j]], fold, shift[j]))

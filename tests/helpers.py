@@ -1,12 +1,14 @@
 """Spec helpers and reference kernels that only the tests use."""
 
+from fractions import Fraction
+
 from sumdim.engine import (
     _carry_tables,
     _carry_values_mask,
     _combos,
-    _free_count_columns,
     _free_count_runs,
     _initial_carry_masks,
+    _segments,
     undominated_masks,
 )
 from sumdim.patterns import DigitPattern, SetSpec
@@ -18,6 +20,47 @@ def from_rows(rows, name="", **kwargs):
     if not comps:
         raise ValueError("a spec needs at least one component")
     return SetSpec(comps, comps[0].length, name=name, **kwargs)
+
+
+def per_position_columns(masks, depth, combos):
+    """Per combination, its free count at every position, read bit by bit.
+
+    Byte t (1..depth) of a column counts the combination's addends whose
+    mask has bit depth - t set; byte 0 is unused.  The plain reference for
+    the segment table.
+    """
+    return [
+        bytes([0] + [sum(masks[c] >> (depth - t) & 1 for c in combo) for t in range(1, depth + 1)])
+        for combo in combos
+    ]
+
+
+def per_position_branching_min_average(spec, scales):
+    """{n: OFF_n}: the branching DP one position at a time, over every component.
+
+    The differential reference for ``engine.branching_min_average``: the
+    state is the set of components consistent with the prefix read so far.
+    """
+    n = spec.depth
+    free = [0] * (n + 1)  # free[t]: the components free at position t
+    for ci, comp in enumerate(spec.components):
+        for t in range(1, n + 1):
+            free[t] |= (comp.free_mask >> (n - t) & 1) << ci
+    want = set(scales)
+    dp = {(1 << len(spec.components)) - 1: 0}
+    out = {}
+    for t in range(1, max(want, default=0) + 1):
+        ndp = {}
+        for s, cost in dp.items():
+            s1 = s & free[t]
+            c = cost + (1 if s1 else 0)
+            for state in (s, s1) if s1 else (s,):
+                if state not in ndp or c < ndp[state]:
+                    ndp[state] = c
+        dp = ndp
+        if t in want:
+            out[t] = Fraction(min(dp.values()), t)
+    return out
 
 
 def unpruned_count_outputs(columns, scale, init_masks, fold, carry_shift, state_budget):
@@ -90,11 +133,11 @@ def unpruned_prefix_counts(spec, fold, scales, state_budget=10**6):
     width = (fold - 1).bit_length()
     masks = undominated_masks(c.free_mask for c in spec.components)
     combos = _combos(len(masks), fold)
-    columns = list(_free_count_columns(masks, spec.depth, combos))
+    columns = per_position_columns(masks, spec.depth, combos)
     emit = {j: max(j - width, 0) for j in scales}
     init = [
         _initial_carry_masks(runs, fold, emit.values())
-        for runs in _free_count_runs(masks, spec.depth, combos)
+        for runs in _free_count_runs(_segments(masks, spec.depth, combos))
     ]
     return {
         j: unpruned_count_outputs(

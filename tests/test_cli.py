@@ -243,6 +243,16 @@ def test_bad_scales_value_is_exit_2(cfg, capsys):
     assert "configuration error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "command", [["count", "--fold", "2"], ["dims"], ["off"], ["oracle", "--fold", "2"]]
+)
+@pytest.mark.parametrize("scales", ["0", "5,0", "100000"])
+def test_scale_outside_the_depth_is_exit_2(cfg, capsys, command, scales):
+    # an exponent log2(count) / j needs j >= 1, and no scale lies below the depth
+    assert run(command + ["--config", cfg, "--scales", scales]) == 2
+    assert "configuration error: scale" in capsys.readouterr().err
+
+
 def test_internal_errors_are_exit_5(cfg, monkeypatch, capsys):
     def broken(*args, **kwargs):
         raise ValueError("engine fault")

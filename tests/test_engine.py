@@ -19,13 +19,12 @@ from sumdim.engine import (
     CellCountBracket,
     _carry_tables,
     _combos,
-    _free_count_columns,
     _free_count_runs,
     _initial_carry_masks,
     _lone_count,
+    _segments,
     branching_min_average,
     brute_force_oracle,
-    free_position_sets,
     iterated_pattern_sums,
     sum_prefix_counts,
     undominated_masks,
@@ -33,7 +32,13 @@ from sumdim.engine import (
 from sumdim.errors import BudgetExceededError, ScaleError
 from sumdim.patterns import DigitPattern, SetSpec
 
-from helpers import from_rows, unpruned_count_outputs, unpruned_prefix_counts
+from helpers import (
+    from_rows,
+    per_position_branching_min_average,
+    per_position_columns,
+    unpruned_count_outputs,
+    unpruned_prefix_counts,
+)
 from test_acceptance import _oracle_corpus
 
 
@@ -43,8 +48,9 @@ def all_free(depth):
 
 def test_bracket_invariants():
     b = CellCountBracket(3, 7)
-    assert not b.is_exact
-    assert CellCountBracket(4, 4).is_exact
+    assert b.lower != b.upper
+    b = CellCountBracket(4, 4)
+    assert b.lower == b.upper
     with pytest.raises(ValueError):
         CellCountBracket(5, 4)
     with pytest.raises(ValueError):
@@ -193,7 +199,7 @@ def per_position_lone_counts(spec, fold, scales):
     masks, combos, shifts = _lone_setup(spec, fold, scales)
     nextany = _carry_tables(fold)[2]
     out = {j: [] for j in scales}
-    for column in _free_count_columns(masks, spec.depth, combos):
+    for column in per_position_columns(masks, spec.depth, combos):
         for j, (e, shift) in shifts.items():
             init = 1
             for t in range(spec.depth, e, -1):
@@ -207,7 +213,7 @@ def run_stepped_lone_counts(spec, fold, scales):
     """{scale: [count]}: each combination alone, stepped a run at a time."""
     masks, combos, shifts = _lone_setup(spec, fold, scales)
     out = {j: [] for j in scales}
-    for runs in _free_count_runs(masks, spec.depth, combos):
+    for runs in _free_count_runs(_segments(masks, spec.depth, combos)):
         init = _initial_carry_masks(runs, fold, [e for e, _ in shifts.values()])
         for j, (e, shift) in shifts.items():
             out[j].append(_lone_count(runs, e, init[e], fold, shift))
@@ -217,8 +223,9 @@ def run_stepped_lone_counts(spec, fold, scales):
 def test_runs_cover_the_depth_with_each_columns_counts():
     spec = from_rows(["aa00a0aaa", "0aaa00a0a", "a0000a00a"])
     masks, combos, _ = _lone_setup(spec, 3, [])
-    columns = _free_count_columns(masks, spec.depth, combos)
-    for (starts, counts), column in zip(_free_count_runs(masks, spec.depth, combos), columns):
+    columns = per_position_columns(masks, spec.depth, combos)
+    runs = _free_count_runs(_segments(masks, spec.depth, combos))
+    for (starts, counts), column in zip(runs, columns, strict=True):
         assert starts[0] == 1 and starts[-1] == spec.depth + 1
         assert all(a != b for a, b in zip(counts, counts[1:]))  # adjacent runs differ
         for i, f in enumerate(counts):
@@ -254,23 +261,56 @@ def test_run_stepping_matches_the_per_position_kernel_on_the_oracle_corpus():
             assert run_stepped_lone_counts(spec, fold, scales) == want, (spec.name, fold)
 
 
-@pytest.mark.parametrize(
-    "rows",
-    [
-        ["a"],
-        ["0"],
-        ["a0000"],  # free at position 1 only
-        ["0000a"],  # free at the last position only
-        ["a000a"],
-        ["00000"],  # all zero: one run
-        ["aaaaa"],  # all free: one run
-        ["00000", "a000a"],
-    ],
-)
+EDGE_ROWS = [
+    ["a"],
+    ["0"],
+    ["a0000"],  # free at position 1 only
+    ["0000a"],  # free at the last position only
+    ["a000a"],
+    ["00000"],  # all zero: one run
+    ["aaaaa"],  # all free: one run
+    ["00000", "a000a"],
+]
+
+
+def check_segment_table(spec, fold):
+    """The segment table against the plain per-position columns."""
+    depth = spec.depth
+    masks = undominated_masks(c.free_mask for c in spec.components)
+    combos = _combos(len(masks), fold)
+    starts, columns = _segments(masks, depth, combos)
+    assert starts[0] == 1 and starts[-1] == depth + 1
+    assert all(a < b for a, b in zip(starts, starts[1:]))
+    for s in starts[1:-1]:  # every cut is a digit change of some mask
+        assert any((m >> (depth - s) ^ m >> (depth - s + 1)) & 1 for m in masks), s
+    for column, plain in zip(columns, per_position_columns(masks, depth, combos), strict=True):
+        assert len(column) == len(starts) - 1
+        for i, f in enumerate(column):
+            assert set(plain[starts[i]:starts[i + 1]]) == {f}, i
+
+
+@given(specs_with_fold())
+@settings(max_examples=80, deadline=None)
+def test_segment_table_matches_the_per_position_columns(spec_fold):
+    check_segment_table(*spec_fold)
+
+
+def test_segment_table_indexing():
+    # positions 1-2 free in both rows, 3 in the second only, 5 in the first only
+    masks = [c.free_mask for c in from_rows(["aa00a", "aaa00"]).components]
+    starts, columns = _segments(masks, 5, _combos(2, 1))
+    assert starts == [1, 3, 4, 5, 6]
+    assert columns == [bytes([1, 0, 0, 1]), bytes([1, 1, 0, 0])]
+    starts, columns = _segments(masks, 5, _combos(2, 2))
+    assert columns == [bytes([2, 0, 0, 2]), bytes([2, 1, 0, 1]), bytes([2, 2, 0, 0])]
+
+
+@pytest.mark.parametrize("rows", EDGE_ROWS)
 def test_run_stepping_edge_cases(rows):
     spec = from_rows(rows)
     scales = list(range(0, spec.depth + 1))
     for fold in range(1, 6):
+        check_segment_table(spec, fold)
         got = run_stepped_lone_counts(spec, fold, scales)
         assert got == per_position_lone_counts(spec, fold, scales), fold
         if len(undominated_masks(c.free_mask for c in spec.components)) == 1:
@@ -278,7 +318,8 @@ def test_run_stepping_edge_cases(rows):
                 assert got[j] == [brute_force_oracle(spec, fold, j).lower], (fold, j)
     masks, combos, _ = _lone_setup(spec, 1, [])
     if not any(masks):
-        assert list(_free_count_runs(masks, spec.depth, combos)) == [([1, spec.depth + 1], [0])]
+        runs = _free_count_runs(_segments(masks, spec.depth, combos))
+        assert list(runs) == [([1, spec.depth + 1], [0])]
 
 
 def test_undominated_masks_drops_duplicates_and_submasks():
@@ -303,8 +344,10 @@ def test_undominated_masks_drops_duplicates_and_submasks():
 
 def test_scale_bounds_checked():
     spec = all_free(4)
-    with pytest.raises(ScaleError):
-        sum_prefix_counts(spec, 2, [5])
+    for mode in ("exact", "bracket"):
+        assert sum_prefix_counts(spec, 2, [], mode=mode) == {}
+        with pytest.raises(ScaleError):
+            sum_prefix_counts(spec, 2, [5], mode=mode)
     with pytest.raises(ScaleError):
         brute_force_oracle(spec, 1, -1)
 
@@ -382,14 +425,6 @@ def test_state_budget_falls_back_to_bracket():
     assert res.bracket.lower <= want <= res.bracket.upper
 
 
-def test_free_position_sets_indexing():
-    spec = from_rows(["a00", "0a0"])
-    fs = free_position_sets(spec)
-    assert fs[1] == 0b01  # component 0 free at position 1
-    assert fs[2] == 0b10
-    assert fs[3] == 0
-
-
 def test_branching_min_average_prefers_quiet_paths():
     # choosing digit 1 at position 1 isolates the first component,
     # whose remaining positions are forced
@@ -407,3 +442,17 @@ def test_branching_bound_is_attained_by_some_leaf(spec):
     n = spec.depth
     off = branching_min_average(spec, [n])[n]
     assert 2 ** (n * float(off)) <= brute_force_oracle(spec, 1, n).lower + 1e-9
+
+
+@given(small_specs())
+@settings(max_examples=80, deadline=None)
+def test_segment_stepped_branching_matches_the_per_position_dp(spec):
+    scales = range(1, spec.depth + 1)
+    assert branching_min_average(spec, scales) == per_position_branching_min_average(spec, scales)
+
+
+def test_segment_stepped_branching_matches_the_per_position_dp_on_the_oracle_corpus():
+    for spec in _oracle_corpus():
+        scales = range(1, spec.depth + 1)
+        got = branching_min_average(spec, scales)
+        assert got == per_position_branching_min_average(spec, scales), spec.name

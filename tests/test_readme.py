@@ -1,9 +1,10 @@
-"""The README's library quick start runs as written; its config table is complete."""
+"""The README's library quick start runs as written; its config and API tables are complete."""
 
 import re
 from dataclasses import fields
 from pathlib import Path
 
+import sumdim
 from sumdim.cli import RunConfig
 
 README = Path(__file__).resolve().parent.parent / "README.md"
@@ -27,3 +28,13 @@ def test_readme_config_table_lists_every_config_key():
     for row in table.splitlines()[2:]:
         keys.update(re.findall(r"`(\w+)`", row.split("|")[1]))
     assert keys == {f.name for f in fields(RunConfig)}
+
+
+def test_readme_api_table_lists_the_top_level_exports():
+    text = README.read_text(encoding="utf-8")
+    table = text.split("exports exactly this API:", 1)[1].split("\n\n")[1]
+    names = set()
+    for row in table.splitlines()[2:]:
+        cell = re.sub(r"\(.*?\)", "", row.split("|")[2])  # asides name no export
+        names.update(re.findall(r"`(\w+)`", cell))
+    assert names == set(sumdim.__all__) - {"__version__"}
