@@ -68,6 +68,13 @@ def _integer(key, value):
     return value
 
 
+def _positive(key, value):
+    _integer(key, value)
+    if value < 1:
+        raise ConfigError(f"{key} must be at least 1, got {value}")
+    return value
+
+
 def _integers(key, value):
     if not isinstance(value, (list, tuple)) or not value:
         raise ConfigError(f"{key} must be a nonempty list of integers, got {value!r}")
@@ -148,8 +155,8 @@ class RunConfig:
     scales: object = _key("boundaries", _scales)
     mode: str = _key("bracket", _choice("exact", "bracket"))
     seed: int = _key(0, _integer)
-    budget_enum: int = _key(DEFAULT_ENUM_BUDGET, _integer)
-    budget_states: int = _key(DEFAULT_STATE_BUDGET, _integer)
+    budget_enum: int = _key(DEFAULT_ENUM_BUDGET, _positive)
+    budget_states: int = _key(DEFAULT_STATE_BUDGET, _positive)
 
     @classmethod
     def from_dict(cls, raw):
@@ -274,9 +281,12 @@ def _parse_scales(text):
     if text in (None, "boundaries", "all"):
         return text
     try:
-        return tuple(int(t) for t in text.split(",") if t)
+        scales = tuple(int(t) for t in text.split(",") if t)
     except ValueError as exc:
         raise ConfigError(f"bad --scales value {text!r}") from exc
+    if not scales:
+        raise ConfigError(f"--scales value {text!r} names no scale")
+    return scales
 
 
 # ---------------------------------------------------------------------------

@@ -39,8 +39,9 @@ duplicate mask, or one contained in another, adds nothing to any l-fold
 sum set (``undominated_masks``).  That rule assumes every digit is
 forced 0 or free; a forced-1 symbol must revisit it.  Exact mode runs a
 subset construction on all combinations at once, position by position,
-and prunes each state (below).  Bracket mode, and exact mode when its
-state budget overflows, counts each combination alone and reports
+prunes each state (below), and serves every requested scale from one
+sweep (below).  Bracket mode, and exact mode for a scale whose states
+overflow the budget, counts each combination alone and reports
 [max, sum] over combinations, which brackets the union; the sum is
 clamped to the count of windows meeting [0, l], the most the union can
 occupy.
@@ -80,12 +81,31 @@ relations change only at the segment cuts and only grow as positions
 are consumed: ``_antichain`` finds them once per call, as bitmasks over
 combination indices, and the kernel spreads what a combination dominates
 to lane form when it first needs it.
+
+One sweep
+---------
+A step of the subset construction depends only on its position, through
+the position's segment and antichain level, never on the scale the walk
+began at.  So exact mode walks once per call, from the largest emit
+position down to 1 (the forward transfer-matrix method over the pruned
+states).  Each scale's initial state, built from its low-phase carry
+sets, joins just before the scale's first position; each state carries a
+separate word count for every scale that reaches it, packed as fields of
+one integer, and each scale reads its own count at the end with its own
+carry shift.  Peaks and budgets stay per scale: a scale's state count is
+the number of states that carry its count, and a scale whose count
+passes the budget leaves the sweep and falls back alone.  The forward
+``settled`` skip is kept, so a one-scale call does the work it did on
+its own.  The combinations are put in lane order once per call
+(``_lane_order``): each level's merge targets come first, so the lanes
+past them stay empty and the states stay short integers.
 """
 
 from __future__ import annotations
 
 import itertools
 import re
+import struct
 from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
@@ -294,6 +314,26 @@ def _segments(masks, depth, combos):
     return starts + [depth + 1], columns
 
 
+def _lane_order(table):
+    """The segment table with its columns in lane order: each level's merge targets first.
+
+    Sorted as byte strings (segment 0 first), the columns that tie over the
+    first k segments form a block led by the one that shares fewer than k
+    bytes with the column before it.  A stable sort by that shared length
+    then puts, at every level k, the block leaders (shared length < k) ahead
+    of the rest, and each leader is the lowest-index member of its block:
+    the merge targets of every level are a prefix of the lanes, and the
+    lanes past it are empty.
+    """
+    starts, columns = table
+    columns = sorted(columns)
+    shared = [0] + [
+        len(a) - ((int.from_bytes(a, "big") ^ int.from_bytes(b, "big")).bit_length() + 7) // 8
+        for a, b in zip(columns, columns[1:])
+    ]
+    return starts, [columns[i] for i in sorted(range(len(columns)), key=shared.__getitem__)]
+
+
 def _free_count_runs(table):
     """Per combination of the segment table, its runs of positions with one free count.
 
@@ -487,18 +527,27 @@ class _Kills(dict):
         return out
 
 
-def _count_outputs(table, scale, init_masks, fold, carry_shift, state_budget, antichain):
-    """Distinct outputs of the given combinations together, by subset construction.
+def _count_outputs(table, emit, carry_shift, init, fold, state_budget, antichain):
+    """Distinct outputs of all the combinations together, at every scale, in one sweep.
 
-    Subset state: a big integer whose bit (ci*fold + c) means combination ci
-    can reach the current output word with carry c.  Positions scale..1 emit
-    the word, each reading its segment's free counts from the segment
-    table; an output is the word with its final carry shifted right by
-    ``carry_shift``.  Each successor is kept canonical over the positions
-    still to come, by the ``_antichain`` tables: a lane moves into its merge
-    target's, and a member whose carry a live strict dominator holds is
-    dropped.  Returns (count, peak), or (None, peak) when the state budget
-    is exceeded.
+    Subset state: a big integer whose bit (ci*fold + c) means combination
+    (lane) ci can reach the current output word with carry c.  Scale j
+    emits its word at positions emit[j]..1 from the state that holds carry
+    set init[ci][emit[j]] in lane ci, each position reading its segment's
+    free counts from the segment table; an output is the word with its
+    final carry shifted right by carry_shift[j].  Each successor is kept
+    canonical over the positions still to come, by the ``_antichain``
+    tables: a lane moves into its merge target's, and a member whose carry
+    a live strict dominator holds is dropped.
+
+    A step depends only on its position, so one walk down from the largest
+    emit position serves every scale; scales with one emit position share
+    a walk.  A walk's initial state joins just before its first position,
+    and each state keeps the word count of every walk that reaches it, one
+    field each of a packed integer.  A walk's peak is the most states that
+    carry its count after a step; a walk whose state count passes the
+    state budget leaves the sweep.  Returns {j: (count, peak)}, with count
+    None where the walk left.
     """
     next0, next1, _ = _carry_tables(fold)
     steps = [tuple(zip(next0[f], next1[f])) for f in range(fold + 1)]
@@ -530,23 +579,47 @@ def _count_outputs(table, scale, init_masks, fold, carry_shift, state_budget, an
         for b in grown:
             kills[b] = _Kills(dominated[b], fold) if targets[b] == b else none
 
+    # walk w starts at position walks[w]; its word count, at most 2^walks[w],
+    # is the field of walks[w] + 1 bits at offset[w] of a state's count
+    walks = sorted(set(emit.values()), reverse=True)
+    offset = list(itertools.accumulate((e + 1 for e in walks), initial=0))
+    top = walks[0]
     k = len(undo) - 1
-    while k and starts[k - 1] >= scale:
+    while k and starts[k - 1] >= top:
         descend(k)
         k -= 1
-    s0 = quiet = busy = 0
-    for ci, (column, mask) in enumerate(zip(columns, init_masks)):
-        s0 |= mask << (ci * fold)
+    quiet = busy = 0
+    for ci, column in enumerate(columns):
         quiet |= 1 << (ci * fold)  # carry 0 in every combination
         busy |= int.from_bytes(column, "big")
     busy = busy.to_bytes(len(columns[0]), "big")  # byte i > 0 iff an addend is free on segment i
     lifted = ((quiet << fold) - quiet) ^ quiet  # every carry but 0
-    dp = {s0: 1}
-    peak = 1
-    settled = not s0 & lifted
+    dp = {}
+    # With several walks, pres[state] has a 1 in the 32-bit field of each
+    # walk that reaches the state, so the sum over states counts each walk's
+    # states (no state count nears 2^32).  A lone walk's states are all of dp.
+    pres = {} if len(walks) > 1 else None
+    unpack = struct.Struct(f"<{len(walks)}I").unpack
+    peaks = [0] * len(walks)
+    gone = set()  # walks that left the sweep
+    joined = 0
+    settled = True
     lanes = None  # per state bit: its lane's shift, steps, target shift and kills
-    i = bisect_right(starts, scale) - 1  # the segment that holds position t
-    for t in range(scale, 0, -1):
+    i = bisect_right(starts, top) - 1  # the segment that holds position t
+    for t in range(top, -1, -1):
+        if joined < len(walks) and walks[joined] == t:
+            s0 = 0
+            for ci, masks in enumerate(init):
+                s0 |= masks[t] << (ci * fold)
+            dp[s0] = dp.get(s0, 0) + (1 << offset[joined])
+            if pres is not None:
+                pres[s0] = pres.get(s0, 0) | 1 << (32 * joined)
+            peaks[joined] = 1
+            joined += 1
+            settled = settled and not s0 & lifted
+            lanes = None
+        if not t or (not dp and joined == len(walks)):  # done, or every walk left
+            break
         if t < starts[i]:  # free counts change
             i -= 1
             lanes = None
@@ -554,16 +627,21 @@ def _count_outputs(table, scale, init_masks, fold, carry_shift, state_budget, an
             descend(k)
             k -= 1
             lanes = None
-        if settled and not busy[i]:
-            continue  # zero digits leave carry 0 where it is
+        if not dp or settled and not busy[i]:
+            continue  # nothing to step, or zero digits leave carry 0 where it is
         if lanes is None:
+            # a lane moves only to a lower target, so no lane past the
+            # highest one occupied now fills before the next walk joins
+            used = -(-max(dp).bit_length() // fold)
             lanes = [
                 (ci * fold, steps[column[i]], r * fold, kills[r])
-                for ci, (column, r) in enumerate(zip(columns, targets))
+                for ci, (column, r) in enumerate(zip(columns[:used], targets))
                 for _ in range(fold)
             ]
         ndp = {}
         get = ndp.get
+        npres = {}
+        pget = npres.get
         for state, cnt in dp.items():
             a = b = ka = kb = 0
             rem = state
@@ -582,21 +660,58 @@ def _count_outputs(table, scale, init_masks, fold, carry_shift, state_budget, an
                 ndp[a] = get(a, 0) + cnt
             if b:
                 ndp[b] = get(b, 0) + cnt
+            if pres is not None:
+                p = pres[state]
+                if a:
+                    npres[a] = pget(a, 0) | p
+                if b:
+                    npres[b] = pget(b, 0) | p
         dp = ndp
-        if len(dp) > state_budget:
-            return None, peak
-        if len(dp) > peak:
-            peak = len(dp)
-        settled = len(dp) == 1 and not next(iter(dp)) & lifted
-    total = 0
+        if pres is None:
+            sizes = [len(dp)]
+        else:
+            pres = npres
+            sizes = list(unpack(sum(pres.values()).to_bytes(4 * len(walks), "little")))
+        if max(sizes) > state_budget:
+            for w, n in enumerate(sizes):
+                if n > state_budget:  # walk w leaves; its peak stays the last one
+                    sizes[w] = 0
+                    gone.add(w)
+                    if pres is None:
+                        dp.clear()
+                        continue
+                    bit = 1 << (32 * w)
+                    field = (1 << offset[w + 1]) - (1 << offset[w])
+                    for state in [s for s, p in pres.items() if p & bit]:
+                        pres[state] ^= bit
+                        if pres[state]:
+                            dp[state] &= ~field
+                        else:
+                            del pres[state], dp[state]
+        peaks = list(map(max, peaks, sizes))
+        settled = max(sizes) <= 1 and not any(s & lifted for s in dp)
+    unions = []
     for state, cnt in dp.items():
         union = 0
         rem = state
         while rem:
             union |= rem & gmask
             rem >>= fold
-        total += cnt * _carry_values_mask(union, carry_shift).bit_count()
-    return total, peak
+        unions.append((union, cnt))
+    out = {}
+    walk = {e: w for w, e in enumerate(walks)}
+    for j, e in emit.items():
+        w = walk[e]
+        if w in gone:
+            out[j] = None, peaks[w]
+            continue
+        field = (1 << (e + 1)) - 1
+        total = 0
+        for union, cnt in unions:
+            values = _carry_values_mask(union, carry_shift[j]).bit_count()
+            total += (cnt >> offset[w] & field) * values
+        out[j] = total, peaks[w]
+    return out
 
 
 def _carry_values_mask(carry_set, shift):
@@ -610,11 +725,12 @@ def _carry_values_mask(carry_set, shift):
 
 
 def sum_prefix_counts(spec, fold, scales, mode="exact", state_budget=DEFAULT_STATE_BUDGET):
-    """Distinct-sum-prefix counts at several scales, sharing the low phase.
+    """Distinct-sum-prefix counts at several scales, sharing the work.
 
-    Returns {scale: DistinctCountResult}.  In exact mode a state-budget
-    overflow falls back to bracket mode for that scale, flagged in the
-    result, never silently.
+    The scales share the low phase and, in exact mode, one sweep of the
+    subset construction.  Returns {scale: DistinctCountResult}.  In exact
+    mode a state-budget overflow falls back to bracket mode for that scale
+    alone, flagged in the result, never silently.
     """
     if fold < 1:
         raise ValueError("fold must be at least 1")
@@ -632,14 +748,11 @@ def sum_prefix_counts(spec, fold, scales, mode="exact", state_budget=DEFAULT_STA
     peaks = {}
     table = _segments(masks, spec.depth, combos)
     if mode == "exact" and scales:
+        table = _lane_order(table)
         init = [_initial_carry_masks(rn, fold, emit.values()) for rn in _free_count_runs(table)]
         antichain = _antichain(table, max(emit.values()))
-        for j in scales:
-            e = emit[j]
-            inits = [m[e] for m in init]
-            count, peaks[j] = _count_outputs(
-                table, e, inits, fold, shift[j], state_budget, antichain
-            )
+        counts = _count_outputs(table, emit, shift, init, fold, state_budget, antichain)
+        for j, (count, peaks[j]) in counts.items():
             if count is not None:
                 bracket = CellCountBracket(count, count)
                 results[j] = DistinctCountResult(j, fold, bracket, "exact", peaks[j], False)

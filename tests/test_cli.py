@@ -184,6 +184,25 @@ def test_oracle_state_budget_fallback_is_exit_4(tmp_path, capsys):
     assert "budget exceeded" in captured.err
 
 
+@pytest.mark.parametrize(
+    "bad, argv",
+    [
+        ({"budget_states": 0}, ["count", "--mode", "exact", "--fold", "2", "--scales", "5"]),
+        ({"budget_states": -1}, ["oracle", "--fold", "2", "--scales", "5"]),
+        ({"budget_enum": 0}, ["oracle", "--fold", "2", "--scales", "5"]),
+        ({"budget_enum": -1}, ["oracle", "--fold", "2", "--scales", "5"]),
+    ],
+)
+def test_nonpositive_budget_is_exit_2(tmp_path, capsys, bad, argv):
+    # a budget below one state or one digit string leaves nothing to count
+    with pytest.raises(ConfigError):
+        RunConfig.from_dict({**SMALL, **bad})
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps({**SMALL, **bad}))
+    assert run(argv + ["--config", str(path)]) == 2
+    assert "must be at least 1" in capsys.readouterr().err
+
+
 def test_oracle_mismatch_is_exit_5(cfg, monkeypatch, capsys):
     real = cli.sum_prefix_counts
 
@@ -239,8 +258,10 @@ def test_inadmissible_construction_is_exit_3(tmp_path, capsys):
 
 
 def test_bad_scales_value_is_exit_2(cfg, capsys):
-    assert run(["count", "--config", cfg, "--scales", "1,x"]) == 2
-    assert "configuration error" in capsys.readouterr().err
+    # an empty list must not fall back to the config's scales
+    for scales in ("1,x", ",", ""):
+        assert run(["count", "--config", cfg, "--scales", scales]) == 2, scales
+        assert "configuration error" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize(

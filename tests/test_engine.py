@@ -8,7 +8,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from sumdim import engine
 from sumdim.constructions import (
+    CANONICAL_EXAMPLES,
     DimensionTargets,
     build_canonical,
     build_example,
@@ -17,10 +19,12 @@ from sumdim.constructions import (
 )
 from sumdim.engine import (
     CellCountBracket,
+    _antichain,
     _carry_tables,
     _combos,
     _free_count_runs,
     _initial_carry_masks,
+    _lane_order,
     _lone_count,
     _segments,
     branching_min_average,
@@ -415,12 +419,73 @@ def test_component_order_changes_no_count_and_no_peak(name, fold):
         assert (got[j].bracket, got[j].peak_states) == (want[j].bracket, want[j].peak_states)
 
 
+@pytest.mark.parametrize("budget", [engine.DEFAULT_STATE_BUDGET, 6])
+def test_one_sweep_matches_per_scale_calls_on_the_oracle_corpus(budget):
+    # every scale of a call shares one walk, yet keeps the bracket, mode,
+    # peak and fallback of a call for that scale alone; at budget 6 some
+    # scales of one call fall back while the others stay exact
+    mixed = 0
+    for spec in _oracle_corpus():
+        scales = list(range(0, spec.depth + 1))
+        for fold in (1, 2, 3):
+            got = sum_prefix_counts(spec, fold, scales, mode="exact", state_budget=budget)
+            for j in scales:
+                alone = sum_prefix_counts(spec, fold, [j], mode="exact", state_budget=budget)
+                assert got[j] == alone[j], (spec.name, fold, j)
+            mixed += {r.fell_back for r in got.values()} == {False, True}
+    assert bool(mixed) == (budget == 6)
+
+
+def test_exact_mode_runs_the_subset_construction_once_per_call(monkeypatch):
+    calls = []
+    real = engine._count_outputs
+
+    def counted(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(engine, "_count_outputs", counted)
+    spec = from_rows(["aaaa000", "a0a0a0a", "0a0a0a0"])
+    scales = list(range(0, spec.depth + 1))
+    for budget in (engine.DEFAULT_STATE_BUDGET, 3):
+        res = sum_prefix_counts(spec, 3, scales, mode="exact", state_budget=budget)
+        assert len(calls) == 1
+        calls.clear()
+        assert any(r.fell_back for r in res.values()) == (budget == 3)
+    sum_prefix_counts(spec, 3, scales, mode="bracket")
+    assert not calls
+
+
+@pytest.mark.parametrize("name", sorted(CANONICAL_EXAMPLES))
+def test_lane_order_puts_each_levels_merge_targets_first(name):
+    spec = build_canonical(name)
+    masks = undominated_masks(c.free_mask for c in spec.components)
+    for fold in (2, 3):
+        table = _segments(masks, spec.depth, _combos(len(masks), fold))
+        starts, columns = ordered = _lane_order(table)
+        assert starts == table[0] and sorted(columns) == sorted(table[1])
+        _, targets, undo = _antichain(ordered, spec.depth + 1)
+        targets = list(targets)
+        for k in range(len(undo) - 1, -1, -1):
+            # level k: combinations with equal counts on the first k segments
+            # merge into the lowest-index one, and those targets lead the lanes
+            first = {}
+            for ci, column in enumerate(columns):
+                first.setdefault(column[:k], ci)
+            assert targets == [first[column[:k]] for column in columns], (fold, k)
+            assert sorted(first.values()) == list(range(len(first))), (fold, k)
+            changes = undo[k]
+            for i in range(0, len(changes), 3):
+                targets[changes[i]] = changes[i + 2]
+
+
 def test_state_budget_falls_back_to_bracket():
     rows = ["aaaa000", "a0a0a0a", "0a0a0a0"]  # no row contains another
     spec = from_rows(rows)
     res = sum_prefix_counts(spec, 3, [7], mode="exact", state_budget=2)[7]
     assert res.fell_back
     assert res.mode == "bracket"
+    assert res.peak_states == 2  # the most states seen within the budget
     want = brute_force_oracle(spec, 3, 7).lower
     assert res.bracket.lower <= want <= res.bracket.upper
 
