@@ -61,6 +61,13 @@ positions is one vector product with M_f^r (the transfer-matrix method),
 built from cached squarings M_f^(2^k).  The low phase steps the same runs
 with nextany[f] composed by squaring.
 
+A lone combination is walked once per call, not once per scale.  The
+call's emit positions e_1 > ... > e_m cut its positions into stretches,
+and each stretch is walked once from every carry set met at its top: the
+scale's own initial set and those the walks from above reach, so at most
+2^l - 1 walks share a stretch.  The count is linear in the vector, so a
+bottom-up pass combines the stretch walks into every scale's count.
+
 Pruning
 -------
 A subset state's output language is the union of what its members
@@ -474,15 +481,16 @@ def _transfer_power(fold, f, k):
     return tuple(_times(row, half) for row in half)
 
 
-def _lone_count(runs, scale, init_mask, fold, carry_shift):
-    """Distinct outputs of one combination, stepping positions scale..1 by runs.
+def _stretch(runs, hi, lo, carry_set, fold):
+    """One combination's walk over positions hi down to lo from one carry set, by runs.
 
-    Equals ``_count_outputs`` on the combination's column alone.
+    Returns ``(vec, doublings)``: the sparse vector of the carry sets
+    reached, whose counts are to be multiplied by 2^doublings.
     """
     width = (fold - 1).bit_length()
-    vec = ((init_mask, 1),)
-    doublings = 0  # the counts in ``vec`` are times 2^doublings
-    for f, r in _run_steps(runs, scale, 1):
+    vec = ((carry_set, 1),)
+    doublings = 0
+    for f, r in _run_steps(runs, hi, lo):
         if f < 2 and vec[0][0] == 1 and len(vec) == 1:
             # carry 0 stays alone: each position has 2^f output bits
             doublings += f * r
@@ -494,7 +502,34 @@ def _lone_count(runs, scale, init_mask, fold, carry_shift):
         for k in range(r.bit_length()):
             if r >> k & 1:
                 vec = _times(vec, _transfer_power(fold, f, k))
-    return sum(x * _carry_values_mask(s, carry_shift).bit_count() for s, x in vec) << doublings
+    return vec, doublings
+
+
+def _lone_counts(runs, init, fold):
+    """Distinct outputs of one combination from carry set init[e] at each emit position e.
+
+    Every e in ``init`` must be positive; the final carry is not shifted.
+    The walk goes down through the emit positions e_1 > ... > e_m, and each
+    stretch between two of them is walked once from every carry set met
+    there: the scale's own init[e_i] and those the walks from above reach.
+    The count is linear in the vector, so a bottom-up pass combines them:
+    count(e_i, S) = (sum of v_S(S') * count(e_{i+1}, S')) << doublings, with
+    count(0, S) = popcount(S).  Returns {e: count}.
+    """
+    tops = sorted(init, reverse=True)
+    walked = []  # per stretch: {carry set: (vec, doublings)}
+    met = set()
+    for hi, lo in zip(tops, tops[1:] + [0]):
+        met.add(init[hi])
+        walked.append({s: _stretch(runs, hi, lo + 1, s, fold) for s in met})
+        met = {t for vec, _ in walked[-1].values() for t, _ in vec}
+    out = {}
+    below = int.bit_count
+    for hi, walks in zip(reversed(tops), reversed(walked)):
+        here = {s: sum(x * below(t) for t, x in vec) << d for s, (vec, d) in walks.items()}
+        out[hi] = here[init[hi]]
+        below = here.__getitem__
+    return out
 
 
 def _bits(x):
@@ -728,12 +763,16 @@ def sum_prefix_counts(spec, fold, scales, mode="exact", state_budget=DEFAULT_STA
     """Distinct-sum-prefix counts at several scales, sharing the work.
 
     The scales share the low phase and, in exact mode, one sweep of the
-    subset construction.  Returns {scale: DistinctCountResult}.  In exact
-    mode a state-budget overflow falls back to bracket mode for that scale
-    alone, flagged in the result, never silently.
+    subset construction; in bracket mode, and for exact mode's fallbacks,
+    they share one walk down per combination.  Returns {scale:
+    DistinctCountResult}.  In exact mode a state-budget overflow falls back
+    to bracket mode for that scale alone, flagged in the result, never
+    silently.  A fold or state budget below 1 is a ValueError.
     """
     if fold < 1:
         raise ValueError("fold must be at least 1")
+    if state_budget < 1:
+        raise ValueError("state_budget must be at least 1")
     if mode not in ("exact", "bracket"):
         raise ValueError(f"unknown mode {mode!r}")
     width = (fold - 1).bit_length()
@@ -756,14 +795,16 @@ def sum_prefix_counts(spec, fold, scales, mode="exact", state_budget=DEFAULT_STA
             if count is not None:
                 bracket = CellCountBracket(count, count)
                 results[j] = DistinctCountResult(j, fold, bracket, "exact", peaks[j], False)
-    # bracket mode, and exact mode's fallbacks: each combination alone,
-    # its runs built when it is counted
+    # bracket mode, and exact mode's fallbacks: each combination alone, its
+    # runs built when it is counted, one walk down serving every scale
     rest = [j for j in scales if j not in results]
     per = {j: [] for j in rest}
     for rn in _free_count_runs(table) if rest else ():
         init = _initial_carry_masks(rn, fold, [emit[j] for j in rest])
+        lone = _lone_counts(rn, {e: init[e] for e in init if e}, fold)
         for j in rest:
-            per[j].append(_lone_count(rn, emit[j], init[emit[j]], fold, shift[j]))
+            e = emit[j]
+            per[j].append(lone[e] if e else _carry_values_mask(init[0], shift[j]).bit_count())
     for j in rest:
         sup = ((fold << j) >> width) + 1  # windows meeting [0, fold]
         bracket = CellCountBracket(max(per[j]), min(sum(per[j]), sup))

@@ -8,7 +8,10 @@ from sumdim.engine import (
     _combos,
     _free_count_runs,
     _initial_carry_masks,
+    _run_steps,
     _segments,
+    _times,
+    _transfer_power,
     undominated_masks,
 )
 from sumdim.patterns import DigitPattern, SetSpec
@@ -145,3 +148,48 @@ def unpruned_prefix_counts(spec, fold, scales, state_budget=10**6):
         )
         for j, e in emit.items()
     }
+
+
+def lone_setup(spec, fold, scales):
+    """The undominated masks, their combinations and {scale: (emit, carry shift)}."""
+    width = (fold - 1).bit_length()
+    masks = undominated_masks(c.free_mask for c in spec.components)
+    shifts = {j: (max(j - width, 0), max(width - j, 0)) for j in scales}
+    return masks, _combos(len(masks), fold), shifts
+
+
+def per_scale_lone_count(runs, scale, init_mask, fold, carry_shift):
+    """Distinct outputs of one combination, stepping positions scale..1 by runs.
+
+    One walk per scale, from the scale down to position 1: the
+    differential reference for ``engine._lone_counts``, which walks once
+    per call.  Equals ``unpruned_count_outputs`` on the combination's
+    column alone.
+    """
+    width = (fold - 1).bit_length()
+    vec = ((init_mask, 1),)
+    doublings = 0  # the counts in ``vec`` are times 2^doublings
+    for f, r in _run_steps(runs, scale, 1):
+        if f < 2 and vec[0][0] == 1 and len(vec) == 1:
+            # carry 0 stays alone: each position has 2^f output bits
+            doublings += f * r
+            continue
+        if not f:
+            # with no addend free the carries halve: after ``width``
+            # positions every carry set is {0}
+            r = min(r, width)
+        for k in range(r.bit_length()):
+            if r >> k & 1:
+                vec = _times(vec, _transfer_power(fold, f, k))
+    return sum(x * _carry_values_mask(s, carry_shift).bit_count() for s, x in vec) << doublings
+
+
+def run_stepped_lone_counts(spec, fold, scales):
+    """{scale: [count]}: each combination alone, one run-stepped walk per scale."""
+    masks, combos, shifts = lone_setup(spec, fold, scales)
+    out = {j: [] for j in scales}
+    for runs in _free_count_runs(_segments(masks, spec.depth, combos)):
+        init = _initial_carry_masks(runs, fold, [e for e, _ in shifts.values()])
+        for j, (e, shift) in shifts.items():
+            out[j].append(per_scale_lone_count(runs, e, init[e], fold, shift))
+    return out

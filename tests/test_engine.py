@@ -1,5 +1,6 @@
 """Counting engine vs the definitional brute-force oracle."""
 
+import collections
 import dataclasses
 import random
 from fractions import Fraction
@@ -21,11 +22,12 @@ from sumdim.engine import (
     CellCountBracket,
     _antichain,
     _carry_tables,
+    _carry_values_mask,
     _combos,
     _free_count_runs,
     _initial_carry_masks,
     _lane_order,
-    _lone_count,
+    _lone_counts,
     _segments,
     branching_min_average,
     brute_force_oracle,
@@ -38,8 +40,10 @@ from sumdim.patterns import DigitPattern, SetSpec
 
 from helpers import (
     from_rows,
+    lone_setup,
     per_position_branching_min_average,
     per_position_columns,
+    run_stepped_lone_counts,
     unpruned_count_outputs,
     unpruned_prefix_counts,
 )
@@ -191,16 +195,9 @@ def test_dominated_components_change_no_result(case):
                 assert got[j].bracket == brute_force_oracle(padded, fold, j), j
 
 
-def _lone_setup(spec, fold, scales):
-    width = (fold - 1).bit_length()
-    masks = undominated_masks(c.free_mask for c in spec.components)
-    shifts = {j: (max(j - width, 0), max(width - j, 0)) for j in scales}
-    return masks, _combos(len(masks), fold), shifts
-
-
 def per_position_lone_counts(spec, fold, scales):
     """{scale: [count]}: each combination alone through the per-position kernel."""
-    masks, combos, shifts = _lone_setup(spec, fold, scales)
+    masks, combos, shifts = lone_setup(spec, fold, scales)
     nextany = _carry_tables(fold)[2]
     out = {j: [] for j in scales}
     for column in per_position_columns(masks, spec.depth, combos):
@@ -213,20 +210,9 @@ def per_position_lone_counts(spec, fold, scales):
     return out
 
 
-def run_stepped_lone_counts(spec, fold, scales):
-    """{scale: [count]}: each combination alone, stepped a run at a time."""
-    masks, combos, shifts = _lone_setup(spec, fold, scales)
-    out = {j: [] for j in scales}
-    for runs in _free_count_runs(_segments(masks, spec.depth, combos)):
-        init = _initial_carry_masks(runs, fold, [e for e, _ in shifts.values()])
-        for j, (e, shift) in shifts.items():
-            out[j].append(_lone_count(runs, e, init[e], fold, shift))
-    return out
-
-
 def test_runs_cover_the_depth_with_each_columns_counts():
     spec = from_rows(["aa00a0aaa", "0aaa00a0a", "a0000a00a"])
-    masks, combos, _ = _lone_setup(spec, 3, [])
+    masks, combos, _ = lone_setup(spec, 3, [])
     columns = per_position_columns(masks, spec.depth, combos)
     runs = _free_count_runs(_segments(masks, spec.depth, combos))
     for (starts, counts), column in zip(runs, columns, strict=True):
@@ -263,6 +249,126 @@ def test_run_stepping_matches_the_per_position_kernel_on_the_oracle_corpus():
         for fold in (1, 2, 3):
             want = per_position_lone_counts(spec, fold, scales)
             assert run_stepped_lone_counts(spec, fold, scales) == want, (spec.name, fold)
+
+
+def shared_walk_lone_counts(spec, fold, scales):
+    """{scale: [count]}: each combination alone, one shared walk per call."""
+    masks, combos, shifts = lone_setup(spec, fold, scales)
+    out = {j: [] for j in scales}
+    for runs in _free_count_runs(_segments(masks, spec.depth, combos)):
+        init = _initial_carry_masks(runs, fold, [e for e, _ in shifts.values()])
+        lone = _lone_counts(runs, {e: init[e] for e in init if e}, fold)
+        for j, (e, shift) in shifts.items():
+            out[j].append(lone[e] if e else _carry_values_mask(init[0], shift).bit_count())
+    return out
+
+
+def reference_brackets(spec, fold, scales):
+    """{scale: bracket}: [max, min(sum, sup)] over the per-scale reference walks."""
+    width = (fold - 1).bit_length()
+    return {
+        j: CellCountBracket(max(counts), min(sum(counts), ((fold << j) >> width) + 1))
+        for j, counts in run_stepped_lone_counts(spec, fold, scales).items()
+    }
+
+
+@given(specs_with_fold(), st.data())
+@settings(max_examples=80, deadline=None)
+def test_shared_walk_matches_per_scale_walks(spec_fold, data):
+    # random scale subsets, with duplicates, scale 0, and at folds 3-5
+    # several scales that share emit position 0
+    spec, fold = spec_fold
+    scales = data.draw(st.lists(st.integers(0, spec.depth), min_size=1, max_size=12))
+    assert shared_walk_lone_counts(spec, fold, scales) == run_stepped_lone_counts(
+        spec, fold, scales
+    )
+    got = sum_prefix_counts(spec, fold, scales, mode="bracket")
+    assert list(got) == sorted(set(scales))
+    for j, bracket in reference_brackets(spec, fold, scales).items():
+        assert got[j] == sum_prefix_counts(spec, fold, [j], mode="bracket")[j], j
+        assert (got[j].bracket, got[j].mode, got[j].peak_states) == (bracket, "bracket", 0), j
+        assert not got[j].fell_back
+
+
+def test_shared_walk_matches_per_scale_walks_on_the_oracle_corpus():
+    for spec in _oracle_corpus():
+        scales = list(range(0, spec.depth + 1))
+        for fold in (1, 2, 3):
+            got = sum_prefix_counts(spec, fold, scales, mode="bracket")
+            want = reference_brackets(spec, fold, scales)
+            for j in scales:
+                alone = sum_prefix_counts(spec, fold, [j], mode="bracket")[j]
+                assert got[j] == alone, (spec.name, fold, j)
+                assert alone.bracket == want[j], (spec.name, fold, j)
+
+
+@pytest.mark.parametrize("budget", [3, 6])
+def test_exact_fallbacks_match_per_scale_walks_on_the_oracle_corpus(budget):
+    # the scales that overflow share one lone walk per combination, while
+    # the rest of the call stays exact
+    mixed = 0
+    for spec in _oracle_corpus():
+        scales = list(range(0, spec.depth + 1))
+        for fold in (1, 2, 3):
+            got = sum_prefix_counts(spec, fold, scales, mode="exact", state_budget=budget)
+            fell = [j for j in scales if got[j].fell_back]
+            for j, bracket in reference_brackets(spec, fold, fell).items():
+                alone = sum_prefix_counts(spec, fold, [j], mode="exact", state_budget=budget)[j]
+                assert got[j] == alone, (spec.name, fold, j)
+                assert (alone.bracket, alone.mode) == (bracket, "bracket"), (spec.name, fold, j)
+            mixed += 0 < len(fell) < len(scales)
+    assert mixed
+
+
+def record_walks(monkeypatch):
+    """Patch the stretch walk to log, per combination, how often each position is walked."""
+    walks = {}
+    real = engine._stretch
+
+    def counted(runs, hi, lo, carry_set, fold):
+        # keying by id is safe: holding ``runs`` keeps its id from reuse
+        _, positions = walks.setdefault(id(runs), (runs, collections.Counter()))
+        positions.update(range(lo, hi + 1))
+        return real(runs, hi, lo, carry_set, fold)
+
+    monkeypatch.setattr(engine, "_stretch", counted)
+    return walks
+
+
+@pytest.mark.parametrize("name, fold", [("all-dims-3", 2), ("haus-lowbox", 3)])
+def test_bracket_mode_walks_each_combination_once_for_every_scale(monkeypatch, name, fold):
+    spec = build_canonical(name)
+    masks = undominated_masks(c.free_mask for c in spec.components)
+    ncombos = len(_combos(len(masks), fold))
+    emit = spec.depth - (fold - 1).bit_length()
+    walks = record_walks(monkeypatch)
+    # one scale: one walk per combination, from the scale down to position 1
+    sum_prefix_counts(spec, fold, [spec.depth], mode="bracket")
+    assert len(walks) == ncombos
+    for _, positions in walks.values():
+        assert positions == collections.Counter(range(1, emit + 1))
+    walks.clear()
+    # every scale: a stretch is walked once from each nonempty carry set
+    # met there, so at most 2^fold - 1 walks cover any position
+    sum_prefix_counts(spec, fold, range(1, spec.depth + 1), mode="bracket")
+    assert len(walks) == ncombos
+    most = max(max(positions.values()) for _, positions in walks.values())
+    assert 1 < most <= 2**fold - 1
+
+
+def test_state_budget_below_one_is_rejected():
+    # a budget of 0 used to pass through: the mode then followed the
+    # zero-digit skip (scales 1-3 exact, 4-6 fallback), not the budget
+    spec = from_rows(["0000aa", "000a0a"])
+    for mode in ("exact", "bracket"):
+        for budget in (0, -5):
+            with pytest.raises(ValueError, match="state_budget"):
+                sum_prefix_counts(spec, 2, range(1, 7), mode=mode, state_budget=budget)
+    res = sum_prefix_counts(spec, 2, range(1, 7), mode="exact", state_budget=1)
+    for j, r in res.items():
+        want = brute_force_oracle(spec, 2, j).lower
+        assert r.bracket.lower <= want <= r.bracket.upper, j
+        assert r.fell_back == (r.mode == "bracket") and r.peak_states <= 1, j
 
 
 EDGE_ROWS = [
@@ -320,7 +426,7 @@ def test_run_stepping_edge_cases(rows):
         if len(undominated_masks(c.free_mask for c in spec.components)) == 1:
             for j in scales:
                 assert got[j] == [brute_force_oracle(spec, fold, j).lower], (fold, j)
-    masks, combos, _ = _lone_setup(spec, 1, [])
+    masks, combos, _ = lone_setup(spec, 1, [])
     if not any(masks):
         runs = _free_count_runs(_segments(masks, spec.depth, combos))
         assert list(runs) == [([1, spec.depth + 1], [0])]
