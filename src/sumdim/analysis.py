@@ -23,6 +23,7 @@ from .constructions import (
 )
 from .engine import (
     DEFAULT_STATE_BUDGET,
+    MAX_FOLD,
     branching_min_average,
     sum_prefix_counts,
     undominated_masks,
@@ -71,8 +72,11 @@ def predicted_exponent(spec, fold, scale):
     free in the carry-free sum block; its density is the schedule's own
     exponent prediction.  The window is the top ``scale`` digits of the
     sum word, whose low end sits ``(fold - 1).bit_length()`` digits above
-    the same-scale prefix cut, matching the counting engine.
+    the same-scale prefix cut, matching the counting engine.  A fold
+    outside 1..MAX_FOLD is a ValueError, as in the engine.
     """
+    if not 1 <= fold <= MAX_FOLD:
+        raise ValueError(f"fold must lie in 1..{MAX_FOLD}, got {fold}")
     if not 1 <= scale <= spec.depth:
         raise ScaleError(f"scale {scale} outside 1..{spec.depth}")
     shift = spec.depth + (fold - 1).bit_length() - scale

@@ -37,16 +37,17 @@ from .analysis import (
 )
 from .constructions import (
     CANONICAL_EXAMPLES,
+    CANONICAL_KEYS,
     CONSTRUCTION_NAMES,
     DimensionTargets,
     build_canonical,
-    build_example,
-    make_scale_sequence,
+    build_from_keys,
     validate_targets,
 )
 from .engine import (
     DEFAULT_ENUM_BUDGET,
     DEFAULT_STATE_BUDGET,
+    MAX_FOLD,
     brute_force_oracle,
     sum_prefix_counts,
 )
@@ -94,11 +95,6 @@ def _name(key, value):
     if not isinstance(value, str):
         raise ConfigError(f"{key} must be a string, got {value!r}")
     return value
-
-
-# The carry automaton tabulates 2^fold carry sets, and free counts are
-# packed one byte per segment, so larger folds would exhaust time or memory.
-MAX_FOLD = 8
 
 
 def _fold(key, value):
@@ -165,7 +161,7 @@ class RunConfig:
         if unknown:
             raise ConfigError(f"unknown config keys: {', '.join(unknown)}")
         config = cls(**{key: checks[key](key, value) for key, value in raw.items()})
-        fixed = [k for k in ("scale_policy", "scale_base", "horizon") if k in raw]
+        fixed = [k for k in CANONICAL_KEYS if k != "alpha" and k in raw]
         if fixed and config.alpha is None and config.construction in CANONICAL_EXAMPLES:
             raise ConfigError(
                 f"canonical construction {config.construction!r} fixes its own "
@@ -250,9 +246,7 @@ def build_from_config(config):
         )
     if config.construction not in CONSTRUCTION_NAMES:
         raise ConfigError(f"unknown construction {config.construction!r}")
-    targets = DimensionTargets(config.alpha, config.beta, config.gamma)
-    scales = make_scale_sequence(config.scale_policy, config.horizon, config.scale_base)
-    return build_example(config.construction, targets, scales)
+    return build_from_keys(config.construction, {k: getattr(config, k) for k in CANONICAL_KEYS})
 
 
 def load_spec(path):

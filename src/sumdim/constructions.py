@@ -18,14 +18,6 @@ from fractions import Fraction
 from .errors import AdmissibilityError, ConstructionError, ScaleError
 from .patterns import DigitPattern, SetSpec
 
-CONSTRUCTION_NAMES = (
-    "pair-hausdorff",
-    "triple-hausdorff",
-    "haus-lowbox",
-    "all-dims-2",
-    "all-dims-3",
-)
-
 # make_scale_sequence refuses skeletons past this many positions: every
 # component of a spec holds a mask that wide, and counting walks it.
 MAX_SCALE = 1 << 20
@@ -219,7 +211,9 @@ def block_params(k, targets, scales, variant, kinds=None):
     "full" against gamma.  Validation is lazy: only the template
     inequalities of the block kinds actually requested are enforced, since
     a schedule may use e.g. the third gamma template only at even k where
-    it is well defined.
+    it is well defined.  A third floor that only rounding lifts past the sum
+    of the first two is lowered to that sum, so admissible targets
+    (``validate_targets``) never fail a template.
     """
     if not 1 <= k <= scales.horizon:
         raise ScaleError(f"block index {k} outside 1..{scales.horizon}")
@@ -230,20 +224,19 @@ def block_params(k, targets, scales, variant, kinds=None):
     nfold = len(alpha)
 
     def floors(fam):
-        return tuple((k * x).__floor__() for x in fam)
+        out = [(k * x).__floor__() for x in fam[:3]] + [None] * (3 - nfold)
+        # with x_3 <= x_1 + x_2, floor(k x_3) passes floor(k x_1) + floor(k x_2)
+        # by at most one rounding digit; dropping it keeps the template defined
+        if nfold >= 3 and out[2] > out[0] + out[1] and fam[2] <= fam[0] + fam[1]:
+            out[2] = out[0] + out[1]
+        return out
 
-    bf = floors(beta)
-    l = bf[0]
-    m = bf[1] if nfold >= 2 else None
-    s = bf[2] if nfold >= 3 else None
+    l, m, s = floors(beta)
     p = q = v = None
     x = beta
     if variant == "full":
         gamma = targets.family("gamma")
-        gf = floors(gamma)
-        p = gf[0]
-        q = gf[1] if nfold >= 2 else None
-        v = gf[2] if nfold >= 3 else None
+        p, q, v = floors(gamma)
         x = gamma
     n_k = scales.start(k)
     d = []
@@ -380,11 +373,6 @@ TRIPLE_RESIDUES = (
 )
 
 
-def _require(cond, constraint, detail=""):
-    if not cond:
-        raise AdmissibilityError(constraint, detail)
-
-
 def _fmt_fracs(fam):
     return ",".join(str(x) for x in fam)
 
@@ -484,37 +472,39 @@ def _build_interval(name, alpha, scales, residue_maps):
     )
 
 
+# name -> (targets it needs, families it reads, schedule)
+_EXAMPLES = {
+    "pair-hausdorff": (2, ("alpha",), PAIR_RESIDUES),
+    "triple-hausdorff": (3, ("alpha",), TRIPLE_RESIDUES),
+    "haus-lowbox": (2, ("alpha", "beta"), HAUS_LOWBOX_ROWS),
+    "all-dims-2": (2, _KIND_FAMILIES, ALL_DIMS_2_ROWS),
+    "all-dims-3": (3, _KIND_FAMILIES, ALL_DIMS_3_TABLE),
+}
+CONSTRUCTION_NAMES = tuple(_EXAMPLES)
+
+
 def build_example(name, targets, scales):
-    """One of the five named families over the given scale skeleton."""
-    alpha = targets.alpha
-    for i in range(len(alpha) - 1):
-        _require(alpha[i] <= alpha[i + 1], f"alpha_{i + 1} <= alpha_{i + 2}")
-    if name == "pair-hausdorff":
-        _require(len(alpha) >= 2, "two alpha targets")
-        return _build_interval(name, alpha, scales, PAIR_RESIDUES)
-    if name == "triple-hausdorff":
-        _require(len(alpha) >= 3, "three alpha targets")
-        return _build_interval(name, alpha, scales, TRIPLE_RESIDUES)
-    if name in ("haus-lowbox", "all-dims-2", "all-dims-3"):
-        beta = targets.family("beta")
-        for i in range(len(alpha)):
-            _require(alpha[i] <= beta[i], f"alpha_{i + 1} <= beta_{i + 1}")
-        _require(beta[1] <= 2 * beta[0], "beta_2 <= 2*beta_1")
-        if name == "haus-lowbox":
-            _require(len(alpha) >= 2, "two targets")
-            return _build_chunked(name, targets, scales, "lower-box-only", HAUS_LOWBOX_ROWS)
-        gamma = targets.family("gamma")
-        for i in range(len(alpha)):
-            _require(beta[i] <= gamma[i], f"beta_{i + 1} <= gamma_{i + 1}")
-        _require(gamma[1] <= 2 * gamma[0], "gamma_2 <= 2*gamma_1")
-        if name == "all-dims-2":
-            _require(len(alpha) >= 2, "two targets")
-            return _build_chunked(name, targets, scales, "full", ALL_DIMS_2_ROWS)
-        _require(len(alpha) >= 3, "three targets")
-        _require(beta[2] <= 2 * beta[1] - beta[0], "beta_3 <= 2*beta_2 - beta_1")
-        _require(gamma[2] <= 2 * gamma[1] - gamma[0], "gamma_3 <= 2*gamma_2 - gamma_1")
-        return _build_chunked(name, targets, scales, "full", ALL_DIMS_3_TABLE)
-    raise ConstructionError(f"unknown construction {name!r}")
+    """One of the five named families over the given scale skeleton.
+
+    The targets must be at least as long as the construction needs and
+    admissible, by ``validate_targets``, on the families it reads; the
+    first violation is raised.
+    """
+    if name not in _EXAMPLES:
+        raise ConstructionError(f"unknown construction {name!r}")
+    arity, families, schedule = _EXAMPLES[name]
+    if targets.fold_capacity < arity:
+        raise AdmissibilityError(
+            f"at least {arity} targets", f"{name} got {targets.fold_capacity}"
+        )
+    read = DimensionTargets(*(targets.family(fam) for fam in families))
+    violations = validate_targets(read).violations
+    if violations:
+        raise AdmissibilityError(violations[0])
+    if len(families) == 1:
+        return _build_interval(name, read.alpha, scales, schedule)
+    variant = "lower-box-only" if read.gamma is None else "full"
+    return _build_chunked(name, read, scales, variant, schedule)
 
 
 # ---------------------------------------------------------------------------
@@ -709,66 +699,59 @@ def validate_targets(targets):
 # canonical registry
 
 
-@dataclass(frozen=True)
-class CanonicalConfig:
-    construction: str
-    alpha: tuple
-    beta: tuple | None
-    gamma: tuple | None
-    policy: str
-    base: int
-    horizon: int
+# The run-config keys a canonical entry fixes; a config that names a
+# canonical construction without alpha may set none of the others.
+CANONICAL_KEYS = ("alpha", "beta", "gamma", "scale_policy", "scale_base", "horizon")
 
-    def targets(self):
-        return DimensionTargets(self.alpha, self.beta, self.gamma)
-
-    def scale_sequence(self):
-        return make_scale_sequence(self.policy, self.horizon, self.base)
-
-
-F = Fraction
 CANONICAL_EXAMPLES = {
     # interval families need geometric gaps: with additive gaps the star
     # floor n_k/alpha overshoots the whole block and every run saturates
-    "pair-hausdorff": CanonicalConfig(
-        "pair-hausdorff", (F(1, 2), F(1, 1)), None, None, "geometric", 3, 6
-    ),
-    "triple-hausdorff": CanonicalConfig(
-        "triple-hausdorff", (F(1, 3), F(1, 2), F(2, 3)), None, None, "geometric", 4, 5
-    ),
-    "haus-lowbox": CanonicalConfig(
-        "haus-lowbox",
-        (F(1, 4), F(1, 2)),
-        (F(1, 2), F(1, 1)),
-        None,
-        "scaled",
-        8,
-        12,
-    ),
+    "pair-hausdorff": {
+        "alpha": ("1/2", "1"),
+        "scale_policy": "geometric",
+        "scale_base": 3,
+        "horizon": 6,
+    },
+    "triple-hausdorff": {
+        "alpha": ("1/3", "1/2", "2/3"),
+        "scale_policy": "geometric",
+        "scale_base": 4,
+        "horizon": 5,
+    },
+    "haus-lowbox": {
+        "alpha": ("1/4", "1/2"),
+        "beta": ("1/2", "1"),
+        "scale_policy": "scaled",
+        "scale_base": 8,
+        "horizon": 12,
+    },
     # gamma_2 = 2 * gamma_1 keeps specular sum blocks bit-disjoint, so the
     # fold-2 brackets stay tight at block boundaries
-    "all-dims-2": CanonicalConfig(
-        "all-dims-2",
-        (F(1, 8), F(1, 4)),
-        (F(1, 4), F(1, 2)),
-        (F(3, 8), F(3, 4)),
-        "scaled",
-        4,
-        12,
-    ),
-    "all-dims-3": CanonicalConfig(
-        "all-dims-3",
-        (F(1, 8), F(1, 4), F(3, 8)),
-        (F(1, 4), F(1, 2), F(5, 8)),
-        (F(1, 2), F(3, 4), F(7, 8)),
-        "scaled",
-        4,
-        13,
-    ),
+    "all-dims-2": {
+        "alpha": ("1/8", "1/4"),
+        "beta": ("1/4", "1/2"),
+        "gamma": ("3/8", "3/4"),
+        "scale_policy": "scaled",
+        "scale_base": 4,
+        "horizon": 12,
+    },
+    "all-dims-3": {
+        "alpha": ("1/8", "1/4", "3/8"),
+        "beta": ("1/4", "1/2", "5/8"),
+        "gamma": ("1/2", "3/4", "7/8"),
+        "scale_policy": "scaled",
+        "scale_base": 4,
+        "horizon": 13,
+    },
 }
-del F
+
+
+def build_from_keys(name, keys):
+    """The named construction from a mapping of ``CANONICAL_KEYS`` (beta, gamma optional)."""
+    targets = DimensionTargets(keys["alpha"], keys.get("beta"), keys.get("gamma"))
+    scales = make_scale_sequence(keys["scale_policy"], keys["horizon"], keys["scale_base"])
+    return build_example(name, targets, scales)
 
 
 def build_canonical(name):
-    cfg = CANONICAL_EXAMPLES[name]
-    return build_example(cfg.construction, cfg.targets(), cfg.scale_sequence())
+    return build_from_keys(name, CANONICAL_EXAMPLES[name])

@@ -122,6 +122,9 @@ from .errors import BudgetExceededError, ScaleError
 
 DEFAULT_STATE_BUDGET = 10**6
 DEFAULT_ENUM_BUDGET = 1 << 24
+# The carry automaton tabulates 2^fold carry sets, and free counts are
+# packed one byte per segment, so larger folds would exhaust time or memory.
+MAX_FOLD = 8
 
 
 @dataclass(frozen=True)
@@ -619,10 +622,7 @@ def _count_outputs(table, emit, carry_shift, init, fold, state_budget, antichain
     walks = sorted(set(emit.values()), reverse=True)
     offset = list(itertools.accumulate((e + 1 for e in walks), initial=0))
     top = walks[0]
-    k = len(undo) - 1
-    while k and starts[k - 1] >= top:
-        descend(k)
-        k -= 1
+    k = len(undo) - 1  # the tables stop at the level that holds position top
     quiet = busy = 0
     for ci, column in enumerate(columns):
         quiet |= 1 << (ci * fold)  # carry 0 in every combination
@@ -767,10 +767,11 @@ def sum_prefix_counts(spec, fold, scales, mode="exact", state_budget=DEFAULT_STA
     they share one walk down per combination.  Returns {scale:
     DistinctCountResult}.  In exact mode a state-budget overflow falls back
     to bracket mode for that scale alone, flagged in the result, never
-    silently.  A fold or state budget below 1 is a ValueError.
+    silently.  A fold outside 1..MAX_FOLD or a state budget below 1 is a
+    ValueError.
     """
-    if fold < 1:
-        raise ValueError("fold must be at least 1")
+    if not 1 <= fold <= MAX_FOLD:
+        raise ValueError(f"fold must lie in 1..{MAX_FOLD}, got {fold}")
     if state_budget < 1:
         raise ValueError("state_budget must be at least 1")
     if mode not in ("exact", "bracket"):

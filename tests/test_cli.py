@@ -238,6 +238,65 @@ def test_fold_outside_its_range_is_exit_2(tmp_path, monkeypatch, capsys, argv, f
     assert f"1..{MAX_FOLD}" in capsys.readouterr().err
 
 
+MISSING = object()  # a path that names no file
+
+
+@pytest.mark.parametrize(
+    "config, command, set_file",
+    [
+        pytest.param(MISSING, "construct", None, id="unreadable-config"),
+        pytest.param("{", "construct", None, id="invalid-json-config"),
+        pytest.param("[]", "construct", None, id="array-config"),
+        pytest.param({**SMALL, "construction": 5}, "construct", None, id="construction-5"),
+        pytest.param({**SMALL, "mode": "fast"}, "count", None, id="mode-fast"),
+        pytest.param({**SMALL, "alpha": ["x"]}, "construct", None, id="alpha-x"),
+        pytest.param({**SMALL, "folds": "x"}, "dims", None, id="folds-x"),
+        pytest.param(SMALL, "off", MISSING, id="unreadable-set"),
+        pytest.param(SMALL, "off", "{", id="invalid-json-set"),
+        pytest.param(SMALL, "off", '{"spec": {"depth": 3}}', id="malformed-set"),
+        pytest.param({}, "construct", None, id="no-construction"),
+        pytest.param({"construction": "haus-lowbox"}, "validate", None, id="validate-no-alpha"),
+    ],
+)
+def test_bad_input_is_a_configuration_error(tmp_path, capsys, config, command, set_file):
+    argv = [command, "--config", str(tmp_path / "run.json")]
+    if config is not MISSING:
+        text = config if isinstance(config, str) else json.dumps(config)
+        (tmp_path / "run.json").write_text(text)
+    if set_file is not None:
+        argv += ["--set", str(tmp_path / "set.json")]
+        if set_file is not MISSING:
+            (tmp_path / "set.json").write_text(set_file)
+    assert run(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("configuration error: ")
+    assert "Traceback" not in err
+
+
+def test_canonical_config_builds_its_registry_entry(tmp_path, capsys):
+    path = tmp_path / "run.json"
+    path.write_text(json.dumps({"construction": "haus-lowbox"}))
+    assert run(["construct", "--config", str(path)]) == 0
+    assert capsys.readouterr().out.strip().endswith("components=6 depth=126")
+
+
+@pytest.mark.parametrize(
+    "config, code, message",
+    [
+        # the construction reads beta_2, and used to read it before counting targets
+        ({"alpha": ["1/4"], "beta": ["1/2"]}, 3, "admissibility error: at least 2 targets"),
+        # a canonical entry fixes its targets as it fixes its skeleton
+        ({"beta": ["1/3", "2/3"]}, 2, "fixes its own beta;"),
+        ({"gamma": ["1/2", "1"], "horizon": 3}, 2, "fixes its own gamma, horizon;"),
+    ],
+)
+def test_construct_refuses_targets_it_would_not_use(tmp_path, capsys, config, code, message):
+    path = tmp_path / "run.json"
+    path.write_text(json.dumps({"construction": "haus-lowbox", **config}))
+    assert run(["construct", "--config", str(path)]) == code
+    assert message in capsys.readouterr().err
+
+
 def test_validate_reports_violations_with_exit_3(tmp_path, capsys):
     path = tmp_path / "bad.json"
     path.write_text(json.dumps({**SMALL, "beta": ["1/5", "1/2"]}))

@@ -1,5 +1,7 @@
 """Scale skeletons, block templates, named families, and combinators."""
 
+import itertools
+import random
 from fractions import Fraction
 
 import pytest
@@ -181,8 +183,8 @@ def test_canonical_registry_is_complete():
 @pytest.mark.parametrize("name", CONSTRUCTION_NAMES)
 def test_canonical_examples_build(name):
     spec = build_canonical(name)
-    cfg = CANONICAL_EXAMPLES[name]
-    seq = cfg.scale_sequence()
+    keys = CANONICAL_EXAMPLES[name]
+    seq = make_scale_sequence(keys["scale_policy"], keys["horizon"], keys["scale_base"])
     assert spec.depth == seq.depth
     assert spec.boundaries == seq.values
     assert spec.param("construction") == name
@@ -231,6 +233,82 @@ def test_build_example_rejects_bad_targets():
             DimensionTargets((F(1, 2), F(1, 2)), (F(1, 4), F(1, 2))),
             scales,
         )
+
+
+_GRID = (F(0), F(1, 4), F(1, 2), F(3, 4), F(1))
+
+# construction -> (targets it needs, how many of alpha, beta, gamma it reads)
+_READS = {
+    "pair-hausdorff": (2, 1),
+    "triple-hausdorff": (3, 1),
+    "haus-lowbox": (2, 2),
+    "all-dims-2": (2, 3),
+    "all-dims-3": (3, 3),
+}
+
+
+def _target_grid(nfam, length, rng):
+    """Families of ``length`` grid values: all of them where that is at most
+    625 cases; else every case whose families each rise and lie pointwise in
+    order (there only the sumset recursion decides), plus 100 drawn at random."""
+    tuples = list(itertools.product(_GRID, repeat=length))
+    if len(tuples) ** nfam <= 625:
+        yield from itertools.product(tuples, repeat=nfam)
+        return
+    rising = [t for t in tuples if list(t) == sorted(t)]
+
+    def chains(prefix):
+        if len(prefix) == nfam:
+            yield prefix
+            return
+        for t in rising:
+            if not prefix or all(a <= b for a, b in zip(prefix[-1], t)):
+                yield from chains(prefix + (t,))
+
+    yield from chains(())
+    for _ in range(100):
+        yield tuple(rng.choice(tuples) for _ in range(nfam))
+
+
+def test_build_example_accepts_exactly_what_validate_accepts():
+    rng = random.Random(0)
+    scales = make_scale_sequence("scaled", 3, base=2)  # blocks k = 1, 2, 3
+    built = dict.fromkeys(_READS, 0)
+    for nread in (1, 2, 3):
+        names = [name for name, (_, n) in _READS.items() if n == nread]
+        for length in (1, 2, 3):
+            # the families a construction does not read are left inadmissible
+            unread = ((F(1),) + (F(0),) * (length - 1),) * (3 - nread)
+            for fams in _target_grid(nread, length, rng):
+                violations = validate_targets(DimensionTargets(*fams)).violations
+                targets = DimensionTargets(*fams, *unread)
+                for name in names:
+                    arity = _READS[name][0]
+                    try:
+                        build_example(name, targets, scales)
+                    except AdmissibilityError as exc:
+                        if length >= arity:
+                            assert violations and str(exc) == violations[0], (name, fams)
+                    else:
+                        assert length >= arity and not violations, (name, fams)
+                        built[name] += 1
+    assert min(built.values()) >= 35, built
+
+
+def test_third_floor_rounding_is_absorbed():
+    # (1/4, 1/2, 3/4) is admissible, but its floors at k = 3 are (0, 1, 2)
+    # and 2 > 0 + 1: the third floor drops to the sum of the first two
+    scales = make_scale_sequence("scaled", 3, base=2)
+    fam = (F(1, 4), F(1, 2), F(3, 4))
+    targets = DimensionTargets(fam, fam, fam)
+    par = block_params(3, targets, scales, "full")
+    assert (par.l, par.m, par.s) == (0, 1, 1)
+    assert (par.p, par.q, par.v) == (0, 1, 1)
+    assert len(build_example("all-dims-3", targets, scales).components) == 18
+    # a third target above the sum of the first two is not rounding
+    over = DimensionTargets((F(0),) * 3, (F(1, 4), F(1, 4), F(3, 4)))
+    with pytest.raises(AdmissibilityError, match=r"s_k <= l_k \+ m_k"):
+        block_params(3, over, scales, "lower-box-only")
 
 
 def test_interval_components_are_free_outside_zero_runs():

@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sumdim import engine
+from sumdim.analysis import predicted_exponent
 from sumdim.constructions import (
     CANONICAL_EXAMPLES,
     DimensionTargets,
@@ -354,6 +355,22 @@ def test_bracket_mode_walks_each_combination_once_for_every_scale(monkeypatch, n
     assert len(walks) == ncombos
     most = max(max(positions.values()) for _, positions in walks.values())
     assert 1 < most <= 2**fold - 1
+
+
+@pytest.mark.parametrize("fold", [engine.MAX_FOLD + 1, 256])
+def test_fold_above_max_fold_is_refused_before_any_table(monkeypatch, fold):
+    def no_tables(fold):
+        raise AssertionError(f"carry tables built for fold {fold}")
+
+    monkeypatch.setattr(engine, "_carry_tables", no_tables)
+    spec = from_rows(["a0a"])
+    with pytest.raises(AssertionError, match="carry tables built"):
+        sum_prefix_counts(spec, engine.MAX_FOLD, [2])  # the stub is in the way
+    for mode in ("exact", "bracket"):
+        with pytest.raises(ValueError, match=f"1..{engine.MAX_FOLD}, got {fold}"):
+            sum_prefix_counts(spec, fold, [2], mode=mode)
+    with pytest.raises(ValueError, match=f"1..{engine.MAX_FOLD}, got {fold}"):
+        predicted_exponent(spec, fold, 2)
 
 
 def test_state_budget_below_one_is_rejected():
