@@ -10,7 +10,9 @@ plunnecke   seeded sumset-inequality suites, JSON report
 validate    admissibility report for the configured targets
 oracle      counting engine vs brute-force enumeration, side by side
 
-Conventions: flags are long-form only; every output file is written
+Conventions: flags are long-form only; --seed, --fold, --scales and --mode
+set the config keys seed, folds (one fold), scales and mode, so the key
+checks and the config digest cover them; every output file is written
 atomically (temp file + rename) and embeds the tool version and the
 sha256 digest of the effective configuration; exit codes are 0 (ok),
 2 (configuration), 3 (admissibility), 4 (budget), 5 (internal).
@@ -24,7 +26,7 @@ import json
 import os
 import sys
 import tempfile
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field, fields, replace
 from fractions import Fraction
 
 from . import __version__
@@ -40,7 +42,6 @@ from .constructions import (
     CANONICAL_KEYS,
     CONSTRUCTION_NAMES,
     DimensionTargets,
-    build_canonical,
     build_from_keys,
     validate_targets,
 )
@@ -97,21 +98,12 @@ def _name(key, value):
     return value
 
 
-def _fold(key, value):
-    _integer(key, value)
-    if not 1 <= value <= MAX_FOLD:
-        raise ConfigError(f"{key} must lie in 1..{MAX_FOLD}, got {value}")
-    return value
-
-
 def _folds(key, value):
     folds = _integers(key, [value] if isinstance(value, int) else value)
-    return tuple(_fold(key, f) for f in folds)
-
-
-def _chosen_folds(args, config):
-    """The --fold flag as a one-fold tuple, else the config's folds."""
-    return config.folds if args.fold is None else (_fold("--fold", args.fold),)
+    for fold in folds:
+        if not 1 <= fold <= MAX_FOLD:
+            raise ConfigError(f"{key} must lie in 1..{MAX_FOLD}, got {fold}")
+    return folds
 
 
 def _scales(key, value):
@@ -161,12 +153,15 @@ class RunConfig:
         if unknown:
             raise ConfigError(f"unknown config keys: {', '.join(unknown)}")
         config = cls(**{key: checks[key](key, value) for key, value in raw.items()})
-        fixed = [k for k in CANONICAL_KEYS if k != "alpha" and k in raw]
-        if fixed and config.alpha is None and config.construction in CANONICAL_EXAMPLES:
-            raise ConfigError(
-                f"canonical construction {config.construction!r} fixes its own "
-                f"{', '.join(fixed)}; give alpha targets to set them"
-            )
+        if config.alpha is None and config.construction in CANONICAL_EXAMPLES:
+            fixed = [k for k in CANONICAL_KEYS if k != "alpha" and k in raw]
+            if fixed:
+                raise ConfigError(
+                    f"canonical construction {config.construction!r} fixes its own "
+                    f"{', '.join(fixed)}; give alpha targets to set them"
+                )
+            entry = CANONICAL_EXAMPLES[config.construction]
+            config = replace(config, **{k: checks[k](k, v) for k, v in entry.items()})
         return config
 
     def canonical_dict(self):
@@ -185,15 +180,19 @@ class RunConfig:
         return hashlib.sha256(blob.encode()).hexdigest()[:12]
 
 
-def load_config(path, overrides=None):
-    """The RunConfig of a JSON config file, with ``overrides`` given as keys."""
+def _read_json(what, path):
     try:
         with open(path, encoding="utf-8") as fh:
-            raw = json.load(fh)
+            return json.load(fh)
     except OSError as exc:
-        raise ConfigError(f"cannot read config {path}: {exc}") from exc
+        raise ConfigError(f"cannot read {what} {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
-        raise ConfigError(f"config {path} is not valid JSON: {exc}") from exc
+        raise ConfigError(f"{what} {path} is not valid JSON: {exc}") from exc
+
+
+def load_config(path, overrides=None):
+    """The RunConfig of a JSON config file, with ``overrides`` given as keys."""
+    raw = _read_json("config", path)
     if not isinstance(raw, dict):
         raise ConfigError("config root must be a JSON object")
     return RunConfig.from_dict({**raw, **(overrides or {})})
@@ -235,12 +234,10 @@ def _emit(text, out):
 
 
 def build_from_config(config):
-    """Construct the SetSpec a config describes (canonical or explicit)."""
+    """Construct the SetSpec a config describes (a canonical one arrives resolved)."""
     if config.construction is None:
         raise ConfigError("config does not name a construction")
     if config.alpha is None:
-        if config.construction in CANONICAL_EXAMPLES:
-            return build_canonical(config.construction)
         raise ConfigError(
             f"construction {config.construction!r} needs explicit targets"
         )
@@ -250,13 +247,7 @@ def build_from_config(config):
 
 
 def load_spec(path):
-    try:
-        with open(path, encoding="utf-8") as fh:
-            raw = json.load(fh)
-    except OSError as exc:
-        raise ConfigError(f"cannot read set {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"set file {path} is not valid JSON: {exc}") from exc
+    raw = _read_json("set file", path)
     if isinstance(raw, dict) and "spec" in raw:
         raw = raw["spec"]
     try:
@@ -272,15 +263,13 @@ def _resolve_spec(args, config):
 
 
 def _parse_scales(text):
-    if text in (None, "boundaries", "all"):
+    """The ``scales`` key value a --scales flag spells; the key's check does the rest."""
+    if text in ("boundaries", "all"):
         return text
     try:
-        scales = tuple(int(t) for t in text.split(",") if t)
+        return [int(t) for t in text.split(",") if t]
     except ValueError as exc:
         raise ConfigError(f"bad --scales value {text!r}") from exc
-    if not scales:
-        raise ConfigError(f"--scales value {text!r} names no scale")
-    return scales
 
 
 # ---------------------------------------------------------------------------
@@ -296,26 +285,28 @@ def cmd_construct(args, config):
 
 
 def cmd_count(args, config):
-    fold = _chosen_folds(args, config)[0]
     spec = _resolve_spec(args, config)
-    scales = _parse_scales(args.scales) or config.scales
-    mode = args.mode or config.mode
     trace = count_trace(
-        spec, fold, scales=scales, mode=mode, state_budget=config.budget_states
+        spec,
+        config.folds[0],
+        scales=config.scales,
+        mode=config.mode,
+        state_budget=config.budget_states,
     )
     _emit(render_count_trace_csv(trace, header=_tool_line(config)), args.out)
     return 0
 
 
 def cmd_dims(args, config):
-    folds = _chosen_folds(args, config)
     spec = _resolve_spec(args, config)
-    scales = _parse_scales(args.scales) or config.scales
-    mode = args.mode or config.mode
     rows = []
-    for fold in folds:
+    for fold in config.folds:
         trace = count_trace(
-            spec, fold, scales=scales, mode=mode, state_budget=config.budget_states
+            spec,
+            fold,
+            scales=config.scales,
+            mode=config.mode,
+            state_budget=config.budget_states,
         )
         entries = trace.entries
         rows.append(
@@ -335,7 +326,7 @@ def cmd_dims(args, config):
         "tool": _tool_dict(config),
         "set": spec.name,
         "depth": spec.depth,
-        "mode": mode,
+        "mode": config.mode,
         "folds": rows,
     }
     _emit(json.dumps(doc, indent=2, sort_keys=True) + "\n", args.out)
@@ -344,8 +335,7 @@ def cmd_dims(args, config):
 
 def cmd_off(args, config):
     spec = _resolve_spec(args, config)
-    scales = _parse_scales(args.scales) or config.scales
-    entries = off_trace(spec, scales=scales)
+    entries = off_trace(spec, scales=config.scales)
     _emit(render_off_trace_csv(entries, header=_tool_line(config)), args.out)
     return 0
 
@@ -389,9 +379,9 @@ def cmd_validate(args, config):
 
 
 def cmd_oracle(args, config):
-    fold = _chosen_folds(args, config)[0]
+    fold = config.folds[0]
     spec = _resolve_spec(args, config)
-    chosen = _resolve_scales(spec, _parse_scales(args.scales) or config.scales)
+    chosen = _resolve_scales(spec, config.scales)
     results = sum_prefix_counts(
         spec, fold, chosen, mode="exact", state_budget=config.budget_states
     )
@@ -433,6 +423,8 @@ def build_parser():
         description="exact dyadic dimension laboratory for digit-pattern sets",
     )
     parser.add_argument("--version", action="version", version=f"sumdim {__version__}")
+    # each of these flags, where a command has it, overrides one config key
+    parser.set_defaults(seed=None, fold=None, scales=None, mode=None)
     sub = parser.add_subparsers(dest="command", required=True)
 
     def common(p, with_set=True):
@@ -486,9 +478,13 @@ _DISPATCH = {
 def main(argv=None):
     args = build_parser().parse_args(argv)
     try:
-        overrides = {}
-        if getattr(args, "seed", None) is not None:
-            overrides["seed"] = args.seed
+        flags = {
+            "seed": args.seed,
+            "folds": None if args.fold is None else [args.fold],
+            "scales": None if args.scales is None else _parse_scales(args.scales),
+            "mode": args.mode,
+        }
+        overrides = {key: value for key, value in flags.items() if value is not None}
         if args.config:
             config = load_config(args.config, overrides)
         else:

@@ -547,21 +547,20 @@ class _Kills(dict):
     """What one combination B kills, per carry set g it holds in a successor.
 
     Entry g is the lane-form mask of the members (A, c) with A strictly
-    dominated by B and c in g; entries are built on first use.
+    dominated by B and c in g; entries are built on first use.  ``lanes``
+    has bit A * fold for each dominated A and g < 2^fold, so lanes * g is
+    the sum of lanes << c over the carries c in g, without overlap.
     """
 
-    __slots__ = ("dominated", "fold")
+    __slots__ = ("lanes",)
 
     def __init__(self, dominated, fold):
         super().__init__({0: 0})
-        self.dominated = dominated
-        self.fold = fold
+        spread = {48: "0" * fold, 49: "0" * (fold - 1) + "1"}  # bit A to bit A * fold
+        self.lanes = int(format(dominated, "b").translate(spread), 2)
 
     def __missing__(self, g):
-        fold = self.fold
-        spread = {48: "0" * fold, 49: "0" * (fold - 1) + "1"}  # bit A to bit A * fold
-        lanes = int(format(self.dominated, "b").translate(spread), 2)
-        out = self[g] = sum(lanes << c for c in _bits(g))
+        out = self[g] = self.lanes * g
         return out
 
 

@@ -2,12 +2,14 @@
 
 import dataclasses
 import json
+import re
 import time
 
 import pytest
 
 from sumdim import cli
-from sumdim.cli import MAX_FOLD, RunConfig, load_config, main, write_text_atomic
+from sumdim.cli import MAX_FOLD, RunConfig, main, write_text_atomic
+from sumdim.constructions import CANONICAL_EXAMPLES
 from sumdim.engine import CellCountBracket
 from sumdim.errors import ConfigError
 
@@ -255,7 +257,7 @@ MISSING = object()  # a path that names no file
         pytest.param(SMALL, "off", "{", id="invalid-json-set"),
         pytest.param(SMALL, "off", '{"spec": {"depth": 3}}', id="malformed-set"),
         pytest.param({}, "construct", None, id="no-construction"),
-        pytest.param({"construction": "haus-lowbox"}, "validate", None, id="validate-no-alpha"),
+        pytest.param({"construction": "custom"}, "validate", None, id="validate-no-alpha"),
     ],
 )
 def test_bad_input_is_a_configuration_error(tmp_path, capsys, config, command, set_file):
@@ -274,10 +276,22 @@ def test_bad_input_is_a_configuration_error(tmp_path, capsys, config, command, s
 
 
 def test_canonical_config_builds_its_registry_entry(tmp_path, capsys):
-    path = tmp_path / "run.json"
-    path.write_text(json.dumps({"construction": "haus-lowbox"}))
-    assert run(["construct", "--config", str(path)]) == 0
-    assert capsys.readouterr().out.strip().endswith("components=6 depth=126")
+    # the bare name is its entry: same digest, same spec bytes, and validate
+    # checks the entry's targets
+    bare = {"construction": "haus-lowbox"}
+    explicit = {**bare, **CANONICAL_EXAMPLES["haus-lowbox"]}
+    assert RunConfig.from_dict(bare) == RunConfig.from_dict(explicit)
+    outs = []
+    for name, config in (("bare", bare), ("explicit", explicit)):
+        path, out = tmp_path / f"{name}.json", tmp_path / f"{name}.spec.json"
+        path.write_text(json.dumps(config))
+        assert run(["construct", "--config", str(path), "--out", str(out)]) == 0
+        assert capsys.readouterr().out.strip().endswith("components=6 depth=126")
+        outs.append(out.read_bytes())
+    assert outs[0] == outs[1]
+    assert json.loads(outs[0])["tool"]["config_digest"] == RunConfig.from_dict(bare).digest()
+    assert run(["validate", "--config", str(tmp_path / "bare.json")]) == 0
+    assert "targets admissible" in capsys.readouterr().out
 
 
 @pytest.mark.parametrize(
@@ -352,7 +366,17 @@ def test_plunnecke_suites_pass(capsys):
     assert all(r["seed"] == 5 for r in doc["reports"])
 
 
-def test_seed_flag_enters_the_config_digest(tmp_path, monkeypatch):
+@pytest.mark.parametrize(
+    "command, flag, key, values",
+    [
+        pytest.param("plunnecke", "--seed", "seed", (5, 6), id="seed"),
+        pytest.param("count", "--fold", "folds", ([1], [2]), id="fold"),
+        pytest.param("count", "--scales", "scales", ("boundaries", "all"), id="scales"),
+        pytest.param("count", "--mode", "mode", ("bracket", "exact"), id="mode"),
+    ],
+)
+def test_flag_enters_the_config_digest(tmp_path, monkeypatch, command, flag, key, values):
+    # a flag sets its config key, so two values give two digests;
     # the suites are stubbed: only the seed they receive matters here
     seen = []
 
@@ -366,22 +390,19 @@ def test_seed_flag_enters_the_config_digest(tmp_path, monkeypatch):
     suites = ("ruzsa_suite", "cover_suite", "prop31_suite")
     for name in suites:
         monkeypatch.setattr(cli, name, stub(name))
-    base = {"construction": "haus-lowbox", "seed": 0}
     cfg = tmp_path / "run.json"
-    cfg.write_text(json.dumps(base))
+    cfg.write_text(json.dumps(SMALL))
     digests = []
-    for seed in (5, 6):
-        out = tmp_path / f"report{seed}.json"
-        assert run(["plunnecke", "--config", str(cfg), "--seed", str(seed),
-                    "--out", str(out)]) == 0
-        doc = json.loads(out.read_text())
-        assert all(r["seed"] == seed for r in doc["reports"])
-        seeded = tmp_path / f"seed{seed}.json"
-        seeded.write_text(json.dumps({**base, "seed": seed}))
-        assert doc["tool"]["config_digest"] == load_config(str(seeded)).digest()
-        digests.append(doc["tool"]["config_digest"])
+    for value in values:
+        text = value[0] if isinstance(value, list) else value
+        out = tmp_path / f"out-{text}"
+        assert run([command, "--config", str(cfg), flag, str(text), "--out", str(out)]) == 0
+        digest = re.search(r'config(?:=|_digest": ")([0-9a-f]{12})', out.read_text())[1]
+        assert digest == RunConfig.from_dict({**SMALL, key: value}).digest()
+        digests.append(digest)
     assert digests[0] != digests[1]
-    assert seen == [(name, seed) for seed in (5, 6) for name in suites]
+    if key == "seed":
+        assert seen == [(name, seed) for seed in values for name in suites]
 
 
 def test_atomic_write_leaves_no_temp_files(tmp_path):
