@@ -86,8 +86,19 @@ the count stays exact; this is the counting analogue of antichain
 subsumption (De Wulf, Doyen, Henzinger and Raskin, CAV 2006).  Both
 relations change only at the segment cuts and only grow as positions
 are consumed: ``_antichain`` finds them once per call, as bitmasks over
-combination indices, and the kernel spreads what a combination dominates
-to lane form when it first needs it.
+combination indices, which are the kernel's lanes.
+
+Bit slices
+----------
+Exact mode's state is carry-major, Boolean coordinates bit-sliced into
+machine-wide words (Biham, FSE 1997): slice c is the bitmask of the
+lanes (combinations) that hold carry c.  From carry c a lane with f
+addends free reaches carry c' with output bit b when s = 2c' + b - c
+lies in 0..f, so a step ANDs slices with the segment's lanes of at least
+s free: at most fold * (fold + 1) ANDs a state, however many lanes are
+occupied.  A merge moves the bits of lanes whose target is another; a
+slice's kill mask, the OR of what its killers dominate, is memoised per
+slice and level, and found before any drop as dominance is transitive.
 
 One sweep
 ---------
@@ -104,8 +115,8 @@ the number of states that carry its count, and a scale whose count
 passes the budget leaves the sweep and falls back alone.  The forward
 ``settled`` skip is kept, so a one-scale call does the work it did on
 its own.  The combinations are put in lane order once per call
-(``_lane_order``): each level's merge targets come first, so the lanes
-past them stay empty and the states stay short integers.
+(``_lane_order``): each level's merge targets come first, so the
+occupied lanes form a prefix and every slice stays a short integer.
 """
 
 from __future__ import annotations
@@ -332,8 +343,9 @@ def _lane_order(table):
     bytes with the column before it.  A stable sort by that shared length
     then puts, at every level k, the block leaders (shared length < k) ahead
     of the rest, and each leader is the lowest-index member of its block:
-    the merge targets of every level are a prefix of the lanes, and the
-    lanes past it are empty.
+    the merge targets of every level are a prefix of the lanes, the lanes
+    past it are empty, and so a subset state's bit slices stay as short as
+    that prefix: the bits past the highest occupied lane are all zero.
     """
     starts, columns = table
     columns = sorted(columns)
@@ -363,6 +375,12 @@ def _count_map(v, at_least):
     return bytes.maketrans(
         bytes(range(256)), bytes(49 if (b >= v if at_least else b == v) else 48 for b in range(256))
     )
+
+
+@lru_cache(maxsize=None)
+def _bit_map(c):
+    """A bytes.translate table: byte b to "1" if bit c of b is set, else "0"."""
+    return bytes.maketrans(bytes(range(256)), bytes(49 if b >> c & 1 else 48 for b in range(256)))
 
 
 def _antichain(table, top):
@@ -543,39 +561,35 @@ def _bits(x):
         x ^= low
 
 
-class _Kills(dict):
-    """What one combination B kills, per carry set g it holds in a successor.
+def _slice_moves(ge):
+    """One step over bit slices, from ge[s], the lanes with at least s addends free.
 
-    Entry g is the lane-form mask of the members (A, c) with A strictly
-    dominated by B and c in g; entries are built on first use.  ``lanes``
-    has bit A * fold for each dominated A and g < 2^fold, so lanes * g is
-    the sum of lanes << c over the carries c in g, without overlap.
+    From carry c the digit sum c + s emits bit (c + s) & 1 and carries
+    (c + s) >> 1, so entry b * fold + c' lists the pairs (c, ge[s]), s in
+    0..fold with ge[s] nonzero, where c + s = 2c' + b: slice c' of the
+    b-successor is the OR of slice c & ge[s] over them.
     """
-
-    __slots__ = ("lanes",)
-
-    def __init__(self, dominated, fold):
-        super().__init__({0: 0})
-        spread = {48: "0" * fold, 49: "0" * (fold - 1) + "1"}  # bit A to bit A * fold
-        self.lanes = int(format(dominated, "b").translate(spread), 2)
-
-    def __missing__(self, g):
-        out = self[g] = self.lanes * g
-        return out
+    fold = len(ge) - 1
+    moves = [[] for _ in range(2 * fold)]
+    for c in range(fold):
+        for s, g in enumerate(ge):
+            if g:
+                moves[(c + s) % 2 * fold + (c + s) // 2].append((c, g))
+    return moves
 
 
 def _count_outputs(table, emit, carry_shift, init, fold, state_budget, antichain):
     """Distinct outputs of all the combinations together, at every scale, in one sweep.
 
-    Subset state: a big integer whose bit (ci*fold + c) means combination
-    (lane) ci can reach the current output word with carry c.  Scale j
-    emits its word at positions emit[j]..1 from the state that holds carry
-    set init[ci][emit[j]] in lane ci, each position reading its segment's
-    free counts from the segment table; an output is the word with its
-    final carry shifted right by carry_shift[j].  Each successor is kept
-    canonical over the positions still to come, by the ``_antichain``
-    tables: a lane moves into its merge target's, and a member whose carry
-    a live strict dominator holds is dropped.
+    Subset state: a tuple of ``fold`` slices ("Bit slices" above), bit ci
+    of slice c meaning combination (lane) ci can reach the current output
+    word with carry c.  Scale j emits its word at positions emit[j]..1 from
+    the state that holds carry set init[ci][emit[j]] in lane ci, each
+    position stepping by the ``_slice_moves`` of its segment; an output is
+    the word with its final carry shifted right by carry_shift[j].  Each
+    successor is kept canonical over the positions still to come, by
+    the ``_antichain`` tables: a lane moves into its merge target's, and a
+    member whose carry a live strict dominator holds is dropped.
 
     A step depends only on its position, so one walk down from the largest
     emit position serves every scale; scales with one emit position share
@@ -586,9 +600,6 @@ def _count_outputs(table, emit, carry_shift, init, fold, state_budget, antichain
     state budget leaves the sweep.  Returns {j: (count, peak)}, with count
     None where the walk left.
     """
-    next0, next1, _ = _carry_tables(fold)
-    steps = [tuple(zip(next0[f], next1[f])) for f in range(fold + 1)]
-    gmask = (1 << fold) - 1
     starts, columns = table
     dominators, targets, undo = antichain
     dominators = list(dominators)
@@ -600,21 +611,12 @@ def _count_outputs(table, emit, carry_shift, init, fold, state_budget, antichain
     for a, d in enumerate(dominators):
         for b in _bits(d):
             dominated[b] |= 1 << a
-    none = _Kills(0, fold)
-    kills = [_Kills(x, fold) if x and targets[b] == b else none for b, x in enumerate(dominated)]
 
-    def descend(k):
-        """Move the tables from level k to level k - 1."""
-        changes = undo[k]
-        grown = set()
-        for i in range(0, len(changes), 3):
-            a, d = changes[i], changes[i + 1]
-            for b in _bits(d & ~dominators[a]):
-                dominated[b] |= 1 << a
-                grown.add(b)
-            dominators[a], targets[a] = d, changes[i + 2]
-        for b in grown:
-            kills[b] = _Kills(dominated[b], fold) if targets[b] == b else none
+    def level():
+        """This level's movers and killers; empty memos of merges and of kept (unkilled) lanes."""
+        movers = sum(1 << a for a, r in enumerate(targets) if r != a)
+        killers = sum(1 << a for a, r in enumerate(targets) if r == a and dominated[a])
+        return movers, killers, {}, {}
 
     # walk w starts at position walks[w]; its word count, at most 2^walks[w],
     # is the field of walks[w] + 1 bits at offset[w] of a state's count
@@ -622,12 +624,11 @@ def _count_outputs(table, emit, carry_shift, init, fold, state_budget, antichain
     offset = list(itertools.accumulate((e + 1 for e in walks), initial=0))
     top = walks[0]
     k = len(undo) - 1  # the tables stop at the level that holds position top
-    quiet = busy = 0
-    for ci, column in enumerate(columns):
-        quiet |= 1 << (ci * fold)  # carry 0 in every combination
+    movers, killers, merged, kills = level()
+    busy = 0
+    for column in columns:
         busy |= int.from_bytes(column, "big")
     busy = busy.to_bytes(len(columns[0]), "big")  # byte i > 0 iff an addend is free on segment i
-    lifted = ((quiet << fold) - quiet) ^ quiet  # every carry but 0
     dp = {}
     # With several walks, pres[state] has a 1 in the 32-bit field of each
     # walk that reaches the state, so the sum over states counts each walk's
@@ -638,69 +639,74 @@ def _count_outputs(table, emit, carry_shift, init, fold, state_budget, antichain
     gone = set()  # walks that left the sweep
     joined = 0
     settled = True
-    lanes = None  # per state bit: its lane's shift, steps, target shift and kills
+    moves = None  # this segment's _slice_moves
+    moving = True  # lanes that move to a merge target may be occupied
     i = bisect_right(starts, top) - 1  # the segment that holds position t
     for t in range(top, -1, -1):
         if joined < len(walks) and walks[joined] == t:
-            s0 = 0
-            for ci, masks in enumerate(init):
-                s0 |= masks[t] << (ci * fold)
+            row = bytes(m[t] for m in reversed(init))  # lane 0 is the low bit
+            s0 = tuple(int(row.translate(_bit_map(c)), 2) for c in range(fold))
             dp[s0] = dp.get(s0, 0) + (1 << offset[joined])
             if pres is not None:
                 pres[s0] = pres.get(s0, 0) | 1 << (32 * joined)
             peaks[joined] = 1
             joined += 1
-            settled = settled and not s0 & lifted
-            lanes = None
+            settled = settled and not any(s0[1:])
+            moving = True
         if not t or (not dp and joined == len(walks)):  # done, or every walk left
             break
         if t < starts[i]:  # free counts change
             i -= 1
-            lanes = None
+            moves = None
         if k and starts[k - 1] == t:  # positions below t leave level k
-            descend(k)
+            changes = undo[k]
+            for n in range(0, len(changes), 3):
+                a, d, r = changes[n : n + 3]
+                for b in _bits(d & ~dominators[a]):
+                    dominated[b] |= 1 << a
+                dominators[a], targets[a] = d, r
             k -= 1
-            lanes = None
+            movers, killers, merged, kills = level()
+            moving = True
         if not dp or settled and not busy[i]:
             continue  # nothing to step, or zero digits leave carry 0 where it is
-        if lanes is None:
-            # a lane moves only to a lower target, so no lane past the
-            # highest one occupied now fills before the next walk joins
-            used = -(-max(dp).bit_length() // fold)
-            lanes = [
-                (ci * fold, steps[column[i]], r * fold, kills[r])
-                for ci, (column, r) in enumerate(zip(columns[:used], targets))
-                for _ in range(fold)
-            ]
+        if moves is None:
+            row = bytes(col[i] for col in reversed(columns))  # lane 0 is the low bit
+            ge = [int(row.translate(_count_map(s, True)), 2) for s in range(fold + 1)]
+            moves = _slice_moves(ge)
         ndp = {}
         get = ndp.get
         npres = {}
         pget = npres.get
         for state, cnt in dp.items():
-            a = b = ka = kb = 0
-            rem = state
-            while rem:
-                shift, step, to, kill = lanes[(rem & -rem).bit_length() - 1]
-                g = (rem >> shift) & gmask
-                rem ^= g << shift
-                g0, g1 = step[g]
-                a |= g0 << to
-                b |= g1 << to
-                ka |= kill[g0]
-                kb |= kill[g1]
-            a &= ~ka
-            b &= ~kb
-            if a:
-                ndp[a] = get(a, 0) + cnt
-            if b:
-                ndp[b] = get(b, 0) + cnt
-            if pres is not None:
-                p = pres[state]
-                if a:
-                    npres[a] = pget(a, 0) | p
-                if b:
-                    npres[b] = pget(b, 0) | p
+            out = []
+            for pairs in moves:
+                x = 0
+                for c, g in pairs:
+                    x |= state[c] & g
+                if moving and x & movers:
+                    m = x & movers
+                    to = merged.get(m)
+                    if to is None:
+                        to = merged[m] = sum({1 << targets[a] for a in _bits(m)})
+                    x = x ^ m | to
+                key = x & killers
+                if key:
+                    keep = kills.get(key)
+                    if keep is None:
+                        kill = 0
+                        for b in _bits(key):
+                            kill |= dominated[b]
+                        keep = kills[key] = ~kill
+                    x &= keep
+                out.append(x)
+            for succ in tuple(out[:fold]), tuple(out[fold:]):
+                if any(succ):
+                    ndp[succ] = get(succ, 0) + cnt
+                    if pres is not None:
+                        npres[succ] = pget(succ, 0) | pres[state]
         dp = ndp
+        moving = False
         if pres is None:
             sizes = [len(dp)]
         else:
@@ -723,15 +729,8 @@ def _count_outputs(table, emit, carry_shift, init, fold, state_budget, antichain
                         else:
                             del pres[state], dp[state]
         peaks = list(map(max, peaks, sizes))
-        settled = max(sizes) <= 1 and not any(s & lifted for s in dp)
-    unions = []
-    for state, cnt in dp.items():
-        union = 0
-        rem = state
-        while rem:
-            union |= rem & gmask
-            rem >>= fold
-        unions.append((union, cnt))
+        settled = max(sizes) <= 1 and not any(any(s[1:]) for s in dp)
+    unions = [(sum(1 << c for c, x in enumerate(state) if x), cnt) for state, cnt in dp.items()]
     out = {}
     walk = {e: w for w, e in enumerate(walks)}
     for j, e in emit.items():

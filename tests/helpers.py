@@ -1,8 +1,14 @@
 """Spec helpers and reference kernels that only the tests use."""
 
+import itertools
+import struct
+from bisect import bisect_right
 from fractions import Fraction
+from unittest import mock
 
+from sumdim import engine
 from sumdim.engine import (
+    _bits,
     _carry_tables,
     _carry_values_mask,
     _combos,
@@ -193,3 +199,220 @@ def run_stepped_lone_counts(spec, fold, scales):
         for j, (e, shift) in shifts.items():
             out[j].append(per_scale_lone_count(runs, e, init[e], fold, shift))
     return out
+
+
+class _LaneKills(dict):
+    """What one combination B kills, per carry set g it holds in a successor.
+
+    Entry g is the lane-form mask of the members (A, c) with A strictly
+    dominated by B and c in g; entries are built on first use.  ``lanes``
+    has bit A * fold for each dominated A and g < 2^fold, so lanes * g is
+    the sum of lanes << c over the carries c in g, without overlap.
+    """
+
+    __slots__ = ("lanes",)
+
+    def __init__(self, dominated, fold):
+        super().__init__({0: 0})
+        spread = {48: "0" * fold, 49: "0" * (fold - 1) + "1"}  # bit A to bit A * fold
+        self.lanes = int(format(dominated, "b").translate(spread), 2)
+
+    def __missing__(self, g):
+        out = self[g] = self.lanes * g
+        return out
+
+
+def lane_major_count_outputs(table, emit, carry_shift, init, fold, state_budget, antichain):
+    """Distinct outputs of all the combinations together, at every scale, in one sweep.
+
+    The exact kernel with a lane-major state, stepping one lane at a time:
+    the differential reference for the carry-major ``engine._count_outputs``,
+    which takes the same arguments and returns the same results.
+
+    Subset state: a big integer whose bit (ci*fold + c) means combination
+    (lane) ci can reach the current output word with carry c.  Scale j
+    emits its word at positions emit[j]..1 from the state that holds carry
+    set init[ci][emit[j]] in lane ci, each position reading its segment's
+    free counts from the segment table; an output is the word with its
+    final carry shifted right by carry_shift[j].  Each successor is kept
+    canonical over the positions still to come, by the ``_antichain``
+    tables: a lane moves into its merge target's, and a member whose carry
+    a live strict dominator holds is dropped.
+
+    A step depends only on its position, so one walk down from the largest
+    emit position serves every scale; scales with one emit position share
+    a walk.  A walk's initial state joins just before its first position,
+    and each state keeps the word count of every walk that reaches it, one
+    field each of a packed integer.  A walk's peak is the most states that
+    carry its count after a step; a walk whose state count passes the
+    state budget leaves the sweep.  Returns {j: (count, peak)}, with count
+    None where the walk left.
+    """
+    next0, next1, _ = _carry_tables(fold)
+    steps = [tuple(zip(next0[f], next1[f])) for f in range(fold + 1)]
+    gmask = (1 << fold) - 1
+    starts, columns = table
+    dominators, targets, undo = antichain
+    dominators = list(dominators)
+    targets = list(targets)
+    # dominated[B]: every A that B has strictly dominated since the top level.
+    # An A that later ties B shares B's merge target, so it has no lane of
+    # its own and B's kills can never reach a live member of A.
+    dominated = [0] * len(columns)
+    for a, d in enumerate(dominators):
+        for b in _bits(d):
+            dominated[b] |= 1 << a
+    none = _LaneKills(0, fold)
+    kills = [
+        _LaneKills(x, fold) if x and targets[b] == b else none for b, x in enumerate(dominated)
+    ]
+
+    def descend(k):
+        """Move the tables from level k to level k - 1."""
+        changes = undo[k]
+        grown = set()
+        for i in range(0, len(changes), 3):
+            a, d = changes[i], changes[i + 1]
+            for b in _bits(d & ~dominators[a]):
+                dominated[b] |= 1 << a
+                grown.add(b)
+            dominators[a], targets[a] = d, changes[i + 2]
+        for b in grown:
+            kills[b] = _LaneKills(dominated[b], fold) if targets[b] == b else none
+
+    # walk w starts at position walks[w]; its word count, at most 2^walks[w],
+    # is the field of walks[w] + 1 bits at offset[w] of a state's count
+    walks = sorted(set(emit.values()), reverse=True)
+    offset = list(itertools.accumulate((e + 1 for e in walks), initial=0))
+    top = walks[0]
+    k = len(undo) - 1  # the tables stop at the level that holds position top
+    quiet = busy = 0
+    for ci, column in enumerate(columns):
+        quiet |= 1 << (ci * fold)  # carry 0 in every combination
+        busy |= int.from_bytes(column, "big")
+    busy = busy.to_bytes(len(columns[0]), "big")  # byte i > 0 iff an addend is free on segment i
+    lifted = ((quiet << fold) - quiet) ^ quiet  # every carry but 0
+    dp = {}
+    # With several walks, pres[state] has a 1 in the 32-bit field of each
+    # walk that reaches the state, so the sum over states counts each walk's
+    # states (no state count nears 2^32).  A lone walk's states are all of dp.
+    pres = {} if len(walks) > 1 else None
+    unpack = struct.Struct(f"<{len(walks)}I").unpack
+    peaks = [0] * len(walks)
+    gone = set()  # walks that left the sweep
+    joined = 0
+    settled = True
+    lanes = None  # per state bit: its lane's shift, steps, target shift and kills
+    i = bisect_right(starts, top) - 1  # the segment that holds position t
+    for t in range(top, -1, -1):
+        if joined < len(walks) and walks[joined] == t:
+            s0 = 0
+            for ci, masks in enumerate(init):
+                s0 |= masks[t] << (ci * fold)
+            dp[s0] = dp.get(s0, 0) + (1 << offset[joined])
+            if pres is not None:
+                pres[s0] = pres.get(s0, 0) | 1 << (32 * joined)
+            peaks[joined] = 1
+            joined += 1
+            settled = settled and not s0 & lifted
+            lanes = None
+        if not t or (not dp and joined == len(walks)):  # done, or every walk left
+            break
+        if t < starts[i]:  # free counts change
+            i -= 1
+            lanes = None
+        if k and starts[k - 1] == t:  # positions below t leave level k
+            descend(k)
+            k -= 1
+            lanes = None
+        if not dp or settled and not busy[i]:
+            continue  # nothing to step, or zero digits leave carry 0 where it is
+        if lanes is None:
+            # a lane moves only to a lower target, so no lane past the
+            # highest one occupied now fills before the next walk joins
+            used = -(-max(dp).bit_length() // fold)
+            lanes = [
+                (ci * fold, steps[column[i]], r * fold, kills[r])
+                for ci, (column, r) in enumerate(zip(columns[:used], targets))
+                for _ in range(fold)
+            ]
+        ndp = {}
+        get = ndp.get
+        npres = {}
+        pget = npres.get
+        for state, cnt in dp.items():
+            a = b = ka = kb = 0
+            rem = state
+            while rem:
+                shift, step, to, kill = lanes[(rem & -rem).bit_length() - 1]
+                g = (rem >> shift) & gmask
+                rem ^= g << shift
+                g0, g1 = step[g]
+                a |= g0 << to
+                b |= g1 << to
+                ka |= kill[g0]
+                kb |= kill[g1]
+            a &= ~ka
+            b &= ~kb
+            if a:
+                ndp[a] = get(a, 0) + cnt
+            if b:
+                ndp[b] = get(b, 0) + cnt
+            if pres is not None:
+                p = pres[state]
+                if a:
+                    npres[a] = pget(a, 0) | p
+                if b:
+                    npres[b] = pget(b, 0) | p
+        dp = ndp
+        if pres is None:
+            sizes = [len(dp)]
+        else:
+            pres = npres
+            sizes = list(unpack(sum(pres.values()).to_bytes(4 * len(walks), "little")))
+        if max(sizes) > state_budget:
+            for w, n in enumerate(sizes):
+                if n > state_budget:  # walk w leaves; its peak stays the last one
+                    sizes[w] = 0
+                    gone.add(w)
+                    if pres is None:
+                        dp.clear()
+                        continue
+                    bit = 1 << (32 * w)
+                    field = (1 << offset[w + 1]) - (1 << offset[w])
+                    for state in [s for s, p in pres.items() if p & bit]:
+                        pres[state] ^= bit
+                        if pres[state]:
+                            dp[state] &= ~field
+                        else:
+                            del pres[state], dp[state]
+        peaks = list(map(max, peaks, sizes))
+        settled = max(sizes) <= 1 and not any(s & lifted for s in dp)
+    unions = []
+    for state, cnt in dp.items():
+        union = 0
+        rem = state
+        while rem:
+            union |= rem & gmask
+            rem >>= fold
+        unions.append((union, cnt))
+    out = {}
+    walk = {e: w for w, e in enumerate(walks)}
+    for j, e in emit.items():
+        w = walk[e]
+        if w in gone:
+            out[j] = None, peaks[w]
+            continue
+        field = (1 << (e + 1)) - 1
+        total = 0
+        for union, cnt in unions:
+            values = _carry_values_mask(union, carry_shift[j]).bit_count()
+            total += (cnt >> offset[w] & field) * values
+        out[j] = total, peaks[w]
+    return out
+
+
+def lane_major_prefix_counts(spec, fold, scales, state_budget=engine.DEFAULT_STATE_BUDGET):
+    """``sum_prefix_counts`` in exact mode, run on ``lane_major_count_outputs``."""
+    with mock.patch.object(engine, "_count_outputs", lane_major_count_outputs):
+        return engine.sum_prefix_counts(spec, fold, scales, "exact", state_budget)

@@ -30,6 +30,7 @@ from sumdim.engine import (
     _lane_order,
     _lone_counts,
     _segments,
+    _slice_moves,
     branching_min_average,
     brute_force_oracle,
     iterated_pattern_sums,
@@ -41,6 +42,7 @@ from sumdim.patterns import DigitPattern, SetSpec
 
 from helpers import (
     from_rows,
+    lane_major_prefix_counts,
     lone_setup,
     per_position_branching_min_average,
     per_position_columns,
@@ -644,3 +646,65 @@ def test_segment_stepped_branching_matches_the_per_position_dp_on_the_oracle_cor
         scales = range(1, spec.depth + 1)
         got = branching_min_average(spec, scales)
         assert got == per_position_branching_min_average(spec, scales), spec.name
+
+
+def test_slice_moves_step_one_lane_like_the_carry_tables():
+    # a one-lane state through the move list, for every fold, free count
+    # and carry set: slices b * fold + c' must spell next_b[f][g]
+    for fold in range(1, engine.MAX_FOLD + 1):
+        next0, next1, _ = _carry_tables(fold)
+        for f in range(fold + 1):
+            moves = _slice_moves([int(s <= f) for s in range(fold + 1)])
+            for g in range(1 << fold):
+                slices = [0] * (2 * fold)
+                for slot, pairs in enumerate(moves):
+                    for c, mask in pairs:
+                        slices[slot] |= g >> c & mask
+                halves = slices[:fold], slices[fold:]
+                got = [sum(x << c for c, x in enumerate(half)) for half in halves]
+                assert got == [next0[f][g], next1[f][g]], (fold, f, g)
+
+
+@pytest.mark.parametrize("budget", [engine.DEFAULT_STATE_BUDGET, 3, 6, 12])
+def test_carry_major_kernel_matches_the_lane_major_one_on_the_oracle_corpus(budget):
+    fell = 0
+    for spec in _oracle_corpus():
+        scales = range(0, spec.depth + 1)
+        for fold in (1, 2, 3):
+            got = sum_prefix_counts(spec, fold, scales, mode="exact", state_budget=budget)
+            assert got == lane_major_prefix_counts(spec, fold, scales, budget), (spec.name, fold)
+            fell += any(r.fell_back for r in got.values())
+    assert bool(fell) == (budget < engine.DEFAULT_STATE_BUDGET)
+
+
+@pytest.mark.parametrize("name", sorted(CANONICAL_EXAMPLES))
+def test_carry_major_kernel_matches_the_lane_major_one_on_the_canonical_specs(name):
+    # every scale at folds 1-2 and every seventh at fold 3; the two deep
+    # hausdorff specs take every 31st scale, since each state's count packs
+    # one field per scale and every scale there costs seconds a call
+    spec = build_canonical(name)
+    step = 31 if spec.depth > 1000 else 1
+    budget = 4096 if name == "all-dims-3" else engine.DEFAULT_STATE_BUDGET
+    for fold in (1, 2, 3):
+        scales = range(0, spec.depth + 1, 7 * step if fold == 3 else step)
+        got = sum_prefix_counts(spec, fold, scales, mode="exact", state_budget=budget)
+        assert got == lane_major_prefix_counts(spec, fold, scales, budget), fold
+
+
+@given(specs_with_fold(), st.data())
+@settings(max_examples=80, deadline=None)
+def test_carry_major_kernel_matches_the_lane_major_one_on_random_scales(spec_fold, data):
+    spec, fold = spec_fold
+    scales = data.draw(st.lists(st.integers(0, spec.depth), min_size=1, max_size=12))
+    scales += [0, scales[0]]  # scale 0 and a duplicate
+    budget = data.draw(st.sampled_from([2, 6, engine.DEFAULT_STATE_BUDGET]))
+    got = sum_prefix_counts(spec, fold, scales, mode="exact", state_budget=budget)
+    assert got == lane_major_prefix_counts(spec, fold, scales, budget)
+
+
+def test_canonical_fold3_falls_back_under_a_smaller_state_budget():
+    spec = build_canonical("all-dims-3")
+    res = sum_prefix_counts(spec, 3, [102], mode="exact", state_budget=2048)[102]
+    assert (res.mode, res.fell_back, res.peak_states) == ("bracket", True, 1687)
+    # the exact count of test_canonical_fold3_stays_exact_under_a_small_state_budget
+    assert res.bracket.lower <= 4526985846313008 <= res.bracket.upper
