@@ -57,9 +57,11 @@ combination's state is one nonempty carry set, and a position where f of
 its addends are free acts on those states as a small integer transfer
 matrix M_f: entry (S, S') counts the output bits that take S to S'.
 Adjacent segments with equal count merge into runs.  A run of r
-positions is one vector product with M_f^r (the transfer-matrix method),
-built from cached squarings M_f^(2^k).  The low phase steps the same runs
-with nextany[f] composed by squaring.
+positions is one sparse product of the vector with rows of M_f^r (the
+transfer-matrix method).  Row S of M_f^r is built on first use, from the
+cached squarings M_f^(2^k), and kept: the same (f, r, S) recur across
+combinations, so nearly every run reuses rows.  The low phase likewise
+looks up one cached entry of nextany[f] composed r times per run.
 
 A lone combination is walked once per call, not once per scale.  The
 call's emit positions e_1 > ... > e_m cut its positions into stretches,
@@ -122,7 +124,6 @@ occupied lanes form a prefix and every slice stays a short integer.
 from __future__ import annotations
 
 import itertools
-import re
 import struct
 from bisect import bisect_right
 from dataclasses import dataclass
@@ -136,6 +137,9 @@ DEFAULT_ENUM_BUDGET = 1 << 24
 # The carry automaton tabulates 2^fold carry sets, and free counts are
 # packed one byte per segment, so larger folds would exhaust time or memory.
 MAX_FOLD = 8
+# Entries kept by each run cache, ``_absorb_run`` and ``_run_row``.  A deep
+# interleave at fold 3 fills at most about a thousand, so none is evicted.
+RUN_CACHE_SIZE = 4096
 
 
 @dataclass(frozen=True)
@@ -361,11 +365,16 @@ def _free_count_runs(table):
 
     Adjacent segments with equal count merge.  Yields ``(starts, counts)``:
     run i covers positions starts[i]..starts[i+1]-1 with counts[i] addends
-    free; starts ends with depth + 1.
+    free; starts ends with depth + 1.  Byte i of ``x ^ x >> 8``, for x the
+    column read as one integer, is nonzero where segment i's count differs
+    from segment i - 1's; the top bit marks segment 0.
     """
     starts, columns = table
+    n = len(starts) - 1
+    first = 1 << 8 * n - 1
     for column in columns:
-        runs = [m.start() for m in re.finditer(rb"(.)\1*", column, re.S)]
+        x = int.from_bytes(column, "big")
+        runs = list(itertools.compress(range(n), (x ^ x >> 8 | first).to_bytes(n, "big")))
         yield [starts[i] for i in runs] + [starts[-1]], [column[i] for i in runs]
 
 
@@ -432,17 +441,6 @@ def _antichain(table, top):
     return dominators, targets, undo
 
 
-def _run_steps(runs, hi, lo):
-    """(free count, length) of each run's overlap with positions hi down to lo."""
-    starts, counts = runs
-    i = bisect_right(starts, hi) - 1
-    while hi >= lo:
-        start = max(starts[i], lo)
-        yield counts[i], hi - start + 1
-        hi = start - 1
-        i -= 1
-
-
 @lru_cache(maxsize=None)
 def _absorb_power(fold, f, k):
     """nextany[f] composed 2^k times, as a table over carry sets."""
@@ -452,21 +450,33 @@ def _absorb_power(fold, f, k):
     return tuple(half[s] for s in half)
 
 
+@lru_cache(maxsize=RUN_CACHE_SIZE)
+def _absorb_run(fold, f, r, s):
+    """Carry set s after r positions with f addends free: nextany[f] composed r times."""
+    for k in range(r.bit_length()):
+        if r >> k & 1:
+            s = _absorb_power(fold, f, k)[s]
+    return s
+
+
 def _initial_carry_masks(runs, fold, scales):
     """Carry-set of one combination after absorbing every digit below each scale.
 
-    One pass from the deepest position upward, a run at a time; returns
-    {scale: mask}.
+    One pass from the deepest position upward, one cached lookup per run
+    (or part of a run above and below a scale); returns {scale: mask}.
     """
+    starts, counts = runs
     out = {}
     cur = 1  # carry 0 only
-    top = runs[0][-1] - 1
+    hi = starts[-1] - 1
+    i = len(counts) - 1  # the run that holds position hi
     for j in sorted(set(scales), reverse=True):
-        for f, r in _run_steps(runs, top, j + 1):
-            for k in range(r.bit_length()):
-                if r >> k & 1:
-                    cur = _absorb_power(fold, f, k)[cur]
-        top = j
+        while hi > j:
+            lo = max(starts[i], j + 1)
+            cur = _absorb_run(fold, counts[i], hi - lo + 1, cur)
+            hi = lo - 1
+            if lo == starts[i]:
+                i -= 1
         out[j] = cur
     return out
 
@@ -502,16 +512,44 @@ def _transfer_power(fold, f, k):
     return tuple(_times(row, half) for row in half)
 
 
+@lru_cache(maxsize=RUN_CACHE_SIZE)
+def _run_row(fold, f, r, s):
+    """Row s of M_f^r: the carry sets that r positions with f addends free reach from s.
+
+    Built on first use, from the unit vector at s times the cached
+    squarings M_f^(2^k) for the set bits k of r.  The rows are bounded by
+    RUN_CACHE_SIZE; the squarings are not, but they stay small: (fold + 1)
+    * log2(depth) matrices per fold.
+    """
+    vec = ((s, 1),)
+    for k in range(r.bit_length()):
+        if r >> k & 1:
+            vec = _times(vec, _transfer_power(fold, f, k))
+    return vec
+
+
 def _stretch(runs, hi, lo, carry_set, fold):
     """One combination's walk over positions hi down to lo from one carry set, by runs.
 
-    Returns ``(vec, doublings)``: the sparse vector of the carry sets
-    reached, whose counts are to be multiplied by 2^doublings.
+    Each run's overlap with hi..lo, r positions with f addends free, is one
+    sparse product of the vector with cached rows of M_f^r (``_run_row``).
+    A one-entry vector (S, x) is kept as the row of S times a common factor,
+    so its product copies nothing.  Returns ``(vec, doublings)``: the
+    sparse vector of the carry sets reached, whose counts are to be
+    multiplied by 2^doublings.
     """
+    starts, counts = runs
     width = (fold - 1).bit_length()
     vec = ((carry_set, 1),)
+    factor = 1  # the counts in ``vec`` are times factor
     doublings = 0
-    for f, r in _run_steps(runs, hi, lo):
+    i = bisect_right(starts, hi) - 1  # the run that holds position hi
+    while hi >= lo:
+        start = starts[i] if starts[i] > lo else lo
+        f = counts[i]
+        r = hi - start + 1
+        hi = start - 1
+        i -= 1
         if f < 2 and vec[0][0] == 1 and len(vec) == 1:
             # carry 0 stays alone: each position has 2^f output bits
             doublings += f * r
@@ -520,9 +558,19 @@ def _stretch(runs, hi, lo, carry_set, fold):
             # with no addend free the carries halve: after ``width``
             # positions every carry set is {0}
             r = min(r, width)
-        for k in range(r.bit_length()):
-            if r >> k & 1:
-                vec = _times(vec, _transfer_power(fold, f, k))
+        if len(vec) == 1:
+            s, x = vec[0]
+            factor *= x
+            vec = _run_row(fold, f, r, s)
+        else:
+            acc = {}
+            get = acc.get
+            for s, x in vec:
+                for t, m in _run_row(fold, f, r, s):
+                    acc[t] = get(t, 0) + x * m
+            vec = tuple(acc.items())
+    if factor != 1:
+        vec = tuple((t, x * factor) for t, x in vec)
     return vec, doublings
 
 

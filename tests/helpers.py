@@ -14,7 +14,6 @@ from sumdim.engine import (
     _combos,
     _free_count_runs,
     _initial_carry_masks,
-    _run_steps,
     _segments,
     _times,
     _transfer_power,
@@ -162,6 +161,17 @@ def lone_setup(spec, fold, scales):
     masks = undominated_masks(c.free_mask for c in spec.components)
     shifts = {j: (max(j - width, 0), max(width - j, 0)) for j in scales}
     return masks, _combos(len(masks), fold), shifts
+
+
+def _run_steps(runs, hi, lo):
+    """(free count, length) of each run's overlap with positions hi down to lo."""
+    starts, counts = runs
+    i = bisect_right(starts, hi) - 1
+    while hi >= lo:
+        start = max(starts[i], lo)
+        yield counts[i], hi - start + 1
+        hi = start - 1
+        i -= 1
 
 
 def per_scale_lone_count(runs, scale, init_mask, fold, carry_shift):

@@ -21,6 +21,7 @@ from sumdim.constructions import (
 )
 from sumdim.engine import (
     CellCountBracket,
+    _absorb_run,
     _antichain,
     _carry_tables,
     _carry_values_mask,
@@ -29,8 +30,11 @@ from sumdim.engine import (
     _initial_carry_masks,
     _lane_order,
     _lone_counts,
+    _run_row,
     _segments,
     _slice_moves,
+    _times,
+    _transfer_power,
     branching_min_average,
     brute_force_oracle,
     iterated_pattern_sums,
@@ -41,6 +45,7 @@ from sumdim.errors import BudgetExceededError, ScaleError
 from sumdim.patterns import DigitPattern, SetSpec
 
 from helpers import (
+    _run_steps,
     from_rows,
     lane_major_prefix_counts,
     lone_setup,
@@ -399,7 +404,18 @@ EDGE_ROWS = [
     ["00000"],  # all zero: one run
     ["aaaaa"],  # all free: one run
     ["00000", "a000a"],
+    ["0aaaa"],  # the first segment has count 0
+    ["a0a0a"],  # the count changes on every segment
+    ["0a0a0"],  # both
 ]
+
+# the runs of the one column at fold 1, for the rows that pin them
+PINNED_RUNS = {
+    ("aaaaa",): ([1, 6], [1]),  # a one-segment table
+    ("0aaaa",): ([1, 2, 6], [0, 1]),
+    ("a0a0a",): ([1, 2, 3, 4, 5, 6], [1, 0, 1, 0, 1]),
+    ("0a0a0",): ([1, 2, 3, 4, 5, 6], [0, 1, 0, 1, 0]),
+}
 
 
 def check_segment_table(spec, fold):
@@ -424,6 +440,14 @@ def test_segment_table_matches_the_per_position_columns(spec_fold):
     check_segment_table(*spec_fold)
 
 
+def plain_runs(table):
+    """The runs of each column, cut where a segment's count differs from the one before."""
+    starts, columns = table
+    for column in columns:
+        firsts = [0] + [i for i in range(1, len(column)) if column[i] != column[i - 1]]
+        yield [starts[i] for i in firsts] + [starts[-1]], [column[i] for i in firsts]
+
+
 def test_segment_table_indexing():
     # positions 1-2 free in both rows, 3 in the second only, 5 in the first only
     masks = [c.free_mask for c in from_rows(["aa00a", "aaa00"]).components]
@@ -445,10 +469,15 @@ def test_run_stepping_edge_cases(rows):
         if len(undominated_masks(c.free_mask for c in spec.components)) == 1:
             for j in scales:
                 assert got[j] == [brute_force_oracle(spec, fold, j).lower], (fold, j)
+        masks, combos, _ = lone_setup(spec, fold, [])
+        table = _segments(masks, spec.depth, combos)
+        assert list(_free_count_runs(table)) == list(plain_runs(table)), fold
     masks, combos, _ = lone_setup(spec, 1, [])
+    runs = list(_free_count_runs(_segments(masks, spec.depth, combos)))
     if not any(masks):
-        runs = _free_count_runs(_segments(masks, spec.depth, combos))
-        assert list(runs) == [([1, spec.depth + 1], [0])]
+        assert runs == [([1, spec.depth + 1], [0])]
+    if tuple(rows) in PINNED_RUNS:
+        assert runs == [PINNED_RUNS[tuple(rows)]]
 
 
 def test_undominated_masks_drops_duplicates_and_submasks():
@@ -663,6 +692,76 @@ def test_slice_moves_step_one_lane_like_the_carry_tables():
                 halves = slices[:fold], slices[fold:]
                 got = [sum(x << c for c, x in enumerate(half)) for half in halves]
                 assert got == [next0[f][g], next1[f][g]], (fold, f, g)
+
+
+RUN_LENGTHS = {*range(1, 34), 64, 255, 1000}
+
+
+def run_cases():
+    """(fold, f, carry set): every f and nonempty set at folds 1-4, a sample at fold 8."""
+    cases = [
+        (fold, f, s) for fold in range(1, 5) for f in range(fold + 1) for s in range(1, 1 << fold)
+    ]
+    rng = random.Random(8)
+    return cases + [(8, rng.randrange(9), rng.randrange(1, 256)) for _ in range(12)]
+
+
+def test_run_rows_equal_single_steps_of_the_transfer_matrix():
+    # row s of M_f^r against r single steps of M_f from the unit vector at s
+    for fold, f, s in run_cases():
+        one = _transfer_power(fold, f, 0)
+        vec = ((s, 1),)
+        for r in range(1, max(RUN_LENGTHS) + 1):
+            vec = _times(vec, one)
+            if r in RUN_LENGTHS:
+                assert dict(_run_row(fold, f, r, s)) == dict(vec), (fold, f, r, s)
+        assert _run_row(fold, f, 0, s) == ((s, 1),)
+
+
+def test_absorb_runs_equal_nextany_iterated():
+    # the low phase's run table against nextany[f] applied r times
+    for fold, f, s in run_cases():
+        nextany = _carry_tables(fold)[2][f]
+        cur = s
+        for r in range(1, max(RUN_LENGTHS) + 1):
+            cur = nextany[cur]
+            if r in RUN_LENGTHS:
+                assert _absorb_run(fold, f, r, s) == cur, (fold, f, r, s)
+
+
+def test_bracket_walk_makes_one_vector_product_per_run(monkeypatch):
+    # a run's overlap with a stretch, r positions with f addends free, is one
+    # product with rows of M_f^r (r clamped to the carry width when f = 0):
+    # no stepping by powers of two, each carry set of the vector looked up once
+    spec = build_canonical("pair-hausdorff")
+    fold = 3
+    width = (fold - 1).bit_length()
+    walks = []  # per stretch: its runs' (f, r) and the rows it looked up
+    real_row, real_stretch = engine._run_row, engine._stretch
+
+    def row(fold, f, r, s):
+        walks[-1][1].append((f, r, s))
+        return real_row(fold, f, r, s)
+
+    def stretch(runs, hi, lo, carry_set, fold):
+        steps = [(f, r if f else min(r, width)) for f, r in _run_steps(runs, hi, lo)]
+        walks.append((steps, []))
+        return real_stretch(runs, hi, lo, carry_set, fold)
+
+    monkeypatch.setattr(engine, "_run_row", row)
+    monkeypatch.setattr(engine, "_stretch", stretch)
+    sum_prefix_counts(spec, fold, [spec.depth], mode="bracket")
+    products = 0
+    for steps, lookups in walks:
+        i = 0
+        for key in steps:  # each run takes the lookups of at most one product
+            seen = set()
+            while i < len(lookups) and lookups[i][:2] == key and lookups[i][2] not in seen:
+                seen.add(lookups[i][2])
+                i += 1
+            products += bool(seen)
+        assert i == len(lookups), (steps, lookups)
+    assert len(walks) > 1 and products > len(walks)
 
 
 @pytest.mark.parametrize("budget", [engine.DEFAULT_STATE_BUDGET, 3, 6, 12])
