@@ -11,7 +11,7 @@ The names below are the library API the README documents; everything
 else stays importable from its module.
 """
 
-from .analysis import count_trace, frequency_report, off_trace, predicted_exponent
+from .analysis import count_trace, off_trace, predicted_exponent
 from .constructions import (
     DimensionTargets,
     PastingPlan,
@@ -38,7 +38,6 @@ __all__ = [
     "count_trace",
     "cover_suite",
     "dumps",
-    "frequency_report",
     "interleave",
     "loads",
     "make_scale_sequence",

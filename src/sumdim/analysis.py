@@ -15,12 +15,6 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .constructions import (
-    DimensionTargets,
-    ScaleSequence,
-    block_params,
-    chunk_symbols,
-)
 from .engine import (
     DEFAULT_STATE_BUDGET,
     MAX_FOLD,
@@ -29,7 +23,6 @@ from .engine import (
     undominated_masks,
 )
 from .errors import ScaleError
-from .patterns import DigitPattern
 
 
 def log2_big(n):
@@ -156,57 +149,6 @@ def off_trace(spec, scales=None):
     chosen = _resolve_scales(spec, scales)
     offs = branching_min_average(spec, chosen)
     return tuple((n, offs[n]) for n in chosen)
-
-
-def sum_block_frequency(kinds, k, params):
-    """Exact Free frequency of the carry-free sum of same-index blocks.
-
-    Implements the convention that a sum of blocks is Free wherever any
-    addend is Free: the positionwise OR of the chunk templates.
-    """
-    acc = 0
-    for kind in kinds:
-        acc |= DigitPattern.from_symbols(chunk_symbols(kind, params)).free_mask
-    return Fraction(acc.bit_count(), k)
-
-
-@dataclass(frozen=True)
-class FrequencyRecord:
-    k: int
-    kinds: tuple
-    frequencies: tuple  # ((kind, ...), Fraction) pairs, sorted by kind tuple
-    extremal: tuple
-
-
-def targets_of(spec):
-    """DimensionTargets reconstructed from a built spec's parameters."""
-
-    def fam(key):
-        raw = spec.param(key, "")
-        return tuple(Fraction(t) for t in raw.split(",")) if raw else None
-
-    alpha = fam("alpha")
-    if alpha is None:
-        raise ValueError("spec carries no target parameters")
-    return DimensionTargets(alpha, fam("beta"), fam("gamma"))
-
-
-def frequency_report(spec, k, fold=2):
-    """All fold-wise sum-block frequencies at block index k of a chunked spec."""
-    if not spec.schedule or any(":" in entry for entry in spec.schedule[0]):
-        raise ValueError("frequency reports need a chunked schedule")
-    period = len(spec.schedule[0])
-    kinds = tuple(row[k % period] for row in spec.schedule)
-    variant = spec.param("variant", "full")
-    scales = ScaleSequence(spec.boundaries)
-    params = block_params(
-        k, targets_of(spec), scales, variant, kinds=sorted(set(kinds))
-    )
-    freqs = []
-    for combo in sorted(set(itertools.combinations_with_replacement(sorted(set(kinds)), fold))):
-        freqs.append((combo, sum_block_frequency(combo, k, params)))
-    extremal = max(freqs, key=lambda cf: (cf[1], cf[0]))[0]
-    return FrequencyRecord(k, kinds, tuple(freqs), extremal)
 
 
 # ---------------------------------------------------------------------------

@@ -105,26 +105,27 @@ slice and level, and found before any drop as dominance is transitive.
 One sweep
 ---------
 A step of the subset construction depends only on its position, through
-the position's segment and antichain level, never on the scale the walk
-began at.  So exact mode walks once per call, from the largest emit
-position down to 1 (the forward transfer-matrix method over the pruned
-states).  Each scale's initial state, built from its low-phase carry
-sets, joins just before the scale's first position; each state carries a
-separate word count for every scale that reaches it, packed as fields of
-one integer, and each scale reads its own count at the end with its own
-carry shift.  Peaks and budgets stay per scale: a scale's state count is
-the number of states that carry its count, and a scale whose count
-passes the budget leaves the sweep and falls back alone.  The forward
-``settled`` skip is kept, so a one-scale call does the work it did on
-its own.  The combinations are put in lane order once per call
-(``_lane_order``): each level's merge targets come first, so the
-occupied lanes form a prefix and every slice stays a short integer.
+its segment and antichain level, never on the scale the walk began at.
+So exact mode walks once per call, from the largest emit position down
+to 1, and each scale's initial state, built from its low-phase carry
+sets, joins just before the scale's first position.  No state carries a
+count on the way down: each step records every state's two successors,
+and one pass back up sums each state's count from theirs (a backward
+transfer-matrix count over the forward-reachable pruned states).  Peaks
+and budgets are kept per reach group, the states that some scales reach
+exactly: the step is deterministic, so a group's next reach set is the
+image of its current one, and groups with equal images merge.  A group
+whose reach set passes the budget leaves with its scales, which fall
+back alone.  The forward ``settled`` skip is kept, so a one-scale call
+does the work it did on its own.  The combinations are put in lane order
+once per call (``_lane_order``): each level's merge targets come first,
+so the occupied lanes form a prefix and every slice stays a short integer.
 """
 
 from __future__ import annotations
 
 import itertools
-import struct
+from array import array
 from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
@@ -639,14 +640,14 @@ def _count_outputs(table, emit, carry_shift, init, fold, state_budget, antichain
     the ``_antichain`` tables: a lane moves into its merge target's, and a
     member whose carry a live strict dominator holds is dropped.
 
-    A step depends only on its position, so one walk down from the largest
-    emit position serves every scale; scales with one emit position share
-    a walk.  A walk's initial state joins just before its first position,
-    and each state keeps the word count of every walk that reaches it, one
-    field each of a packed integer.  A walk's peak is the most states that
-    carry its count after a step; a walk whose state count passes the
-    state budget leaves the sweep.  Returns {j: (count, peak)}, with count
-    None where the walk left.
+    Scales with one emit position share a walk, whose initial state joins
+    the sweep just before its first position ("One sweep" above).  Each
+    stepped position records the indices of each state's two successors,
+    -1 for none; the pass back up counts count[x] = count[a] + count[b],
+    and a walk reads its initial state's count at the row it joined.  A
+    walk's peak is the largest reach set of the groups it was in; a group
+    over the state budget leaves the sweep with its walks.  Returns {j:
+    (count, peak)}, with count None where the walk left.
     """
     starts, columns = table
     dominators, targets, undo = antichain
@@ -666,42 +667,52 @@ def _count_outputs(table, emit, carry_shift, init, fold, state_budget, antichain
         killers = sum(1 << a for a, r in enumerate(targets) if r == a and dominated[a])
         return movers, killers, {}, {}
 
-    # walk w starts at position walks[w]; its word count, at most 2^walks[w],
-    # is the field of walks[w] + 1 bits at offset[w] of a state's count
-    walks = sorted(set(emit.values()), reverse=True)
-    offset = list(itertools.accumulate((e + 1 for e in walks), initial=0))
-    top = walks[0]
+    # ``groups`` maps each reach set, a frozenset of state indices, to a node.
+    # A walk joins as a new node; when two reach sets coincide, a new node
+    # becomes the parent of both.  A node is [peak, parent]: the largest
+    # reach set its group had while the node was on top, and its parent's
+    # index, or -1 while the group is in the sweep and -2 once it left.
+    nodes = []
+
+    def group(into, reach, n):
+        """File node n under ``reach`` in ``into``, merging it with a node filed there."""
+        m = into.get(reach)
+        if m is not None:
+            nodes[m][1] = nodes[n][1] = len(nodes)
+            n = len(nodes)
+            nodes.append([0, -1])
+        into[reach] = n
+
+    walks = sorted(set(emit.values()))  # the next walk to join is walks[-1]
+    top = walks[-1]
     k = len(undo) - 1  # the tables stop at the level that holds position top
     movers, killers, merged, kills = level()
     busy = 0
     for column in columns:
         busy |= int.from_bytes(column, "big")
     busy = busy.to_bytes(len(columns[0]), "big")  # byte i > 0 iff an addend is free on segment i
-    dp = {}
-    # With several walks, pres[state] has a 1 in the 32-bit field of each
-    # walk that reaches the state, so the sum over states counts each walk's
-    # states (no state count nears 2^32).  A lone walk's states are all of dp.
-    pres = {} if len(walks) > 1 else None
-    unpack = struct.Struct(f"<{len(walks)}I").unpack
-    peaks = [0] * len(walks)
-    gone = set()  # walks that left the sweep
-    joined = 0
+    index = {}  # each state at this position, to its index
+    rows = []  # per stepped position, each state's successors on bits 0 and 1
+    joins = {}  # per row, the (walk, initial state index) pairs that join there
+    node = {}  # per walk, its node
+    groups = {}
     settled = True
     moves = None  # this segment's _slice_moves
     moving = True  # lanes that move to a merge target may be occupied
     i = bisect_right(starts, top) - 1  # the segment that holds position t
     for t in range(top, -1, -1):
-        if joined < len(walks) and walks[joined] == t:
+        if walks and walks[-1] == t:
+            walks.pop()
             row = bytes(m[t] for m in reversed(init))  # lane 0 is the low bit
             s0 = tuple(int(row.translate(_bit_map(c)), 2) for c in range(fold))
-            dp[s0] = dp.get(s0, 0) + (1 << offset[joined])
-            if pres is not None:
-                pres[s0] = pres.get(s0, 0) | 1 << (32 * joined)
-            peaks[joined] = 1
-            joined += 1
+            x = index.setdefault(s0, len(index))
+            joins.setdefault(len(rows), []).append((t, x))
+            node[t] = len(nodes)
+            nodes.append([1, -1])
+            group(groups, frozenset([x]), node[t])
             settled = settled and not any(s0[1:])
             moving = True
-        if not t or (not dp and joined == len(walks)):  # done, or every walk left
+        if not t or not index and not walks:  # done, or every walk left
             break
         if t < starts[i]:  # free counts change
             i -= 1
@@ -716,17 +727,15 @@ def _count_outputs(table, emit, carry_shift, init, fold, state_budget, antichain
             k -= 1
             movers, killers, merged, kills = level()
             moving = True
-        if not dp or settled and not busy[i]:
+        if not index or settled and not busy[i]:
             continue  # nothing to step, or zero digits leave carry 0 where it is
         if moves is None:
             row = bytes(col[i] for col in reversed(columns))  # lane 0 is the low bit
             ge = [int(row.translate(_count_map(s, True)), 2) for s in range(fold + 1)]
             moves = _slice_moves(ge)
-        ndp = {}
-        get = ndp.get
-        npres = {}
-        pget = npres.get
-        for state, cnt in dp.items():
+        new = {}
+        succ = []  # state x's successors on bits 0 and 1 at 2x and 2x + 1
+        for state in index:
             out = []
             for pairs in moves:
                 x = 0
@@ -748,61 +757,52 @@ def _count_outputs(table, emit, carry_shift, init, fold, state_budget, antichain
                         keep = kills[key] = ~kill
                     x &= keep
                 out.append(x)
-            for succ in tuple(out[:fold]), tuple(out[fold:]):
-                if any(succ):
-                    ndp[succ] = get(succ, 0) + cnt
-                    if pres is not None:
-                        npres[succ] = pget(succ, 0) | pres[state]
-        dp = ndp
+            for s in tuple(out[:fold]), tuple(out[fold:]):
+                succ.append(new.setdefault(s, len(new)) if any(s) else -1)
         moving = False
-        if pres is None:
-            sizes = [len(dp)]
-        else:
-            pres = npres
-            sizes = list(unpack(sum(pres.values()).to_bytes(4 * len(walks), "little")))
-        if max(sizes) > state_budget:
-            for w, n in enumerate(sizes):
-                if n > state_budget:  # walk w leaves; its peak stays the last one
-                    sizes[w] = 0
-                    gone.add(w)
-                    if pres is None:
-                        dp.clear()
-                        continue
-                    bit = 1 << (32 * w)
-                    field = (1 << offset[w + 1]) - (1 << offset[w])
-                    for state in [s for s, p in pres.items() if p & bit]:
-                        pres[state] ^= bit
-                        if pres[state]:
-                            dp[state] &= ~field
-                        else:
-                            del pres[state], dp[state]
-        peaks = list(map(max, peaks, sizes))
-        settled = max(sizes) <= 1 and not any(any(s[1:]) for s in dp)
-    unions = [(sum(1 << c for c, x in enumerate(state) if x), cnt) for state, cnt in dp.items()]
-    out = {}
-    walk = {e: w for w, e in enumerate(walks)}
-    for j, e in emit.items():
-        w = walk[e]
-        if w in gone:
-            out[j] = None, peaks[w]
-            continue
-        field = (1 << (e + 1)) - 1
-        total = 0
-        for union, cnt in unions:
-            values = _carry_values_mask(union, carry_shift[j]).bit_count()
-            total += (cnt >> offset[w] & field) * values
-        out[j] = total, peaks[w]
-    return out
+        zero, one = succ[::2], succ[1::2]
+        images = {}
+        for reach, n in groups.items():
+            if len(reach) == len(index):  # every state reaches every successor
+                image = frozenset(new.values())
+            else:
+                image = frozenset(map(zero.__getitem__, reach)).union(map(one.__getitem__, reach))
+                image -= {-1}
+            group(images, image, n)
+        groups = images
+        left = [reach for reach in groups if len(reach) > state_budget]
+        for reach in left:
+            nodes[groups.pop(reach)][1] = -2  # its walks leave, each with its last peak
+        for reach, n in groups.items():
+            nodes[n][0] = max(nodes[n][0], len(reach))
+        if left:  # drop the states no group reaches
+            kept = {x: y for y, x in enumerate(sorted(set().union(*groups)))}
+            succ = [kept.get(x, -1) for x in succ]
+            new = {s: kept[x] for s, x in new.items() if x in kept}
+            groups = {frozenset(map(kept.get, reach)): n for reach, n in groups.items()}
+        rows.append(array("i", succ))  # 32-bit indices: 4 bytes a successor
+        index = new
+        settled = max(map(len, groups), default=0) <= 1 and not any(any(s[1:]) for s in index)
+    for n in reversed(nodes):  # a parent comes after its children
+        if n[1] >= 0:
+            n[:] = max(n[0], nodes[n[1]][0]), nodes[n[1]][1]
+    count = [fold - s.count(0) for s in index]  # each final state's number of carries
+    reads = {}
+    for r in range(len(rows), -1, -1):
+        for e, x in joins.get(r, ()):
+            reads[e] = count[x] if nodes[node[e]][1] == -1 else None
+        if r:
+            succ = rows[r - 1]
+            count.append(0)  # at index -1: no successor
+            count = [count[a] + count[b] for a, b in zip(succ[::2], succ[1::2])]
+    union = sum(1 << c for c, x in enumerate(s0) if x)  # emit 0's walk joins last, as s0
+    values = {j: _carry_values_mask(union, s).bit_count() for j, s in carry_shift.items() if s}
+    return {j: (values.get(j, reads[e]), nodes[node[e]][0]) for j, e in emit.items()}
 
 
 def _carry_values_mask(carry_set, shift):
     """Bitmask of distinct ``carry >> shift`` values over a carry-set mask."""
-    out = 0
-    while carry_set:
-        low = carry_set & -carry_set
-        out |= 1 << ((low.bit_length() - 1) >> shift)
-        carry_set ^= low
-    return out
+    return sum({1 << (c >> shift) for c in _bits(carry_set)})
 
 
 def sum_prefix_counts(spec, fold, scales, mode="exact", state_budget=DEFAULT_STATE_BUDGET):

@@ -1,4 +1,4 @@
-"""Dimension diagnostics: exponent traces, OFF, frequency reports, rendering."""
+"""Dimension diagnostics: exponent traces, OFF, rendering."""
 
 import math
 from fractions import Fraction
@@ -10,15 +10,13 @@ from sumdim.analysis import (
     TraceEntry,
     count_trace,
     default_scales,
-    frequency_report,
     log2_big,
     off_trace,
     predicted_exponent,
     render_count_trace_csv,
     render_off_trace_csv,
-    targets_of,
 )
-from sumdim.constructions import DimensionTargets, build_canonical
+from sumdim.constructions import build_canonical
 from sumdim.errors import ScaleError
 
 from helpers import from_rows
@@ -91,35 +89,6 @@ def test_off_trace_exact_rationals():
     assert off_trace(spec, [4]) == ((4, F(1, 4)),)
     dense = from_rows(["aaaa"])
     assert off_trace(dense, [2, 4]) == ((2, F(1)), (4, F(1)))
-
-
-def test_targets_of_round_trip():
-    spec = build_canonical("haus-lowbox")
-    t = targets_of(spec)
-    assert t == DimensionTargets((F(1, 4), F(1, 2)), (F(1, 2), F(1)))
-    pair = build_canonical("pair-hausdorff")
-    assert targets_of(pair).beta is None
-    with pytest.raises(ValueError):
-        targets_of(from_rows(["aa"]))
-
-
-def test_frequency_report_extremal_pair():
-    spec = build_canonical("haus-lowbox")
-    rec = frequency_report(spec, 12)
-    assert rec.k == 12
-    assert rec.kinds == ("alpha1", "beta1", "alpha2", "alpha2", "beta2", "alpha1")
-    # the mirrored chunk pair covers the whole block
-    assert rec.extremal == ("beta1", "beta2")
-    assert dict(rec.frequencies)[rec.extremal] == 1
-    assert len(rec.frequencies) == 10  # multisets of 2 from 4 kinds
-    assert all(0 <= f <= 1 for _, f in rec.frequencies)
-
-
-def test_frequency_report_needs_chunked_schedule():
-    with pytest.raises(ValueError):
-        frequency_report(build_canonical("pair-hausdorff"), 3)
-    with pytest.raises(ValueError):
-        frequency_report(from_rows(["aa"]), 1)
 
 
 def test_render_count_trace_csv():

@@ -779,8 +779,8 @@ def test_carry_major_kernel_matches_the_lane_major_one_on_the_oracle_corpus(budg
 @pytest.mark.parametrize("name", sorted(CANONICAL_EXAMPLES))
 def test_carry_major_kernel_matches_the_lane_major_one_on_the_canonical_specs(name):
     # every scale at folds 1-2 and every seventh at fold 3; the two deep
-    # hausdorff specs take every 31st scale, since each state's count packs
-    # one field per scale and every scale there costs seconds a call
+    # hausdorff specs take every 31st scale, since the reference packs one
+    # count field per scale into each state and every scale costs it seconds
     spec = build_canonical(name)
     step = 31 if spec.depth > 1000 else 1
     budget = 4096 if name == "all-dims-3" else engine.DEFAULT_STATE_BUDGET
@@ -788,6 +788,21 @@ def test_carry_major_kernel_matches_the_lane_major_one_on_the_canonical_specs(na
         scales = range(0, spec.depth + 1, 7 * step if fold == 3 else step)
         got = sum_prefix_counts(spec, fold, scales, mode="exact", state_budget=budget)
         assert got == lane_major_prefix_counts(spec, fold, scales, budget), fold
+
+
+@pytest.mark.parametrize("name", ["pair-hausdorff", "triple-hausdorff"])
+def test_one_exact_call_serves_every_scale_of_a_deep_spec(name):
+    # every scale of thousands in one call: each result equals a call for
+    # that scale alone, sampled, and every count lies in bracket mode's bracket
+    spec = build_canonical(name)
+    scales = range(0, spec.depth + 1)
+    got = sum_prefix_counts(spec, 2, scales, mode="exact")
+    brackets = sum_prefix_counts(spec, 2, scales, mode="bracket")
+    for j in scales:
+        b = brackets[j].bracket
+        assert got[j].mode == "exact" and b.lower <= got[j].bracket.lower <= b.upper, j
+    for j in [*scales[::128], spec.depth]:
+        assert got[j] == sum_prefix_counts(spec, 2, [j], mode="exact")[j], j
 
 
 @given(specs_with_fold(), st.data())
