@@ -52,10 +52,6 @@ class CountTrace:
     fold: int
     entries: tuple
 
-    @property
-    def scales(self):
-        return tuple(e.scale for e in self.entries)
-
 
 def predicted_exponent(spec, fold, scale):
     """Best cumulative Free density of any fold-multiset of components.
@@ -92,7 +88,10 @@ def default_scales(spec):
         out.update(b - 1 for b in spec.boundaries[1:])
     for token in spec.param("notable_scales", "").split(","):
         if token:
-            out.add(int(token))
+            try:
+                out.add(int(token))
+            except ValueError as exc:
+                raise ScaleError(f"notable_scales token {token!r} is not an integer") from exc
     out = {j for j in out if 1 <= j <= spec.depth}
     if not out:
         out = {spec.depth}

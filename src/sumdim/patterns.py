@@ -130,7 +130,10 @@ def to_json_dict(spec):
 
 def from_json_dict(data):
     comps = tuple(DigitPattern.from_symbols(s) for s in data["components"])
-    params = tuple((str(k), str(v)) for k, v in data.get("params", {}).items())
+    params = data.get("params", {})
+    if not isinstance(params, dict):
+        raise TypeError(f"params must be a JSON object, not {type(params).__name__}")
+    params = tuple((str(k), str(v)) for k, v in params.items())
     return SetSpec(
         comps,
         int(data["depth"]),

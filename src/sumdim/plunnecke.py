@@ -2,11 +2,13 @@
 
 The window family at scale j and width l is the set of half-open
 intervals [i * 2^-j, (i + l) * 2^-j) with integer i >= 0; the count
-D(j, l, X) is how many of them meet X.  Everything here is exact:
-points are rationals on the 1/GRID grid (a point sample is the
-FiniteIntSet of their numerators), counts are integers, ratios are
-Fractions, and every check compares cross-multiplied integers rather
-than floats.
+D(j, l, X) is how many of them meet X.  With the scale-j cells of X as
+a bitmask (``cells``), window i meets X iff one of bits i..i+l-1 is
+set, so D(j, l, X) is the popcount of the mask OR-ed with its shifts
+right by 1..l-1.  Everything here is exact: points are rationals on
+the 1/GRID grid (a point sample is the FiniteIntSet of their
+numerators), counts are integers, ratios are Fractions, and every check
+compares cross-multiplied integers rather than floats.
 
 Three checks are provided.
 
@@ -20,8 +22,8 @@ Three checks are provided.
   while the derived-exponent summary reports the A-side combination
   l * dim(A + B) - (l - 1) * dim(A); both appear in the report.
 
-Reports are plain dicts, JSON-ready, with the seed recorded whenever a
-generator produced the cases.
+Each suite is a case generator that ``_run_suite`` runs from its seed
+into a plain, JSON-ready report dict.
 """
 
 from __future__ import annotations
@@ -29,7 +31,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, reduce
 
 from .analysis import log2_big
 from .errors import ScaleError
@@ -88,27 +90,28 @@ class FiniteIntSet:
             acc |= base.mask << v
         return FiniteIntSet(acc)
 
-    def iterated(self, fold):
-        if fold < 1:
-            raise ValueError("fold must be at least 1")
-        acc = self
-        for _ in range(fold - 1):
-            acc = acc.sumset(self)
-        return acc
+
+def cells(points, scale):
+    """The cells [c * 2^-scale, (c + 1) * 2^-scale) holding a point, as indices c.
+
+    ``points`` holds numerators over ``GRID``.  This is the one place a
+    point is mapped to its cell.
+    """
+    if scale < 0:
+        raise ScaleError("scale must be nonnegative")
+    return FiniteIntSet.of((v << scale) // GRID for v in points.values)
 
 
 def dyadic_count(points, scale, width=1):
     """Number of scale-``scale`` windows of ``width`` cells meeting the points.
 
-    ``points`` holds numerators over ``GRID``.  Window i covers
-    [i * 2^-scale, (i + width) * 2^-scale), i >= 0.
+    Window i covers [i * 2^-scale, (i + width) * 2^-scale), i >= 0, and
+    meets the points iff one of cells i..i+width-1 holds one.
     """
-    if scale < 0:
-        raise ScaleError("scale must be nonnegative")
+    mask = cells(points, scale).mask
     if width < 1:
         raise ValueError("width must be at least 1")
-    cells = {(v << scale) // GRID for v in points.values}
-    return len({c - s for c in cells for s in range(width) if c >= s})
+    return reduce(int.__or__, (mask >> s for s in range(width))).bit_count()
 
 
 # ---------------------------------------------------------------------------
@@ -126,7 +129,7 @@ def ruzsa_check(e, f, fold):
     if not len(e) or not len(f):
         raise ValueError("sets must be nonempty")
     ef = e.sumset(f)
-    lf = f.iterated(fold)
+    lf = reduce(FiniteIntSet.sumset, [f] * fold)
     lhs = len(lf) * len(e) ** (fold - 1)
     rhs = len(ef) ** fold
     return {
@@ -156,14 +159,8 @@ def sumset_cover_bound_check(samples, scale, width=None):
     fold = len(samples)
     if width is None:
         width = fold
-    total = samples[0]
-    for s in samples[1:]:
-        total = total.sumset(s)
-    lhs = dyadic_count(total, scale, width)
-    idx = None
-    for s in samples:
-        cells = FiniteIntSet.of((v << scale) // GRID for v in s.values)
-        idx = cells if idx is None else idx.sumset(cells)
+    lhs = dyadic_count(reduce(FiniteIntSet.sumset, samples), scale, width)
+    idx = reduce(FiniteIntSet.sumset, (cells(s, scale) for s in samples))
     rhs = (fold + 1) * len(idx)
     return {
         "check": "sumset-cover",
@@ -215,12 +212,12 @@ def prop31_check(a, b, fold, scales):
         )
         # minimize log2(cab2)/j without floats: compare cab2^j' vs cab2'^j
         if j > 0 and (best is None or cab2 ** best[1] < best[0] ** j):
-            best = (cab2, j)
-    j_star = best[1] if best else scales[0]
-    ca_star = dyadic_count(a, j_star, 1)
-    cab_star = dyadic_count(ab, j_star, 2)
-    dim_ab = log2_big(cab_star) / j_star if j_star else 0.0
-    dim_a = log2_big(ca_star) / j_star if j_star else 0.0
+            best = (cab2, j, ca)
+    j_star, dim_a, dim_ab = scales[0], 0.0, 0.0
+    if best:
+        cab_star, j_star, ca_star = best
+        dim_ab = log2_big(cab_star) / j_star
+        dim_a = log2_big(ca_star) / j_star
     return {
         "check": "prop31",
         "fold": fold,
@@ -262,55 +259,55 @@ def random_point_sample(rng, max_size=48, max_scale=GRID_SCALE):
     return FiniteIntSet.of(pts)
 
 
+def _run_suite(name, seed, cases):
+    """Run ``cases(Random(seed))``, which yields (ok, failure record) per case."""
+    failures, count = [], 0
+    for count, (ok, failure) in enumerate(cases(random.Random(seed)), 1):
+        if not ok:
+            failures.append(failure)
+    return {"suite": name, "seed": seed, "cases": count,
+            "failures": failures, "ok": not failures}
+
+
 def ruzsa_suite(seed, pairs=1000, folds=(2, 3)):
     """Seeded batch of exact sumset growth checks."""
-    rng = random.Random(seed)
-    failures = []
-    cases = 0
-    for i in range(pairs):
-        e = random_int_set(rng)
-        f = random_int_set(rng)
-        for fold in folds:
-            res = ruzsa_check(e, f, fold)
-            cases += 1
-            if not res["ok"]:
-                failures.append({"pair": i, **res})
-    return {"suite": "ruzsa", "seed": seed, "cases": cases,
-            "failures": failures, "ok": not failures}
+
+    def cases(rng):
+        for i in range(pairs):
+            e = random_int_set(rng)
+            f = random_int_set(rng)
+            for fold in folds:
+                res = ruzsa_check(e, f, fold)
+                yield res["ok"], {"pair": i, **res}
+
+    return _run_suite("ruzsa", seed, cases)
 
 
 def cover_suite(seed, samples=500, max_scale=12, folds=(2, 3)):
     """Seeded batch of sumset window-cover checks."""
-    rng = random.Random(seed)
-    failures = []
-    cases = 0
-    for i in range(samples):
-        fold = folds[i % len(folds)]
-        parts = [random_point_sample(rng, max_size=24, max_scale=max_scale)
-                 for _ in range(fold)]
-        j = rng.randint(1, max_scale)
-        res = sumset_cover_bound_check(parts, j)
-        cases += 1
-        if not res["ok"]:
-            failures.append({"sample": i, **res})
-    return {"suite": "sumset-cover", "seed": seed, "cases": cases,
-            "failures": failures, "ok": not failures}
+
+    def cases(rng):
+        for i in range(samples):
+            fold = folds[i % len(folds)]
+            parts = [random_point_sample(rng, max_size=24, max_scale=max_scale)
+                     for _ in range(fold)]
+            res = sumset_cover_bound_check(parts, rng.randint(1, max_scale))
+            yield res["ok"], {"sample": i, **res}
+
+    return _run_suite("sumset-cover", seed, cases)
 
 
 def prop31_suite(seed, samples=500, max_scale=12, folds=(2, 3)):
     """Seeded batch of window-count transfer checks."""
-    rng = random.Random(seed)
-    failures = []
-    cases = 0
-    for i in range(samples):
-        fold = folds[i % len(folds)]
-        a = random_point_sample(rng, max_size=24, max_scale=max_scale)
-        b = random_point_sample(rng, max_size=24, max_scale=max_scale)
-        js = sorted(rng.sample(range(1, max_scale + 1), rng.randint(1, 4)))
-        res = prop31_check(a, b, fold, js)
-        cases += 1
-        if not res["ok"]:
-            failures.append({"sample": i, "fold": fold, "scales": js,
-                             "rows": res["scales"]})
-    return {"suite": "prop31", "seed": seed, "cases": cases,
-            "failures": failures, "ok": not failures}
+
+    def cases(rng):
+        for i in range(samples):
+            fold = folds[i % len(folds)]
+            a = random_point_sample(rng, max_size=24, max_scale=max_scale)
+            b = random_point_sample(rng, max_size=24, max_scale=max_scale)
+            js = sorted(rng.sample(range(1, max_scale + 1), rng.randint(1, 4)))
+            res = prop31_check(a, b, fold, js)
+            yield res["ok"], {"sample": i, "fold": fold, "scales": js,
+                              "rows": res["scales"]}
+
+    return _run_suite("prop31", seed, cases)

@@ -18,6 +18,7 @@ from sumdim.analysis import (
 )
 from sumdim.constructions import build_canonical
 from sumdim.errors import ScaleError
+from sumdim.patterns import from_json_dict
 
 from helpers import from_rows
 
@@ -55,11 +56,17 @@ def test_default_scales_merges_boundaries_and_notables():
     assert default_scales(bare) == (3,)
 
 
+def test_default_scales_rejects_a_token_that_is_not_an_integer():
+    spec = from_json_dict({"components": ["a0a"], "depth": 3, "params": {"notable_scales": "2,y"}})
+    with pytest.raises(ScaleError, match="'y'"):
+        default_scales(spec)
+
+
 def test_count_trace_exact_mode_entries():
     spec = from_rows(["a0a0", "0aaa"])
     tr = count_trace(spec, 2, scales=[4, 2, 2], mode="exact")
     assert tr.fold == 2
-    assert tr.scales == (2, 4)  # deduplicated and sorted
+    assert tuple(e.scale for e in tr.entries) == (2, 4)  # deduplicated and sorted
     for e in tr.entries:
         assert e.lower == e.upper
         assert e.mode == "exact"
@@ -80,7 +87,7 @@ def test_count_trace_bracket_mode_brackets_exact():
 def test_count_trace_all_scales():
     spec = from_rows(["aa0"])
     tr = count_trace(spec, 1, scales="all", mode="exact")
-    assert tr.scales == (1, 2, 3)
+    assert tuple(e.scale for e in tr.entries) == (1, 2, 3)
     assert [e.lower for e in tr.entries] == [2, 4, 4]
 
 

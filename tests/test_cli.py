@@ -243,6 +243,14 @@ def test_fold_outside_its_range_is_exit_2(tmp_path, monkeypatch, capsys, argv, f
 MISSING = object()  # a path that names no file
 
 
+def set_with(params):
+    """A set file that is valid but for its ``params``."""
+    return json.dumps({"components": ["a0a", "0aa"], "depth": 3, "params": params})
+
+
+NOTABLE_X = set_with({"notable_scales": "x"})
+
+
 @pytest.mark.parametrize(
     "config, command, set_file",
     [
@@ -256,6 +264,12 @@ MISSING = object()  # a path that names no file
         pytest.param(SMALL, "off", MISSING, id="unreadable-set"),
         pytest.param(SMALL, "off", "{", id="invalid-json-set"),
         pytest.param(SMALL, "off", '{"spec": {"depth": 3}}', id="malformed-set"),
+        pytest.param(SMALL, "count", set_with([]), id="params-array"),
+        pytest.param(SMALL, "off", set_with("x"), id="params-string"),
+        pytest.param(SMALL, "count", NOTABLE_X, id="notable-scales-x-count"),
+        pytest.param(SMALL, "off", NOTABLE_X, id="notable-scales-x-off"),
+        pytest.param(SMALL, "dims", NOTABLE_X, id="notable-scales-x-dims"),
+        pytest.param(SMALL, "oracle", NOTABLE_X, id="notable-scales-x-oracle"),
         pytest.param({}, "construct", None, id="no-construction"),
         pytest.param({"construction": "custom"}, "validate", None, id="validate-no-alpha"),
     ],

@@ -5,11 +5,14 @@ import json
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sumdim.errors import ScaleError
 from sumdim.plunnecke import (
     GRID,
     FiniteIntSet,
+    cells,
     cover_suite,
     dyadic_count,
     prop31_check,
@@ -27,17 +30,20 @@ def grid(*points):
     return FiniteIntSet.of(num * GRID // den for num, den in points)
 
 
+def reference_dyadic_count(points, scale, width=1):
+    """Window count through Python sets, the differential reference."""
+    cell_set = {(v << scale) // GRID for v in points.values}
+    return len({c - s for c in cell_set for s in range(width) if c >= s})
+
+
 def test_finite_int_set_basics():
     s = FiniteIntSet.of([1, 0, 1])
     assert len(s) == 2
     assert s.values == (0, 1)
     assert s.sumset(FiniteIntSet.of([0, 2])).values == (0, 1, 2, 3)
-    assert s.iterated(3).values == (0, 1, 2, 3)
     assert FiniteIntSet(0).values == ()
     with pytest.raises(ValueError):
         FiniteIntSet.of([-1])
-    with pytest.raises(ValueError):
-        s.iterated(0)
 
 
 def test_point_sample_sorts_and_dedupes():
@@ -65,6 +71,29 @@ def test_dyadic_count_point_samples_and_int_sets():
         dyadic_count(grid((0, 1)), 1, width=0)
 
 
+def test_cells_are_the_scale_cells_the_points_meet():
+    # 1/3 and 1/2 lie in cells 1 and 2 at scale 2, both in cell 0 at scale 0
+    thirds = grid((1, 3), (1, 2))
+    assert cells(thirds, 2).values == (1, 2)
+    assert cells(thirds, 0).values == (0,)
+    # past the grid's own scale a point still lands in one cell
+    assert cells(grid((1, 3)), 14).values == ((1 << 14) // 3,)
+    assert cells(FiniteIntSet(0), 5) == FiniteIntSet(0)
+    with pytest.raises(ScaleError):
+        cells(thirds, -1)
+
+
+@given(
+    st.frozensets(st.integers(0, 2 * GRID - 1), max_size=40),
+    st.integers(0, 14),
+    st.integers(1, 4),
+)
+@settings(max_examples=300, deadline=None)
+def test_dyadic_count_matches_the_set_reference(numerators, scale, width):
+    points = FiniteIntSet.of(numerators)
+    assert dyadic_count(points, scale, width) == reference_dyadic_count(points, scale, width)
+
+
 def test_ruzsa_check_pinned_pair():
     e = FiniteIntSet.of([0, 1])
     res = ruzsa_check(e, e, 2)
@@ -73,6 +102,10 @@ def test_ruzsa_check_pinned_pair():
     assert res["size_e_plus_f"] == 3
     assert res["size_fold_f"] == 3
     assert ruzsa_check(e, e, 1)["ok"]
+    # l-fold sums of F = {0, 1, 3}: {0, 1, 3}, {0..4, 6}, {0..7, 9}
+    f = FiniteIntSet.of([0, 1, 3])
+    assert [ruzsa_check(e, f, fold)["size_fold_f"] for fold in (1, 2, 3)] == [3, 6, 9]
+    assert [ruzsa_check(e, e, fold)["size_fold_f"] for fold in (1, 2, 3)] == [2, 3, 4]
     with pytest.raises(ValueError):
         ruzsa_check(e, e, 0)
     with pytest.raises(ValueError):
@@ -138,12 +171,15 @@ def test_suites_pass_and_are_deterministic():
 @pytest.mark.parametrize(
     "suite, digest",
     [
+        (ruzsa_suite, "216a1502bcec91c90c1054956bcc539f4cfa57ab04e2293371939c3b4dca8e23"),
         (cover_suite, "45c1ade87623f3aa27cced25bd45660be7d38d07767c98f648ca74efc42c3356"),
         (prop31_suite, "7fab99bcbc0f8640115b52c5ab58040d481dd4f2e1e3bb94e8bc0d1e9ab2d837"),
     ],
-    ids=["cover", "prop31"],
+    ids=["ruzsa", "cover", "prop31"],
 )
 def test_full_size_suite_reports_are_pinned(suite, digest):
-    # the digests were taken from reports computed with Fraction points
+    # the cover and prop31 digests were taken from reports computed with
+    # Fraction points, the ruzsa digest before ruzsa_check took over the
+    # l-fold sumset from FiniteIntSet.iterated
     report = json.dumps(suite(0), sort_keys=True)
     assert hashlib.sha256(report.encode()).hexdigest() == digest
