@@ -10,8 +10,10 @@ component combination, so prediction and measurement share arithmetic.
 from __future__ import annotations
 
 import decimal
+import functools
 import itertools
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -53,6 +55,16 @@ class CountTrace:
     entries: tuple
 
 
+@functools.lru_cache(maxsize=64)
+def _fold_unions(free_masks, fold):
+    """The distinct ORs of the fold-multisets of the undominated masks."""
+    masks = undominated_masks(free_masks)
+    return frozenset(
+        functools.reduce(operator.or_, combo)
+        for combo in itertools.combinations_with_replacement(masks, fold)
+    )
+
+
 def predicted_exponent(spec, fold, scale):
     """Best cumulative Free density of any fold-multiset of components.
 
@@ -63,21 +75,19 @@ def predicted_exponent(spec, fold, scale):
     sum word, whose low end sits ``(fold - 1).bit_length()`` digits above
     the same-scale prefix cut, matching the counting engine.  A fold
     outside 1..MAX_FOLD is a ValueError, as in the engine.
+
+    The unions do not depend on the scale, so ``_fold_unions`` caches them
+    per key (the tuple of component free masks, fold); each scale then
+    only shifts and counts them.  The key holds no depth: the shift comes
+    from this spec's own depth.
     """
     if not 1 <= fold <= MAX_FOLD:
         raise ValueError(f"fold must lie in 1..{MAX_FOLD}, got {fold}")
     if not 1 <= scale <= spec.depth:
         raise ScaleError(f"scale {scale} outside 1..{spec.depth}")
     shift = spec.depth + (fold - 1).bit_length() - scale
-    masks = [m >> shift for m in undominated_masks(c.free_mask for c in spec.components)]
-    best = 0
-    for combo in itertools.combinations_with_replacement(masks, fold):
-        acc = 0
-        for m in combo:
-            acc |= m
-        pc = acc.bit_count()
-        if pc > best:
-            best = pc
+    unions = _fold_unions(tuple(c.free_mask for c in spec.components), fold)
+    best = max(((u >> shift).bit_count() for u in unions), default=0)
     return Fraction(best, scale)
 
 

@@ -21,6 +21,7 @@ sha256 digest of the effective configuration; exit codes are 0 (ok),
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import json
 import os
@@ -417,7 +418,13 @@ def cmd_oracle(args, config):
 # argument parsing and dispatch
 
 
+@functools.cache
 def build_parser():
+    """The one argument parser, built on the first call and reused after it.
+
+    ``parse_args`` returns a fresh namespace on every call, so one call's
+    flags never reach the next.
+    """
     parser = argparse.ArgumentParser(
         prog="sumdim",
         description="exact dyadic dimension laboratory for digit-pattern sets",

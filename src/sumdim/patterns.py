@@ -128,19 +128,40 @@ def to_json_dict(spec):
     }
 
 
+def _json_list(key, value):
+    if not isinstance(value, list):
+        raise TypeError(f"{key} must be a JSON array, not {type(value).__name__}")
+    return value
+
+
+def _json_int(key, value):
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise TypeError(f"{key} must be a JSON integer, not {value!r}")
+    return value
+
+
 def from_json_dict(data):
-    comps = tuple(DigitPattern.from_symbols(s) for s in data["components"])
+    """The SetSpec of a ``to_json_dict`` document; a mistyped field is a TypeError."""
+    symbols = _json_list("components", data["components"])
+    for s in symbols:
+        if not isinstance(s, str):
+            raise TypeError(f"a component must be a symbol string, not {s!r}")
+    comps = tuple(DigitPattern.from_symbols(s) for s in symbols)
     params = data.get("params", {})
     if not isinstance(params, dict):
         raise TypeError(f"params must be a JSON object, not {type(params).__name__}")
     params = tuple((str(k), str(v)) for k, v in params.items())
+    boundaries = _json_list("boundaries", data.get("boundaries", []))
     return SetSpec(
         comps,
-        int(data["depth"]),
+        _json_int("depth", data["depth"]),
         name=str(data.get("name", "")),
         params=params,
-        boundaries=tuple(int(n) for n in data.get("boundaries", ())),
-        schedule=tuple(tuple(str(k) for k in row) for row in data.get("schedule", ())),
+        boundaries=tuple(_json_int("a boundary", n) for n in boundaries),
+        schedule=tuple(
+            tuple(str(k) for k in _json_list("a schedule row", row))
+            for row in data.get("schedule", ())
+        ),
     )
 
 

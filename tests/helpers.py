@@ -71,6 +71,23 @@ def per_position_branching_min_average(spec, scales):
     return out
 
 
+def reference_predicted_exponent(spec, fold, scale):
+    """Best free density at one scale, one combination at a time.
+
+    The per-scale loop that ``analysis.predicted_exponent`` replaced with
+    cached unions: the differential reference for it.
+    """
+    shift = spec.depth + (fold - 1).bit_length() - scale
+    masks = [m >> shift for m in undominated_masks(c.free_mask for c in spec.components)]
+    best = 0
+    for combo in itertools.combinations_with_replacement(masks, fold):
+        acc = 0
+        for m in combo:
+            acc |= m
+        best = max(best, acc.bit_count())
+    return Fraction(best, scale)
+
+
 def unpruned_count_outputs(columns, scale, init_masks, fold, carry_shift, state_budget):
     """Distinct outputs of the given combinations together, by plain subset construction.
 

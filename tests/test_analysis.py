@@ -4,6 +4,8 @@ import math
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sumdim.analysis import (
     CountTrace,
@@ -16,11 +18,12 @@ from sumdim.analysis import (
     render_count_trace_csv,
     render_off_trace_csv,
 )
-from sumdim.constructions import build_canonical
+from sumdim.constructions import CANONICAL_EXAMPLES, build_canonical
 from sumdim.errors import ScaleError
 from sumdim.patterns import from_json_dict
 
-from helpers import from_rows
+from helpers import from_rows, reference_predicted_exponent
+from test_acceptance import _oracle_corpus
 
 F = Fraction
 
@@ -44,6 +47,52 @@ def test_predicted_exponent_picks_best_multiset():
         predicted_exponent(spec, 1, 0)
     with pytest.raises(ScaleError):
         predicted_exponent(spec, 1, 5)
+
+
+def test_predicted_exponent_matches_the_reference_on_the_oracle_corpus():
+    for spec in _oracle_corpus():
+        for fold in (1, 2, 3, 4):
+            for j in range(1, spec.depth + 1):
+                want = reference_predicted_exponent(spec, fold, j)
+                assert predicted_exponent(spec, fold, j) == want, (spec.name, fold, j)
+
+
+@pytest.mark.parametrize("name", sorted(CANONICAL_EXAMPLES))
+def test_predicted_exponent_matches_the_reference_on_the_canonical_specs(name):
+    # every scale covers the default ones; the deepest spec has 4,098
+    spec = build_canonical(name)
+    for fold in (1, 2, 3):
+        for j in range(1, spec.depth + 1):
+            want = reference_predicted_exponent(spec, fold, j)
+            assert predicted_exponent(spec, fold, j) == want, (fold, j)
+        trace = count_trace(spec, fold)  # default scales, bracket mode
+        for e in trace.entries:
+            assert e.predicted == reference_predicted_exponent(spec, fold, e.scale)
+
+
+@st.composite
+def specs(draw):
+    depth = draw(st.integers(1, 12))
+    masks = draw(st.lists(st.integers(0, (1 << depth) - 1), min_size=1, max_size=6))
+    return from_rows([format(m, f"0{depth}b").replace("1", "a") for m in masks])
+
+
+@given(specs(), st.integers(1, 4))
+@settings(max_examples=200, deadline=None)
+def test_predicted_exponent_matches_the_reference_on_random_specs(spec, fold):
+    for j in range(1, spec.depth + 1):
+        assert predicted_exponent(spec, fold, j) == reference_predicted_exponent(spec, fold, j)
+
+
+def test_predicted_exponent_shifts_by_each_specs_own_depth():
+    # "0a" and "a" share the free-mask int 1, and so the cached unions
+    deep, shallow = from_rows(["0a"]), from_rows(["a"])
+    assert predicted_exponent(deep, 1, 1) == 0
+    assert predicted_exponent(shallow, 1, 1) == 1
+    assert predicted_exponent(deep, 1, 2) == F(1, 2)
+    for spec in (deep, shallow, deep):
+        for j in range(1, spec.depth + 1):
+            assert predicted_exponent(spec, 1, j) == reference_predicted_exponent(spec, 1, j)
 
 
 def test_default_scales_merges_boundaries_and_notables():

@@ -243,12 +243,13 @@ def test_fold_outside_its_range_is_exit_2(tmp_path, monkeypatch, capsys, argv, f
 MISSING = object()  # a path that names no file
 
 
-def set_with(params):
-    """A set file that is valid but for its ``params``."""
-    return json.dumps({"components": ["a0a", "0aa"], "depth": 3, "params": params})
+def set_with(**fields):
+    """A set file that is valid but for the given fields."""
+    doc = {"components": ["a0a0", "0aaa"], "depth": 4, "boundaries": [1, 4]}
+    return json.dumps({**doc, "schedule": [["x", "y"], ["y", "x"]], **fields})
 
 
-NOTABLE_X = set_with({"notable_scales": "x"})
+NOTABLE_X = set_with(params={"notable_scales": "x"})
 
 
 @pytest.mark.parametrize(
@@ -264,11 +265,17 @@ NOTABLE_X = set_with({"notable_scales": "x"})
         pytest.param(SMALL, "off", MISSING, id="unreadable-set"),
         pytest.param(SMALL, "off", "{", id="invalid-json-set"),
         pytest.param(SMALL, "off", '{"spec": {"depth": 3}}', id="malformed-set"),
-        pytest.param(SMALL, "count", set_with([]), id="params-array"),
-        pytest.param(SMALL, "off", set_with("x"), id="params-string"),
+        pytest.param(SMALL, "count", set_with(params=[]), id="params-array"),
+        pytest.param(SMALL, "off", set_with(params="x"), id="params-string"),
         pytest.param(SMALL, "count", NOTABLE_X, id="notable-scales-x-count"),
         pytest.param(SMALL, "off", NOTABLE_X, id="notable-scales-x-off"),
         pytest.param(SMALL, "dims", NOTABLE_X, id="notable-scales-x-dims"),
+        # each of these used to load, misread, with exit 0
+        pytest.param(SMALL, "count", set_with(depth=4.5), id="depth-float"),
+        pytest.param(SMALL, "count", set_with(components=["a"], depth=True), id="depth-bool"),
+        pytest.param(SMALL, "count", set_with(components="a0", depth=1), id="components-string"),
+        pytest.param(SMALL, "count", set_with(boundaries=[1.7, 3.2]), id="boundaries-floats"),
+        pytest.param(SMALL, "off", set_with(schedule=["xy", ["y", "x"]]), id="schedule-string-row"),
         pytest.param(SMALL, "oracle", NOTABLE_X, id="notable-scales-x-oracle"),
         pytest.param({}, "construct", None, id="no-construction"),
         pytest.param({"construction": "custom"}, "validate", None, id="validate-no-alpha"),
@@ -427,7 +434,25 @@ def test_atomic_write_leaves_no_temp_files(tmp_path):
 
 
 def test_version_flag(capsys):
-    with pytest.raises(SystemExit) as exc:
-        main(["--version"])
-    assert exc.value.code == 0
-    assert capsys.readouterr().out.startswith("sumdim ")
+    for _ in range(2):  # the parser is reused
+        with pytest.raises(SystemExit) as exc:
+            main(["--version"])
+        assert exc.value.code == 0
+        assert capsys.readouterr().out.startswith("sumdim ")
+
+
+def test_the_parser_is_built_once():
+    assert cli.build_parser() is cli.build_parser()
+
+
+@pytest.mark.parametrize("command", ["count", "off"])
+def test_flags_do_not_reach_the_next_call(cfg, tmp_path, command):
+    # a flagless command after a flagged count, on the same parser, writes
+    # what it writes on a parser of its own; off has no --fold or --mode
+    alone, after = tmp_path / "alone", tmp_path / "after"
+    cli.build_parser.cache_clear()
+    assert run([command, "--config", cfg, "--out", str(alone)]) == 0
+    flags = ["--fold", "2", "--mode", "exact", "--scales", "4"]
+    assert run(["count", "--config", cfg, *flags, "--out", str(tmp_path / "flagged")]) == 0
+    assert run([command, "--config", cfg, "--out", str(after)]) == 0
+    assert after.read_bytes() == alone.read_bytes()
