@@ -4,9 +4,13 @@ Two construction styles share the same scale skeleton n_1 < n_2 < ... :
 "interval" components are Free everywhere except for a run of forced
 zeros at the start of selected blocks, and "chunked" components tile
 each block [n_k, n_{k+1}) with a length-k template chosen per block from
-a cyclic schedule.  The template floors l_k, m_k, s_k (and p_k, q_k, v_k
-for the upper-box family) are exact rational floors, so every block is
-reproducible bit for bit.
+a cyclic schedule.  Both read a schedule the same way: row r gives block
+k the kind ``row[k % len(row)]``.  The template floors l_k, m_k, s_k (and
+p_k, q_k, v_k for the upper-box family) are exact rational floors, so
+every block is reproducible bit for bit.
+
+Each rule is checked in one place: the targets in ``validate_targets``
+(which ``build_example`` runs first), the templates in ``chunk_symbols``.
 """
 
 from __future__ import annotations
@@ -166,11 +170,6 @@ class BlockParams:
     v: int | None = None
     d: tuple = ()
 
-    def template_floors(self, family, index):
-        """The (a, b, c) floors of the index-i template within a family."""
-        trio = (self.p, self.q, self.v) if family == "gamma" else (self.l, self.m, self.s)
-        return trio[:index]
-
 
 _KIND_FAMILIES = ("alpha", "beta", "gamma")
 
@@ -182,43 +181,17 @@ def parse_kind(kind):
     return fam, idx
 
 
-def _check_template(kind, floors):
-    """Well-definedness of the chunk template, named like the source inequality."""
-    fam, idx = parse_kind(kind)
-    names = ("p", "q", "v") if fam == "gamma" else ("l", "m", "s")
-    if idx >= 2 and floors[0] > floors[1]:
-        raise AdmissibilityError(
-            f"{names[0]}_k <= {names[1]}_k",
-            f"kind {kind}, k with {names[0]}={floors[0]}, {names[1]}={floors[1]}",
-        )
-    if idx == 3:
-        a, b, c = floors
-        if c < b:
-            raise AdmissibilityError(
-                f"{names[1]}_k <= {names[2]}_k", f"kind {kind}, {names[2]}={c}"
-            )
-        if c > a + b:
-            raise AdmissibilityError(
-                f"{names[2]}_k <= {names[0]}_k + {names[1]}_k",
-                f"kind {kind}, {c} > {a} + {b}",
-            )
+def block_params(k, targets, scales):
+    """Floors l_k, m_k, s_k (p_k, q_k, v_k when gamma is set) and the zero-run lengths d_i(k).
 
-
-def block_params(k, targets, scales, variant, kinds=None):
-    """Floors l_k, m_k, s_k / p_k, q_k, v_k and the zero-run lengths d_i(k).
-
-    variant "lower-box-only" measures the alpha deficit against beta,
-    "full" against gamma.  Validation is lazy: only the template
-    inequalities of the block kinds actually requested are enforced, since
-    a schedule may use e.g. the third gamma template only at even k where
-    it is well defined.  A third floor that only rounding lifts past the sum
-    of the first two is lowered to that sum, so admissible targets
-    (``validate_targets``) never fail a template.
+    The alpha deficit is measured against gamma when it is set, else
+    against beta.  Only k is checked: the templates are checked where they
+    are drawn, in ``chunk_symbols``.  A third floor that only rounding
+    lifts past the sum of the first two is lowered to that sum, so
+    admissible targets (``validate_targets``) never fail a template.
     """
     if not 1 <= k <= scales.horizon:
         raise ScaleError(f"block index {k} outside 1..{scales.horizon}")
-    if variant not in ("lower-box-only", "full"):
-        raise ConstructionError(f"unknown variant {variant!r}")
     alpha = targets.alpha
     beta = targets.family("beta")
     nfold = len(alpha)
@@ -231,85 +204,62 @@ def block_params(k, targets, scales, variant, kinds=None):
             out[2] = out[0] + out[1]
         return out
 
-    l, m, s = floors(beta)
-    p = q = v = None
-    x = beta
-    if variant == "full":
-        gamma = targets.family("gamma")
-        p, q, v = floors(gamma)
-        x = gamma
+    x = beta if targets.gamma is None else targets.gamma
+    upper = (None,) * 3 if targets.gamma is None else floors(x)
     n_k = scales.start(k)
-    d = []
-    for i in range(nfold):
-        if alpha[i] == 0:
-            d.append(k * n_k)
-        else:
-            deficit = n_k * (x[i] - alpha[i]) / alpha[i]
-            d.append(k * (deficit / k).__floor__())
-    params = BlockParams(k, l, m, s, p, q, v, tuple(d))
-    if kinds is None:
-        kinds = [f"{fam}{i}" for fam in ("beta", "alpha") for i in range(1, nfold + 1)]
-        if variant == "full":
-            kinds += [f"gamma{i}" for i in range(1, nfold + 1)]
-    for kind in kinds:
-        fam, idx = parse_kind(kind)
-        if idx > nfold:
-            raise AdmissibilityError(
-                f"targets of length >= {idx}", f"kind {kind} with {nfold} targets"
-            )
-        _check_template(kind, params.template_floors("gamma" if fam == "gamma" else "beta", idx))
-        if fam == "alpha" and params.d[idx - 1] < 0:
-            xname = "gamma" if variant == "full" else "beta"
-            raise AdmissibilityError(
-                f"alpha_{idx} <= {xname}_{idx}", f"negative zero run at k={k}"
-            )
-    return params
+    # d_i(k): the deficit n_k (x_i - alpha_i) / alpha_i, down to a multiple of k
+    d = tuple(
+        k * n_k if a == 0 else k * (n_k * (b - a) / a / k).__floor__()
+        for a, b in zip(alpha, x)
+    )
+    return BlockParams(k, *floors(beta), *upper, d)
 
 
 def chunk_symbols(kind, params):
-    """The length-k template of one chunk, as a '0'/'a' string (most significant first)."""
+    """The length-k template of one chunk, as a '0'/'a' string (most significant first).
+
+    This is the one place the template rules are checked: the kind's
+    floors a <= b <= c exist and c <= a + b, named like the source
+    inequalities.  gamma kinds read p, q, v; alpha and beta kinds l, m, s.
+    A shorter kind is the third template with its missing floors equal to
+    its last one.
+    """
     fam, idx = parse_kind(kind)
-    family = "gamma" if fam == "gamma" else "beta"
-    floors = params.template_floors(family, idx)
-    if any(f is None for f in floors):
+    names = ("p", "q", "v") if fam == "gamma" else ("l", "m", "s")
+    floors = tuple(getattr(params, n) for n in names[:idx])
+    if None in floors:
         raise AdmissibilityError(
             f"targets of length >= {idx}", f"kind {kind} lacks its floors"
         )
-    _check_template(kind, floors)
-    k = params.k
-    if idx == 1:
-        a = floors[0]
-        return "a" * a + "0" * (k - a)
-    if idx == 2:
-        a, b = floors
-        return "0" * (b - a) + "a" * a + "0" * (k - b)
-    a, b, c = floors
-    return "0" * (b - a) + "a" * (a + b - c) + "0" * (c - b) + "a" * (c - b) + "0" * (k - c)
+    a, b, c = floors + floors[-1:] * (3 - idx)
+    if a > b:
+        raise AdmissibilityError(
+            f"{names[0]}_k <= {names[1]}_k",
+            f"kind {kind}, k with {names[0]}={a}, {names[1]}={b}",
+        )
+    if c < b:
+        raise AdmissibilityError(f"{names[1]}_k <= {names[2]}_k", f"kind {kind}, {names[2]}={c}")
+    if c > a + b:
+        raise AdmissibilityError(
+            f"{names[2]}_k <= {names[0]}_k + {names[1]}_k", f"kind {kind}, {c} > {a} + {b}"
+        )
+    return "0" * (b - a) + "a" * (a + b - c) + "0" * (c - b) + "a" * (c - b) + "0" * (params.k - c)
 
 
-def make_block(kind, k, params, scales):
-    """One block [n_k, n_{k+1}) as a DigitPattern.
+def make_block(kind, params, scales):
+    """Block [n_k, n_{k+1}) for k = ``params.k``, as a DigitPattern.
 
     beta/gamma kinds tile the whole block with the chunk; alpha kinds
-    prefix d_i(k) forced zeros (saturating to an all-Zero block) before
-    tiling the remainder.
+    prefix min(d_i(k), gap) forced zeros (a saturated run forces the whole
+    block) before tiling the remainder.
     """
-    if params.k != k:
-        raise ConstructionError(f"params are for k={params.k}, not {k}")
+    k = params.k
     gap = scales.gap(k)
-    fam, idx = parse_kind(kind)
     chunk = DigitPattern.from_symbols(chunk_symbols(kind, params))
-    if fam != "alpha":
-        return chunk.repeat(gap // k)
-    d = params.d[idx - 1]
-    if d < 0:
-        raise AdmissibilityError(f"alpha_{idx} <= companion target", f"d={d} at k={k}")
-    if d >= gap:
-        return DigitPattern.all_zero(gap)
-    if d % k:
-        raise ConstructionError(f"zero run {d} not aligned to chunk length {k}")
-    zeros = DigitPattern.all_zero(d)
-    return zeros.concat(chunk.repeat((gap - d) // k))
+    fam, idx = parse_kind(kind)
+    d = min(params.d[idx - 1], gap) if fam == "alpha" else 0
+    # the d leading zeros are the high bits of a gap-wide mask
+    return DigitPattern(gap, chunk.repeat((gap - d) // k).free_mask)
 
 
 # ---------------------------------------------------------------------------
@@ -363,13 +313,13 @@ ALL_DIMS_3_TABLE = (
     (_G3, _B3, _G1, _A1, _G2, _A2, _G2, _A2, _G3, _A3, _G1, _A1),
 )
 
-# Interval constructions: residue of the block index -> alpha index whose
-# zero run opens that block; unlisted residues leave the block fully Free.
-PAIR_RESIDUES = ({0: 1, 2: 2}, {1: 1, 2: 2})
+# Interval constructions: the kind at residue k % len(row) names the alpha
+# index whose zero run opens block k; None leaves the block fully Free.
+PAIR_RESIDUES = (("alpha1", None, "alpha2"), (None, "alpha1", "alpha2"))
 TRIPLE_RESIDUES = (
-    {0: 1, 2: 2, 4: 2, 5: 3},
-    {1: 1, 2: 2, 3: 2, 5: 3},
-    {0: 1, 3: 2, 4: 2, 5: 3},
+    ("alpha1", None, "alpha2", None, "alpha2", "alpha3"),
+    (None, "alpha1", "alpha2", "alpha2", None, "alpha3"),
+    ("alpha1", None, None, "alpha2", "alpha2", "alpha3"),
 )
 
 
@@ -377,33 +327,17 @@ def _fmt_fracs(fam):
     return ",".join(str(x) for x in fam)
 
 
-def _build_chunked(name, targets, scales, variant, rows):
+def _build_chunked(name, targets, scales, rows):
     period = len(rows[0])
-    K = scales.horizon
     depth = scales.depth
-    head_len = scales.start(1) - 1
-    kinds_at = [sorted({row[k % period] for row in rows}) for k in range(1, K + 1)]
-    params_at = [
-        block_params(k, targets, scales, variant, kinds=kinds_at[k - 1])
-        for k in range(1, K + 1)
-    ]
-    blocks = {}
-    for k in range(1, K + 1):
-        for kind in kinds_at[k - 1]:
-            blocks[(k, kind)] = make_block(kind, k, params_at[k - 1], scales)
-    comps = []
-    for row in rows:
-        mask = 0
-        length = head_len
-        for k in range(1, K + 1):
-            b = blocks[(k, row[k % period])]
-            mask = (mask << b.length) | b.free_mask
-            length += b.length
-        comps.append(DigitPattern(length, mask))
+    masks = [0] * len(rows)  # the head [1, n_1) is forced zero
     notable = set()
-    for k in range(1, K + 1):
-        par = params_at[k - 1]
-        for kind in kinds_at[k - 1]:
+    for k in range(1, scales.horizon + 1):
+        par = block_params(k, targets, scales)
+        kinds = [row[k % period] for row in rows]
+        blocks = {}
+        for kind in sorted(set(kinds)):
+            blocks[kind] = make_block(kind, par, scales).free_mask
             fam, idx = parse_kind(kind)
             if fam == "alpha" and par.d[idx - 1] > 0:
                 # first position past the zero run, kept even when the run
@@ -411,14 +345,18 @@ def _build_chunked(name, targets, scales, variant, rows):
                 j = scales.start(k) + par.d[idx - 1]
                 if j <= depth:
                     notable.add(j)
-    params = [("construction", name), ("variant", variant)]
-    params.append(("alpha", _fmt_fracs(targets.alpha)))
-    params.append(("beta", _fmt_fracs(targets.beta)))
-    if variant == "full":
-        params.append(("gamma", _fmt_fracs(targets.gamma)))
+        gap = scales.gap(k)
+        masks = [(mask << gap) | blocks[kind] for mask, kind in zip(masks, kinds)]
+    params = [
+        ("construction", name),
+        ("variant", "lower-box-only" if targets.gamma is None else "full"),
+    ]
+    for fam in _KIND_FAMILIES:
+        if getattr(targets, fam) is not None:
+            params.append((fam, _fmt_fracs(getattr(targets, fam))))
     params.append(("notable_scales", ",".join(str(n) for n in sorted(notable))))
     return SetSpec(
-        tuple(comps),
+        tuple(DigitPattern(depth, mask) for mask in masks),
         depth,
         name=name,
         params=tuple(params),
@@ -427,18 +365,17 @@ def _build_chunked(name, targets, scales, variant, rows):
     )
 
 
-def _build_interval(name, alpha, scales, residue_maps):
-    K = scales.horizon
+def _build_interval(name, alpha, scales, rows):
     depth = scales.depth
-    modulus = 3 if residue_maps is PAIR_RESIDUES else 6
     comps = []
     notable = set()
-    for rmap in residue_maps:
+    for row in rows:
         mask = (1 << depth) - 1
-        for k in range(1, K + 1):
-            idx = rmap.get(k % modulus)
-            if idx is None:
+        for k in range(1, scales.horizon + 1):
+            kind = row[k % len(row)]
+            if kind is None:
                 continue
+            idx = int(kind[-1])
             start = scales.start(k)
             end = star_floor(start, alpha[idx - 1], scales.gap(k), idx)
             if end <= start:
@@ -452,15 +389,14 @@ def _build_interval(name, alpha, scales, residue_maps):
     # degenerates to finitely many points, so it is dropped outright
     if name == "pair-hausdorff" and alpha[1] == 0:
         comps = comps[:1]
-        residue_maps = residue_maps[:1]
+        rows = rows[:1]
     params = (
         ("construction", name),
         ("alpha", _fmt_fracs(alpha)),
         ("notable_scales", ",".join(str(n) for n in sorted(notable))),
     )
     schedule = tuple(
-        tuple(f"{r}:alpha{idx}" for r, idx in sorted(rmap.items()))
-        for rmap in residue_maps
+        tuple(f"{r}:{kind}" for r, kind in enumerate(row) if kind) for row in rows
     )
     return SetSpec(
         tuple(comps),
@@ -503,8 +439,7 @@ def build_example(name, targets, scales):
         raise AdmissibilityError(violations[0])
     if len(families) == 1:
         return _build_interval(name, read.alpha, scales, schedule)
-    variant = "lower-box-only" if read.gamma is None else "full"
-    return _build_chunked(name, read, scales, variant, schedule)
+    return _build_chunked(name, read, scales, schedule)
 
 
 # ---------------------------------------------------------------------------
@@ -608,15 +543,13 @@ def interleave(spec_a, spec_b, marks):
             mask = (mask << win.length) | win.free_mask
             length += win.length
         comps.append(DigitPattern(length, mask))
-    def pick(spec, key):
-        return spec.param(key, "")
     merged_notables = sorted(
-        set(
+        {
             int(t)
             for spec in (spec_a, spec_b)
-            for t in pick(spec, "notable_scales").split(",")
+            for t in spec.param("notable_scales", "").split(",")
             if t
-        )
+        }
     )
     return SetSpec(
         tuple(comps),

@@ -140,26 +140,28 @@ def _json_int(key, value):
     return value
 
 
+def _json_str(key, value):
+    if not isinstance(value, str):
+        raise TypeError(f"{key} must be a JSON string, not {value!r}")
+    return value
+
+
 def from_json_dict(data):
     """The SetSpec of a ``to_json_dict`` document; a mistyped field is a TypeError."""
     symbols = _json_list("components", data["components"])
-    for s in symbols:
-        if not isinstance(s, str):
-            raise TypeError(f"a component must be a symbol string, not {s!r}")
-    comps = tuple(DigitPattern.from_symbols(s) for s in symbols)
+    comps = tuple(DigitPattern.from_symbols(_json_str("a component", s)) for s in symbols)
     params = data.get("params", {})
     if not isinstance(params, dict):
         raise TypeError(f"params must be a JSON object, not {type(params).__name__}")
-    params = tuple((str(k), str(v)) for k, v in params.items())
     boundaries = _json_list("boundaries", data.get("boundaries", []))
     return SetSpec(
         comps,
         _json_int("depth", data["depth"]),
-        name=str(data.get("name", "")),
-        params=params,
+        name=_json_str("name", data.get("name", "")),
+        params=tuple((k, _json_str(f"param {k}", v)) for k, v in params.items()),
         boundaries=tuple(_json_int("a boundary", n) for n in boundaries),
         schedule=tuple(
-            tuple(str(k) for k in _json_list("a schedule row", row))
+            tuple(_json_str("a schedule entry", k) for k in _json_list("a schedule row", row))
             for row in data.get("schedule", ())
         ),
     )

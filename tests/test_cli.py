@@ -276,6 +276,10 @@ NOTABLE_X = set_with(params={"notable_scales": "x"})
         pytest.param(SMALL, "count", set_with(components="a0", depth=1), id="components-string"),
         pytest.param(SMALL, "count", set_with(boundaries=[1.7, 3.2]), id="boundaries-floats"),
         pytest.param(SMALL, "off", set_with(schedule=["xy", ["y", "x"]]), id="schedule-string-row"),
+        pytest.param(SMALL, "dims", set_with(name=None), id="name-null"),
+        pytest.param(SMALL, "dims", set_with(name=5), id="name-5"),
+        pytest.param(SMALL, "off", set_with(schedule=[[1, 2], ["y", "x"]]), id="schedule-int-entries"),
+        pytest.param(SMALL, "count", set_with(params={"notable_scales": [3]}), id="param-list"),
         pytest.param(SMALL, "oracle", NOTABLE_X, id="notable-scales-x-oracle"),
         pytest.param({}, "construct", None, id="no-construction"),
         pytest.param({"construction": "custom"}, "validate", None, id="validate-no-alpha"),

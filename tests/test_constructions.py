@@ -1,11 +1,13 @@
 """Scale skeletons, block templates, named families, and combinators."""
 
+import hashlib
 import itertools
 import random
 from fractions import Fraction
 
 import pytest
 
+from sumdim import patterns
 from sumdim.constructions import (
     ALL_DIMS_2_ROWS,
     ALL_DIMS_3_TABLE,
@@ -103,7 +105,7 @@ HL = DimensionTargets((F(1, 4), F(1, 2)), (F(1, 2), F(1, 1)))
 
 def test_block_params_floors_and_zero_runs():
     scales = make_scale_sequence("scaled", 12, base=8)
-    par = block_params(4, HL, scales, "lower-box-only")
+    par = block_params(4, HL, scales)
     assert (par.l, par.m) == (2, 4)
     assert par.s is None and par.p is None
     # deficit n_k*(beta_i - alpha_i)/alpha_i = 33 for both indices at k=4
@@ -135,22 +137,30 @@ def test_chunk_template_inequalities_enforced():
 
 def test_make_block_tiles_and_saturates():
     scales = make_scale_sequence("scaled", 12, base=8)
-    par = block_params(4, HL, scales, "lower-box-only")
-    blk = make_block("beta1", 4, par, scales)
+    par = block_params(4, HL, scales)
+    blk = make_block("beta1", par, scales)
     assert blk.symbols() == "aa00" * 2  # gap(4) = 8 tiled by k = 4
     # both alpha zero runs exceed the block: fully forced
-    assert make_block("alpha1", 4, par, scales).symbols() == "0" * 8
-    assert make_block("alpha2", 4, par, scales).symbols() == "0" * 8
+    assert make_block("alpha1", par, scales).symbols() == "0" * 8
+    assert make_block("alpha2", par, scales).symbols() == "0" * 8
+    # hand-built zero runs: none, one chunk, and at or past the gap of 8
+    for d, want in ((0, "aa00aa00"), (4, "0000aa00"), (8, "0" * 8), (12, "0" * 8)):
+        hand = BlockParams(k=4, l=2, m=4, d=(d, 0))
+        assert make_block("alpha1", hand, scales).symbols() == want, d
+    assert make_block("alpha2", hand, scales).symbols() == "00aa00aa"
 
 
-def test_block_params_rejects_misfit_kinds():
+def test_misfit_kinds_fail_their_template():
     scales = make_scale_sequence("scaled", 12, base=8)
-    with pytest.raises(AdmissibilityError):
-        block_params(4, HL, scales, "lower-box-only", kinds=["beta3"])
+    par = block_params(4, HL, scales)
+    with pytest.raises(AdmissibilityError, match="targets of length >= 3"):
+        make_block("beta3", par, scales)
+    with pytest.raises(AdmissibilityError, match="targets of length >= 3"):
+        chunk_symbols("alpha3", par)
+    with pytest.raises(AdmissibilityError, match="targets of length >= 1"):
+        chunk_symbols("gamma1", par)  # no gamma targets, no p_k
     with pytest.raises(ScaleError):
-        block_params(13, HL, scales, "lower-box-only")
-    with pytest.raises(ConstructionError):
-        block_params(4, HL, scales, "boxes-only")
+        block_params(13, HL, scales)
 
 
 # ---------------------------------------------------------------------------
@@ -197,6 +207,23 @@ def test_canonical_component_counts():
     assert len(build_canonical("haus-lowbox").components) == 6
     assert len(build_canonical("all-dims-2").components) == 6
     assert len(build_canonical("all-dims-3").components) == 18
+
+
+# sha256 of patterns.dumps(build_canonical(name)): a refactor of the
+# builders must leave every canonical spec's bytes as they are
+CANONICAL_SHA256 = {
+    "pair-hausdorff": "cc5f48344a67e8d63e124c3f1bfc10e4495dae4894a108ad0a6c7eef7c32546d",
+    "triple-hausdorff": "7c98c237cb7de0b4c8e992c24227cb139f2693e3be0e46ee8963cced44375f41",
+    "haus-lowbox": "0917177b01d4bf992865de47f74a5155ac5e5f6ff404b9b974887d280a1b1d65",
+    "all-dims-2": "39eb2ba88cfe0932b2f3701b1c76d6538fc88821219113aa0fc29fb8d0260af3",
+    "all-dims-3": "cb0092013277debff54d3c5923ee0688c0b63f942661e957b0a71c40b259ff5b",
+}
+
+
+@pytest.mark.parametrize("name", CONSTRUCTION_NAMES)
+def test_canonical_spec_bytes_are_pinned(name):
+    text = patterns.dumps(build_canonical(name))
+    assert hashlib.sha256(text.encode()).hexdigest() == CANONICAL_SHA256[name]
 
 
 def test_haus_lowbox_notable_scales():
@@ -301,14 +328,18 @@ def test_third_floor_rounding_is_absorbed():
     scales = make_scale_sequence("scaled", 3, base=2)
     fam = (F(1, 4), F(1, 2), F(3, 4))
     targets = DimensionTargets(fam, fam, fam)
-    par = block_params(3, targets, scales, "full")
+    par = block_params(3, targets, scales)
     assert (par.l, par.m, par.s) == (0, 1, 1)
     assert (par.p, par.q, par.v) == (0, 1, 1)
     assert len(build_example("all-dims-3", targets, scales).components) == 18
     # a third target above the sum of the first two is not rounding
     over = DimensionTargets((F(0),) * 3, (F(1, 4), F(1, 4), F(3, 4)))
+    par = block_params(3, over, scales)
+    assert (par.l, par.m, par.s) == (0, 0, 2)
     with pytest.raises(AdmissibilityError, match=r"s_k <= l_k \+ m_k"):
-        block_params(3, over, scales, "lower-box-only")
+        chunk_symbols("beta3", par)
+    with pytest.raises(AdmissibilityError, match=r"s_k <= l_k \+ m_k"):
+        make_block("alpha3", par, scales)
 
 
 def test_interval_components_are_free_outside_zero_runs():
