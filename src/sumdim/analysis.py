@@ -108,12 +108,21 @@ def default_scales(spec):
     return tuple(sorted(out))
 
 
-def _resolve_scales(spec, scales):
+def resolve_scales(spec, scales):
+    """The sorted scales a ``scales`` value names on ``spec``.
+
+    None and "boundaries" name the default scales, "all" every prefix
+    length; any other value lists its scales, each an int in 1..depth.
+    """
     if scales is None or scales == "boundaries":
         return default_scales(spec)
     if scales == "all":
         return tuple(range(1, spec.depth + 1))
-    chosen = tuple(sorted(set(int(j) for j in scales)))
+    chosen = tuple(scales)
+    for j in chosen:
+        if isinstance(j, bool) or not isinstance(j, int):
+            raise ScaleError(f"scale {j!r} is not an integer")
+    chosen = tuple(sorted(set(chosen)))
     for j in chosen:
         if not 1 <= j <= spec.depth:
             raise ScaleError(f"scale {j} outside 1..{spec.depth}")
@@ -127,7 +136,7 @@ def count_trace(spec, fold, scales=None, mode="bracket", state_budget=DEFAULT_ST
     best single combination, which at block boundaries of the chunked
     constructions is the quantity the schedule predicts.
     """
-    chosen = _resolve_scales(spec, scales)
+    chosen = resolve_scales(spec, scales)
     results = sum_prefix_counts(spec, fold, chosen, mode=mode, state_budget=state_budget)
     entries = []
     for j in chosen:
@@ -155,7 +164,7 @@ def off_trace(spec, scales=None):
     Returns (n, OFF_n) pairs with exact rational OFF values; the running
     minimum over the reported scales lower-bounds every deeper dip.
     """
-    chosen = _resolve_scales(spec, scales)
+    chosen = resolve_scales(spec, scales)
     offs = branching_min_average(spec, chosen)
     return tuple((n, offs[n]) for n in chosen)
 

@@ -1,21 +1,12 @@
 """Command-line front end.
 
-Subcommands
------------
-construct   build a pattern spec from a config and write its JSON
-count       distinct-sum-prefix counts as CSV (one row per scale)
-dims        per-fold exponent bracket summary as JSON
-off         minimal average branching trace as CSV
-plunnecke   seeded sumset-inequality suites, JSON report
-validate    admissibility report for the configured targets
-oracle      counting engine vs brute-force enumeration, side by side
-
-Conventions: flags are long-form only; --seed, --fold, --scales and --mode
-set the config keys seed, folds (one fold), scales and mode, so the key
-checks and the config digest cover them; every output file is written
-atomically (temp file + rename) and embeds the tool version and the
-sha256 digest of the effective configuration; exit codes are 0 (ok),
-2 (configuration), 3 (admissibility), 4 (budget), 5 (internal).
+``COMMANDS`` lists the subcommands, each with its handler, help and flags;
+``_FLAGS`` says which config key each flag sets, so the key checks and the
+config digest cover every flag.  Flags are long-form only; every output
+file is written atomically (temp file + rename) and embeds the tool version
+and the sha256 digest of the effective configuration; exit codes are 0
+(ok), 2 (configuration, or an unreadable input or unwritable output),
+3 (admissibility), 4 (budget), 5 (internal).
 """
 
 from __future__ import annotations
@@ -32,11 +23,11 @@ from fractions import Fraction
 
 from . import __version__
 from .analysis import (
-    _resolve_scales,
     count_trace,
     off_trace,
     render_count_trace_csv,
     render_off_trace_csv,
+    resolve_scales,
 )
 from .constructions import (
     CANONICAL_EXAMPLES,
@@ -191,24 +182,8 @@ def _read_json(what, path):
         raise ConfigError(f"{what} {path} is not valid JSON: {exc}") from exc
 
 
-def load_config(path, overrides=None):
-    """The RunConfig of a JSON config file, with ``overrides`` given as keys."""
-    raw = _read_json("config", path)
-    if not isinstance(raw, dict):
-        raise ConfigError("config root must be a JSON object")
-    return RunConfig.from_dict({**raw, **(overrides or {})})
-
-
 def _tool_line(config):
     return f"sumdim {__version__} config={config.digest()}"
-
-
-def _tool_dict(config):
-    return {
-        "name": "sumdim",
-        "version": __version__,
-        "config_digest": config.digest(),
-    }
 
 
 def write_text_atomic(path, text):
@@ -228,22 +203,30 @@ def write_text_atomic(path, text):
 
 def _emit(text, out):
     if out:
-        write_text_atomic(out, text)
+        try:
+            write_text_atomic(out, text)
+        except OSError as exc:  # its message would name the temp file, not out
+            raise ConfigError(f"cannot write {out}: {exc.strerror or exc}") from exc
         print(f"wrote {out}")
     else:
         print(text, end="" if text.endswith("\n") else "\n")
+
+
+def _emit_json(config, out, **fields):
+    tool = {"name": "sumdim", "version": __version__, "config_digest": config.digest()}
+    _emit(json.dumps({"tool": tool, **fields}, indent=2, sort_keys=True) + "\n", out)
 
 
 def build_from_config(config):
     """Construct the SetSpec a config describes (a canonical one arrives resolved)."""
     if config.construction is None:
         raise ConfigError("config does not name a construction")
+    if config.construction not in CONSTRUCTION_NAMES:
+        raise ConfigError(f"unknown construction {config.construction!r}")
     if config.alpha is None:
         raise ConfigError(
             f"construction {config.construction!r} needs explicit targets"
         )
-    if config.construction not in CONSTRUCTION_NAMES:
-        raise ConfigError(f"unknown construction {config.construction!r}")
     return build_from_keys(config.construction, {k: getattr(config, k) for k in CANONICAL_KEYS})
 
 
@@ -258,19 +241,15 @@ def load_spec(path):
 
 
 def _resolve_spec(args, config):
-    if getattr(args, "set", None):
+    if args.set:
         return load_spec(args.set)
     return build_from_config(config)
 
 
-def _parse_scales(text):
-    """The ``scales`` key value a --scales flag spells; the key's check does the rest."""
-    if text in ("boundaries", "all"):
-        return text
-    try:
-        return [int(t) for t in text.split(",") if t]
-    except ValueError as exc:
-        raise ConfigError(f"bad --scales value {text!r}") from exc
+def _trace(spec, config, fold):
+    return count_trace(
+        spec, fold, scales=config.scales, mode=config.mode, state_budget=config.budget_states
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -279,21 +258,14 @@ def _parse_scales(text):
 
 def cmd_construct(args, config):
     spec = _resolve_spec(args, config)
-    doc = {"tool": _tool_dict(config), "spec": to_json_dict(spec)}
-    _emit(json.dumps(doc, indent=2, sort_keys=True) + "\n", args.out)
+    _emit_json(config, args.out, spec=to_json_dict(spec))
     print(f"components={len(spec.components)} depth={spec.depth}")
     return 0
 
 
 def cmd_count(args, config):
     spec = _resolve_spec(args, config)
-    trace = count_trace(
-        spec,
-        config.folds[0],
-        scales=config.scales,
-        mode=config.mode,
-        state_budget=config.budget_states,
-    )
+    trace = _trace(spec, config, config.folds[0])
     _emit(render_count_trace_csv(trace, header=_tool_line(config)), args.out)
     return 0
 
@@ -302,14 +274,7 @@ def cmd_dims(args, config):
     spec = _resolve_spec(args, config)
     rows = []
     for fold in config.folds:
-        trace = count_trace(
-            spec,
-            fold,
-            scales=config.scales,
-            mode=config.mode,
-            state_budget=config.budget_states,
-        )
-        entries = trace.entries
+        entries = _trace(spec, config, fold).entries
         rows.append(
             {
                 "fold": fold,
@@ -323,14 +288,7 @@ def cmd_dims(args, config):
                 "predicted_at_deepest": float(entries[-1].predicted),
             }
         )
-    doc = {
-        "tool": _tool_dict(config),
-        "set": spec.name,
-        "depth": spec.depth,
-        "mode": config.mode,
-        "folds": rows,
-    }
-    _emit(json.dumps(doc, indent=2, sort_keys=True) + "\n", args.out)
+    _emit_json(config, args.out, set=spec.name, depth=spec.depth, mode=config.mode, folds=rows)
     return 0
 
 
@@ -347,8 +305,7 @@ def cmd_plunnecke(args, config):
         cover_suite(config.seed),
         prop31_suite(config.seed),
     ]
-    doc = {"tool": _tool_dict(config), "reports": reports}
-    _emit(json.dumps(doc, indent=2, sort_keys=True) + "\n", args.out)
+    _emit_json(config, args.out, reports=reports)
     ok = True
     for rep in reports:
         verdict = "PASS" if rep["ok"] else "FAIL"
@@ -365,12 +322,7 @@ def cmd_validate(args, config):
         raise ConfigError("validate needs alpha targets in the config")
     targets = DimensionTargets(config.alpha, config.beta, config.gamma)
     report = validate_targets(targets)
-    doc = {
-        "tool": _tool_dict(config),
-        "ok": report.ok,
-        "violations": list(report.violations),
-    }
-    _emit(json.dumps(doc, indent=2, sort_keys=True) + "\n", args.out)
+    _emit_json(config, args.out, ok=report.ok, violations=list(report.violations))
     if report.ok:
         print("targets admissible")
         return 0
@@ -382,7 +334,7 @@ def cmd_validate(args, config):
 def cmd_oracle(args, config):
     fold = config.folds[0]
     spec = _resolve_spec(args, config)
-    chosen = _resolve_scales(spec, config.scales)
+    chosen = resolve_scales(spec, config.scales)
     results = sum_prefix_counts(
         spec, fold, chosen, mode="exact", state_budget=config.budget_states
     )
@@ -418,6 +370,44 @@ def cmd_oracle(args, config):
 # argument parsing and dispatch
 
 
+def _parse_scales(text):
+    """The ``scales`` key value a --scales flag spells; the key's check does the rest."""
+    if text in ("boundaries", "all"):
+        return text
+    try:
+        return [int(t) for t in text.split(",") if t]
+    except ValueError as exc:
+        raise ConfigError(f"bad --scales value {text!r}") from exc
+
+
+# flag -> (argparse options, the config key it sets, its value -> the key's value)
+_FLAGS = {
+    "fold": ({"type": int, "help": "number of set addends"}, "folds", lambda fold: [fold]),
+    "scales": (
+        {"help": "boundaries | all | comma-separated prefix lengths"},
+        "scales",
+        _parse_scales,
+    ),
+    "mode": ({"choices": ("exact", "bracket")}, "mode", str),
+    "seed": ({"type": int, "help": "suite seed (recorded in the report)"}, "seed", int),
+}
+
+# command -> (handler, help, takes --set, flags), in the order help lists them
+COMMANDS = {
+    "construct": (cmd_construct, "build a pattern spec and write its JSON", True, ()),
+    "count": (cmd_count, "distinct-sum-prefix counts as CSV", True, ("fold", "scales", "mode")),
+    "dims": (
+        cmd_dims, "per-fold exponent bracket summary as JSON", True, ("fold", "scales", "mode")
+    ),
+    "oracle": (
+        cmd_oracle, "engine vs brute-force enumeration, side by side", True, ("fold", "scales")
+    ),
+    "off": (cmd_off, "minimal average branching trace as CSV", True, ("scales",)),
+    "plunnecke": (cmd_plunnecke, "seeded sumset-inequality suites", False, ("seed",)),
+    "validate": (cmd_validate, "admissibility report for configured targets", False, ()),
+}
+
+
 @functools.cache
 def build_parser():
     """The one argument parser, built on the first call and reused after it.
@@ -430,73 +420,32 @@ def build_parser():
         description="exact dyadic dimension laboratory for digit-pattern sets",
     )
     parser.add_argument("--version", action="version", version=f"sumdim {__version__}")
-    # each of these flags, where a command has it, overrides one config key
-    parser.set_defaults(seed=None, fold=None, scales=None, mode=None)
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def common(p, with_set=True):
+    for name, (_, helptext, with_set, flags) in COMMANDS.items():
+        p = sub.add_parser(name, help=helptext)
         p.add_argument("--config", help="JSON run configuration")
         if with_set:
             p.add_argument("--set", help="pattern-spec JSON produced by construct")
         p.add_argument("--out", help="output path (atomic write); default stdout")
-
-    p = sub.add_parser("construct", help="build a pattern spec and write its JSON")
-    common(p)
-
-    for name, helptext in (
-        ("count", "distinct-sum-prefix counts as CSV"),
-        ("dims", "per-fold exponent bracket summary as JSON"),
-        ("oracle", "engine vs brute-force enumeration, side by side"),
-    ):
-        p = sub.add_parser(name, help=helptext)
-        common(p)
-        p.add_argument("--fold", type=int, help="number of set addends")
-        p.add_argument(
-            "--scales", help="boundaries | all | comma-separated prefix lengths"
-        )
-        if name != "oracle":
-            p.add_argument("--mode", choices=("exact", "bracket"))
-
-    p = sub.add_parser("off", help="minimal average branching trace as CSV")
-    common(p)
-    p.add_argument("--scales", help="boundaries | all | comma-separated prefix lengths")
-
-    p = sub.add_parser("plunnecke", help="seeded sumset-inequality suites")
-    common(p, with_set=False)
-    p.add_argument("--seed", type=int, help="suite seed (recorded in the report)")
-
-    p = sub.add_parser("validate", help="admissibility report for configured targets")
-    common(p, with_set=False)
-
+        for flag in flags:
+            p.add_argument(f"--{flag}", **_FLAGS[flag][0])
     return parser
-
-
-_DISPATCH = {
-    "construct": cmd_construct,
-    "count": cmd_count,
-    "dims": cmd_dims,
-    "off": cmd_off,
-    "plunnecke": cmd_plunnecke,
-    "validate": cmd_validate,
-    "oracle": cmd_oracle,
-}
 
 
 def main(argv=None):
     args = build_parser().parse_args(argv)
+    handler, _, _, flags = COMMANDS[args.command]
     try:
-        flags = {
-            "seed": args.seed,
-            "folds": None if args.fold is None else [args.fold],
-            "scales": None if args.scales is None else _parse_scales(args.scales),
-            "mode": args.mode,
-        }
-        overrides = {key: value for key, value in flags.items() if value is not None}
-        if args.config:
-            config = load_config(args.config, overrides)
-        else:
-            config = RunConfig.from_dict(overrides)
-        return _DISPATCH[args.command](args, config)
+        overrides = {}
+        for flag in flags:
+            _, key, to_value = _FLAGS[flag]
+            value = getattr(args, flag)
+            if value is not None:
+                overrides[key] = to_value(value)
+        raw = _read_json("config", args.config) if args.config else {}
+        if not isinstance(raw, dict):
+            raise ConfigError("config root must be a JSON object")
+        return handler(args, RunConfig.from_dict({**raw, **overrides}))
     except (ConfigError, ScaleError) as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 2

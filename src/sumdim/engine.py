@@ -166,6 +166,8 @@ class DistinctCountResult:
 
 
 def _check_scale(spec, scale):
+    if isinstance(scale, bool) or not isinstance(scale, int):
+        raise ScaleError(f"scale {scale!r} is not an integer")
     if not 0 <= scale <= spec.depth:
         raise ScaleError(f"scale {scale} outside 0..{spec.depth}")
 
@@ -823,9 +825,10 @@ def sum_prefix_counts(spec, fold, scales, mode="exact", state_budget=DEFAULT_STA
     if mode not in ("exact", "bracket"):
         raise ValueError(f"unknown mode {mode!r}")
     width = (fold - 1).bit_length()
-    scales = sorted(set(scales))
+    scales = list(scales)
     for j in scales:
         _check_scale(spec, j)
+    scales = sorted(set(scales))
     masks = undominated_masks(c.free_mask for c in spec.components)
     combos = _combos(len(masks), fold)
     emit = {j: max(j - width, 0) for j in scales}

@@ -19,6 +19,7 @@ from sumdim.analysis import (
     render_off_trace_csv,
 )
 from sumdim.constructions import CANONICAL_EXAMPLES, build_canonical
+from sumdim.engine import brute_force_oracle, sum_prefix_counts
 from sumdim.errors import ScaleError
 from sumdim.patterns import from_json_dict
 
@@ -55,6 +56,22 @@ def test_predicted_exponent_matches_the_reference_on_the_oracle_corpus():
             for j in range(1, spec.depth + 1):
                 want = reference_predicted_exponent(spec, fold, j)
                 assert predicted_exponent(spec, fold, j) == want, (spec.name, fold, j)
+
+
+@pytest.mark.parametrize("scale", [2.5, "5", True], ids=["float", "str", "bool"])
+@pytest.mark.parametrize(
+    "call",
+    [
+        pytest.param(lambda spec, j: count_trace(spec, 2, scales=[j]), id="count_trace"),
+        pytest.param(lambda spec, j: off_trace(spec, scales=[j]), id="off_trace"),
+        pytest.param(lambda spec, j: sum_prefix_counts(spec, 2, [j]), id="sum_prefix_counts"),
+        pytest.param(lambda spec, j: brute_force_oracle(spec, 2, j), id="brute_force_oracle"),
+    ],
+)
+def test_a_scale_that_is_not_an_int_is_a_scale_error(call, scale):
+    # none of them rounds, parses or keys a result by a non-int scale
+    with pytest.raises(ScaleError, match="is not an integer"):
+        call(from_rows(["a0a0", "0aaa"]), scale)
 
 
 @pytest.mark.parametrize("name", sorted(CANONICAL_EXAMPLES))

@@ -327,6 +327,8 @@ def test_canonical_config_builds_its_registry_entry(tmp_path, capsys):
         # a canonical entry fixes its targets as it fixes its skeleton
         ({"beta": ["1/3", "2/3"]}, 2, "fixes its own beta;"),
         ({"gamma": ["1/2", "1"], "horizon": 3}, 2, "fixes its own gamma, horizon;"),
+        # a misspelt name is unknown, not a construction that lacks targets
+        ({"construction": "hausdorff-pair"}, 2, "unknown construction 'hausdorff-pair'"),
     ],
 )
 def test_construct_refuses_targets_it_would_not_use(tmp_path, capsys, config, code, message):
@@ -430,6 +432,19 @@ def test_flag_enters_the_config_digest(tmp_path, monkeypatch, command, flag, key
         assert seen == [(name, seed) for seed in values for name in suites]
 
 
+@pytest.mark.parametrize("target", ["missing-dir", "a-directory"])
+def test_unwritable_out_is_exit_2(cfg, tmp_path, capsys, target):
+    # mkstemp fails in a missing directory, os.replace onto a directory
+    out = tmp_path / "missing" / "x.csv" if target == "missing-dir" else tmp_path / "adir"
+    if target == "a-directory":
+        out.mkdir()
+    assert run(["count", "--config", cfg, "--scales", "5", "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"configuration error: cannot write {out}: ")
+    assert "Traceback" not in err
+    assert not list(tmp_path.rglob(".sumdim-*"))
+
+
 def test_atomic_write_leaves_no_temp_files(tmp_path):
     target = tmp_path / "x.txt"
     write_text_atomic(str(target), "payload\n")
@@ -460,3 +475,47 @@ def test_flags_do_not_reach_the_next_call(cfg, tmp_path, command):
     assert run(["count", "--config", cfg, *flags, "--out", str(tmp_path / "flagged")]) == 0
     assert run([command, "--config", cfg, "--out", str(after)]) == 0
     assert after.read_bytes() == alone.read_bytes()
+
+
+# the flags each command takes; every other flag is an argparse error
+FLAG_MATRIX = {
+    "construct": ["--set"],
+    "count": ["--set", "--fold", "--scales", "--mode"],
+    "dims": ["--set", "--fold", "--scales", "--mode"],
+    "oracle": ["--set", "--fold", "--scales"],
+    "off": ["--set", "--scales"],
+    "plunnecke": ["--seed"],
+    "validate": [],
+}
+# each flag's argument, and the value argparse makes of it
+FLAG_VALUES = {
+    "--set": ("s.json", "s.json"),
+    "--fold": ("2", 2),
+    "--scales": ("all", "all"),
+    "--mode": ("exact", "exact"),
+    "--seed": ("3", 3),
+}
+
+
+def test_commands_are_listed_in_help_order():
+    assert list(cli.COMMANDS) == list(FLAG_MATRIX)
+
+
+@pytest.mark.parametrize(
+    "command, flag", [(c, f) for c, flags in FLAG_MATRIX.items() for f in flags]
+)
+def test_command_accepts_its_flag(command, flag):
+    text, value = FLAG_VALUES[flag]
+    args = cli.build_parser().parse_args([command, flag, text, "--out", "o"])
+    assert (args.command, getattr(args, flag[2:]), args.out) == (command, value, "o")
+
+
+@pytest.mark.parametrize(
+    "command, flag",
+    [(c, f) for c, flags in FLAG_MATRIX.items() for f in FLAG_VALUES if f not in flags],
+)
+def test_command_refuses_a_flag_it_lacks(capsys, command, flag):
+    with pytest.raises(SystemExit) as exc:
+        cli.build_parser().parse_args([command, flag, FLAG_VALUES[flag][0]])
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
