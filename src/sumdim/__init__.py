@@ -14,12 +14,10 @@ else stays importable from its module.
 from .analysis import count_trace, off_trace, predicted_exponent
 from .constructions import (
     DimensionTargets,
-    PastingPlan,
     build_canonical,
     build_example,
     interleave,
     make_scale_sequence,
-    paste,
     validate_targets,
 )
 from .engine import brute_force_oracle, sum_prefix_counts
@@ -30,7 +28,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "DimensionTargets",
-    "PastingPlan",
     "SetSpec",
     "brute_force_oracle",
     "build_canonical",
@@ -42,7 +39,6 @@ __all__ = [
     "loads",
     "make_scale_sequence",
     "off_trace",
-    "paste",
     "predicted_exponent",
     "prop31_suite",
     "ruzsa_suite",

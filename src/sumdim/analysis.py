@@ -19,8 +19,10 @@ from fractions import Fraction
 
 from .engine import (
     DEFAULT_STATE_BUDGET,
-    MAX_FOLD,
     branching_min_average,
+    check_fold,
+    check_scale,
+    check_scales,
     sum_prefix_counts,
     undominated_masks,
 )
@@ -73,18 +75,17 @@ def predicted_exponent(spec, fold, scale):
     free in the carry-free sum block; its density is the schedule's own
     exponent prediction.  The window is the top ``scale`` digits of the
     sum word, whose low end sits ``(fold - 1).bit_length()`` digits above
-    the same-scale prefix cut, matching the counting engine.  A fold
-    outside 1..MAX_FOLD is a ValueError, as in the engine.
+    the same-scale prefix cut, matching the counting engine.  The fold
+    and the scale pass the engine's ``check_fold`` and ``check_scale``
+    (scale at least 1), as in every other entry point.
 
     The unions do not depend on the scale, so ``_fold_unions`` caches them
     per key (the tuple of component free masks, fold); each scale then
     only shifts and counts them.  The key holds no depth: the shift comes
     from this spec's own depth.
     """
-    if not 1 <= fold <= MAX_FOLD:
-        raise ValueError(f"fold must lie in 1..{MAX_FOLD}, got {fold}")
-    if not 1 <= scale <= spec.depth:
-        raise ScaleError(f"scale {scale} outside 1..{spec.depth}")
+    check_fold(fold)
+    check_scale(spec, scale, 1)
     shift = spec.depth + (fold - 1).bit_length() - scale
     unions = _fold_unions(tuple(c.free_mask for c in spec.components), fold)
     best = max(((u >> shift).bit_count() for u in unions), default=0)
@@ -112,21 +113,14 @@ def resolve_scales(spec, scales):
     """The sorted scales a ``scales`` value names on ``spec``.
 
     None and "boundaries" name the default scales, "all" every prefix
-    length; any other value lists its scales, each an int in 1..depth.
+    length; any other value lists its scales, each passing ``check_scale``
+    with scale at least 1.
     """
     if scales is None or scales == "boundaries":
         return default_scales(spec)
     if scales == "all":
         return tuple(range(1, spec.depth + 1))
-    chosen = tuple(scales)
-    for j in chosen:
-        if isinstance(j, bool) or not isinstance(j, int):
-            raise ScaleError(f"scale {j!r} is not an integer")
-    chosen = tuple(sorted(set(chosen)))
-    for j in chosen:
-        if not 1 <= j <= spec.depth:
-            raise ScaleError(f"scale {j} outside 1..{spec.depth}")
-    return chosen
+    return check_scales(spec, scales, 1)
 
 
 def count_trace(spec, fold, scales=None, mode="bracket", state_budget=DEFAULT_STATE_BUDGET):

@@ -187,11 +187,18 @@ def _tool_line(config):
 
 
 def write_text_atomic(path, text):
-    """Write via a sibling temp file and rename, so readers never see halves."""
+    """Write via a sibling temp file and rename, so readers never see halves.
+
+    The file gets the mode ``open`` would give it, 0666 less the umask:
+    ``mkstemp`` creates the temp file 0600, and the rename keeps that.
+    """
     directory = os.path.dirname(os.path.abspath(path))
     fd, tmp = tempfile.mkstemp(dir=directory, prefix=".sumdim-")
+    umask = os.umask(0)  # reading the umask means setting it
+    os.umask(umask)
     try:
         with os.fdopen(fd, "w", encoding="utf-8") as fh:
+            os.fchmod(fh.fileno(), 0o666 & ~umask)
             fh.write(text)
         os.replace(tmp, path)
     except BaseException:

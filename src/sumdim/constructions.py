@@ -446,68 +446,6 @@ def build_example(name, targets, scales):
 # combinators
 
 
-@dataclass(frozen=True)
-class PastingPlan:
-    """Segment lengths M_1 <= M_2 <= ...; segment l covers positions S_l+1 .. S_{l+1}."""
-
-    lengths: tuple
-
-    def __post_init__(self):
-        object.__setattr__(self, "lengths", tuple(int(m) for m in self.lengths))
-        if not self.lengths or self.lengths[0] < 1:
-            raise ConstructionError("need at least one positive segment")
-        for a, b in itertools.pairwise(self.lengths):
-            if b < a:
-                raise ConstructionError("segment lengths must be nondecreasing")
-
-    @property
-    def offsets(self):
-        out = [0]
-        for m in self.lengths:
-            out.append(out[-1] + m)
-        return tuple(out)
-
-
-def paste(specs, plan):
-    """Dyadic concatenation: segment l follows spec l's digit constraints.
-
-    Each output component picks one source component per segment and
-    concatenates their truncations, so the result ranges over all such
-    choices (duplicates collapsed).
-    """
-    specs = tuple(specs)
-    if len(specs) != len(plan.lengths):
-        raise ConstructionError(
-            f"{len(specs)} specs for {len(plan.lengths)} segments"
-        )
-    for spec, m in zip(specs, plan.lengths):
-        if m > spec.depth:
-            raise ConstructionError(f"segment {m} deeper than spec depth {spec.depth}")
-        if m != spec.depth and spec.boundaries and (m + 1) not in spec.boundaries:
-            raise ConstructionError(
-                f"segment length {m} does not end on a block boundary"
-            )
-    comps = []
-    seen = set()
-    for choice in itertools.product(*(s.components for s in specs)):
-        mask = 0
-        for comp, m in zip(choice, plan.lengths):
-            mask = (mask << m) | (comp.free_mask >> (comp.length - m))
-        if mask not in seen:
-            seen.add(mask)
-            comps.append(DigitPattern(plan.offsets[-1], mask))
-    return SetSpec(
-        tuple(comps),
-        plan.offsets[-1],
-        name="paste(" + "+".join(s.name or "?" for s in specs) + ")",
-        params=(
-            ("construction", "paste"),
-            ("segments", ",".join(str(m) for m in plan.lengths)),
-        ),
-        boundaries=tuple(s + 1 for s in plan.offsets),
-    )
-
-
 def interleave(spec_a, spec_b, marks):
     """Alternate block ranges between two same-skeleton specs.
 

@@ -165,11 +165,28 @@ class DistinctCountResult:
     fell_back: bool
 
 
-def _check_scale(spec, scale):
+def check_fold(fold):
+    """ValueError unless ``fold`` is an int (not a bool) in 1..MAX_FOLD: the one fold rule."""
+    if isinstance(fold, bool) or not isinstance(fold, int) or not 1 <= fold <= MAX_FOLD:
+        raise ValueError(f"fold must lie in 1..{MAX_FOLD}, got {fold!r}")
+
+
+def check_scale(spec, scale, lowest=0):
+    """``scale`` if it is an int (not a bool) in lowest..depth, else ScaleError: the one scale rule.
+
+    Counts take scale 0 (one window); exponents and OFF_n divide by the
+    scale, so their callers pass ``lowest=1``.
+    """
     if isinstance(scale, bool) or not isinstance(scale, int):
         raise ScaleError(f"scale {scale!r} is not an integer")
-    if not 0 <= scale <= spec.depth:
-        raise ScaleError(f"scale {scale} outside 0..{spec.depth}")
+    if not lowest <= scale <= spec.depth:
+        raise ScaleError(f"scale {scale} outside {lowest}..{spec.depth}")
+    return scale
+
+
+def check_scales(spec, scales, lowest=0):
+    """The distinct scales, sorted, each checked by ``check_scale`` before any dedup."""
+    return tuple(sorted({check_scale(spec, j, lowest) for j in scales}))
 
 
 def branching_min_average(spec, scales):
@@ -184,10 +201,7 @@ def branching_min_average(spec, scales):
     S & F, each at cost r when S & F is nonempty.  One pass serves every
     requested scale n: returns {n: Fraction in [0, 1]}.
     """
-    want = sorted(set(scales), reverse=True)
-    for n in want:
-        if not 1 <= n <= spec.depth:
-            raise ScaleError(f"scale {n} outside 1..{spec.depth}")
+    want = sorted(check_scales(spec, scales, 1), reverse=True)
     masks = undominated_masks(c.free_mask for c in spec.components)
     starts, columns = _segments(masks, spec.depth, _combos(len(masks), 1))
     dp = {(1 << len(masks)) - 1: 0}
@@ -225,11 +239,10 @@ def _submasks(m):
 # brute-force oracle
 
 
-@lru_cache(maxsize=8)
+@lru_cache(maxsize=8, typed=True)  # untyped, fold True or 2.0 would hit 1 or 2 past check_fold
 def iterated_pattern_sums(spec, fold, budget=DEFAULT_ENUM_BUDGET):
     """Sorted l-fold sums of the union set, by exhaustive enumeration."""
-    if fold < 1:
-        raise ValueError("fold must be at least 1")
+    check_fold(fold)
     total = sum(1 << c.free_count() for c in spec.components)
     if total > budget:
         raise BudgetExceededError(
@@ -250,7 +263,7 @@ def iterated_pattern_sums(spec, fold, budget=DEFAULT_ENUM_BUDGET):
 
 def brute_force_oracle(spec, fold, scale, budget=DEFAULT_ENUM_BUDGET):
     """Definitionally exact count of distinct sum prefixes at one scale."""
-    _check_scale(spec, scale)
+    check_scale(spec, scale)
     sums = iterated_pattern_sums(spec, fold, budget)
     shift = spec.depth + (fold - 1).bit_length() - scale
     count = len({y >> shift for y in sums})
@@ -815,20 +828,16 @@ def sum_prefix_counts(spec, fold, scales, mode="exact", state_budget=DEFAULT_STA
     they share one walk down per combination.  Returns {scale:
     DistinctCountResult}.  In exact mode a state-budget overflow falls back
     to bracket mode for that scale alone, flagged in the result, never
-    silently.  A fold outside 1..MAX_FOLD or a state budget below 1 is a
-    ValueError.
+    silently.  The fold and each scale pass ``check_fold`` and
+    ``check_scale``; a state budget below 1 is a ValueError.
     """
-    if not 1 <= fold <= MAX_FOLD:
-        raise ValueError(f"fold must lie in 1..{MAX_FOLD}, got {fold}")
+    check_fold(fold)
     if state_budget < 1:
         raise ValueError("state_budget must be at least 1")
     if mode not in ("exact", "bracket"):
         raise ValueError(f"unknown mode {mode!r}")
     width = (fold - 1).bit_length()
-    scales = list(scales)
-    for j in scales:
-        _check_scale(spec, j)
-    scales = sorted(set(scales))
+    scales = check_scales(spec, scales)
     masks = undominated_masks(c.free_mask for c in spec.components)
     combos = _combos(len(masks), fold)
     emit = {j: max(j - width, 0) for j in scales}

@@ -10,7 +10,7 @@ class ScaleError(SumdimError):
 
 
 class ConstructionError(SumdimError):
-    """A block, schedule, pasting or interleaving request violates its preconditions."""
+    """A block, schedule or interleaving request violates its preconditions."""
 
 
 class AdmissibilityError(SumdimError):

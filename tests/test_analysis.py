@@ -19,7 +19,7 @@ from sumdim.analysis import (
     render_off_trace_csv,
 )
 from sumdim.constructions import CANONICAL_EXAMPLES, build_canonical
-from sumdim.engine import brute_force_oracle, sum_prefix_counts
+from sumdim.engine import MAX_FOLD, branching_min_average, brute_force_oracle, sum_prefix_counts
 from sumdim.errors import ScaleError
 from sumdim.patterns import from_json_dict
 
@@ -66,12 +66,35 @@ def test_predicted_exponent_matches_the_reference_on_the_oracle_corpus():
         pytest.param(lambda spec, j: off_trace(spec, scales=[j]), id="off_trace"),
         pytest.param(lambda spec, j: sum_prefix_counts(spec, 2, [j]), id="sum_prefix_counts"),
         pytest.param(lambda spec, j: brute_force_oracle(spec, 2, j), id="brute_force_oracle"),
+        pytest.param(lambda spec, j: predicted_exponent(spec, 2, j), id="predicted_exponent"),
+        pytest.param(lambda spec, j: branching_min_average(spec, [j]), id="branching_min_average"),
     ],
 )
 def test_a_scale_that_is_not_an_int_is_a_scale_error(call, scale):
     # none of them rounds, parses or keys a result by a non-int scale
     with pytest.raises(ScaleError, match="is not an integer"):
         call(from_rows(["a0a0", "0aaa"]), scale)
+
+
+@pytest.mark.parametrize("fold", [True, 2.0, 0, MAX_FOLD + 1], ids=["bool", "float", "0", "max+1"])
+@pytest.mark.parametrize(
+    "call",
+    [
+        pytest.param(lambda spec, k: sum_prefix_counts(spec, k, [2]), id="sum_prefix_counts"),
+        pytest.param(lambda spec, k: count_trace(spec, k, scales=[2]), id="count_trace"),
+        pytest.param(lambda spec, k: predicted_exponent(spec, k, 2), id="predicted_exponent"),
+        # folds 1 and 2 enumerated first: as cache keys True and 2.0 equal them
+        pytest.param(
+            lambda spec, k: [brute_force_oracle(spec, f, 2) for f in (1, 2, k)],
+            id="brute_force_oracle",
+        ),
+    ],
+)
+def test_a_fold_that_is_not_an_int_in_range_is_a_value_error(call, fold):
+    # one rule and one message everywhere: True used to count as 1, 2.0 to crash, and the oracle
+    # to enumerate fold 9
+    with pytest.raises(ValueError, match=f"1..{MAX_FOLD}, got"):
+        call(from_rows(["a0a0", "0aaa"]), fold)
 
 
 @pytest.mark.parametrize("name", sorted(CANONICAL_EXAMPLES))

@@ -2,7 +2,9 @@
 
 import dataclasses
 import json
+import os
 import re
+import stat
 import time
 
 import pytest
@@ -450,6 +452,20 @@ def test_atomic_write_leaves_no_temp_files(tmp_path):
     write_text_atomic(str(target), "payload\n")
     assert target.read_text() == "payload\n"
     assert [p.name for p in tmp_path.iterdir()] == ["x.txt"]
+
+
+def test_atomic_write_gives_the_file_the_umask_mode(tmp_path):
+    # the temp file starts 0600, so the rename alone would keep it private
+    target = tmp_path / "x.txt"
+    saved = os.umask(0o022)
+    try:
+        write_text_atomic(str(target), "payload\n")
+        assert stat.S_IMODE(target.stat().st_mode) == 0o644
+        os.umask(0o077)
+        write_text_atomic(str(target), "payload\n")
+        assert stat.S_IMODE(target.stat().st_mode) == 0o600
+    finally:
+        os.umask(saved)
 
 
 def test_version_flag(capsys):

@@ -16,7 +16,6 @@ from sumdim.constructions import (
     HAUS_LOWBOX_ROWS,
     BlockParams,
     DimensionTargets,
-    PastingPlan,
     ScaleSequence,
     block_params,
     build_canonical,
@@ -25,7 +24,6 @@ from sumdim.constructions import (
     interleave,
     make_block,
     make_scale_sequence,
-    paste,
     star_floor,
     validate_targets,
 )
@@ -408,39 +406,6 @@ def test_validator_orders_families_pointwise():
 
 # ---------------------------------------------------------------------------
 # combinators
-
-
-def test_pasting_plan_offsets_and_ordering():
-    plan = PastingPlan((2, 2, 4))
-    assert plan.offsets == (0, 2, 4, 8)
-    with pytest.raises(ConstructionError):
-        PastingPlan((3, 2))
-    with pytest.raises(ConstructionError):
-        PastingPlan(())
-
-
-def test_paste_concatenates_digit_constraints():
-    first = from_rows(["aa"])
-    second = from_rows(["0a", "a0"])
-    out = paste([first, second], PastingPlan((2, 2)))
-    assert out.depth == 4
-    assert sorted(c.symbols() for c in out.components) == ["aa0a", "aaa0"]
-    assert out.boundaries == (1, 3, 5)
-    with pytest.raises(ConstructionError):
-        paste([first], PastingPlan((2, 2)))
-    with pytest.raises(ConstructionError):
-        paste([first, second], PastingPlan((2, 3)))
-
-
-def test_paste_respects_block_boundaries():
-    scales = make_scale_sequence("scaled", 3, base=4)
-    spec = build_example("haus-lowbox", HL, scales)
-    # scale values (4, 8, 12, 18): the first block ends at position 7
-    plan = PastingPlan((7, spec.depth))
-    out = paste([spec, spec], plan)
-    assert out.depth == 7 + spec.depth
-    with pytest.raises(ConstructionError):
-        paste([spec, spec], PastingPlan((6, spec.depth)))
 
 
 def test_interleave_alternates_block_ranges():
