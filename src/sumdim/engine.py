@@ -100,7 +100,8 @@ lies in 0..f, so a step ANDs slices with the segment's lanes of at least
 s free: at most fold * (fold + 1) ANDs a state, however many lanes are
 occupied.  A merge moves the bits of lanes whose target is another; a
 slice's kill mask, the OR of what its killers dominate, is memoised per
-slice and level, and found before any drop as dominance is transitive.
+slice and per level that changes something, and found before any drop as
+dominance is transitive.
 
 One sweep
 ---------
@@ -117,9 +118,14 @@ exactly: the step is deterministic, so a group's next reach set is the
 image of its current one, and groups with equal images merge.  A group
 whose reach set passes the budget leaves with its scales, which fall
 back alone.  The forward ``settled`` skip is kept, so a one-scale call
-does the work it did on its own.  The combinations are put in lane order
-once per call (``_lane_order``): each level's merge targets come first,
-so the occupied lanes form a prefix and every slice stays a short integer.
+does the work it did on its own.  A step that leaves the states and the
+reach groups as they were is a fixed point: every later step repeats it
+until a walk joins, the segment ends or the level changes something, so
+those steps record its successor row again without stepping a state.  On
+the deep interval specs nearly every step between two scales is one.
+The combinations are put in lane order once per call (``_lane_order``):
+each level's merge targets come first, so the occupied lanes form a
+prefix and every slice stays a short integer.
 """
 
 from __future__ import annotations
@@ -285,34 +291,19 @@ def _carry_tables(fold):
     carries never leave 0..fold-1.
     """
     size = 1 << fold
-    next0 = []
-    next1 = []
-    nextany = []
+    next0, next1, nextany = [], [], []
     for f in range(fold + 1):
-        single0 = [0] * fold
-        single1 = [0] * fold
-        for c in range(fold):
-            m0 = m1 = 0
-            for sigma in range(f + 1):
-                s = c + sigma
-                if s & 1:
-                    m1 |= 1 << (s >> 1)
-                else:
-                    m0 |= 1 << (s >> 1)
-            single0[c], single1[c] = m0, m1
-        t0 = [0] * size
-        t1 = [0] * size
-        ta = [0] * size
+        t0, t1 = [0] * size, [0] * size
         for mask in range(1, size):
             lsb = mask & -mask
-            rest = mask ^ lsb
             c = lsb.bit_length() - 1
-            t0[mask] = t0[rest] | single0[c]
-            t1[mask] = t1[rest] | single1[c]
-            ta[mask] = t0[mask] | t1[mask]
+            m = [t0[mask ^ lsb], t1[mask ^ lsb]]  # the other carries' successors, by bit
+            for s in range(c, c + f + 1):
+                m[s & 1] |= 1 << (s >> 1)
+            t0[mask], t1[mask] = m
         next0.append(t0)
         next1.append(t1)
-        nextany.append(ta)
+        nextany.append([a | b for a, b in zip(t0, t1)])
     return next0, next1, nextany
 
 
@@ -653,13 +644,18 @@ def _count_outputs(table, emit, carry_shift, init, fold, state_budget, antichain
     the word with its final carry shifted right by carry_shift[j].  Each
     successor is kept canonical over the positions still to come, by
     the ``_antichain`` tables: a lane moves into its merge target's, and a
-    member whose carry a live strict dominator holds is dropped.
+    member whose carry a live strict dominator holds is dropped.  The
+    merge and kill memos are emptied only at a level that changes a merge
+    target or a dominator set.
 
     Scales with one emit position share a walk, whose initial state joins
     the sweep just before its first position ("One sweep" above).  Each
     stepped position records the indices of each state's two successors,
     -1 for none; the pass back up counts count[x] = count[a] + count[b],
     and a walk reads its initial state's count at the row it joined.  A
+    step whose states and reach groups come out as they went in is fixed:
+    until a join, a segment cut or a level that changes something, each
+    later position records that step's row again and steps nothing.  A
     walk's peak is the largest reach set of the groups it was in; a group
     over the state budget leaves the sweep with its walks.  Returns {j:
     (count, peak)}, with count None where the walk left.
@@ -714,6 +710,7 @@ def _count_outputs(table, emit, carry_shift, init, fold, state_budget, antichain
     settled = True
     moves = None  # this segment's _slice_moves
     moving = True  # lanes that move to a merge target may be occupied
+    fixed = False  # the last step left the states and groups as they were
     i = bisect_right(starts, top) - 1  # the segment that holds position t
     for t in range(top, -1, -1):
         if walks and walks[-1] == t:
@@ -727,23 +724,30 @@ def _count_outputs(table, emit, carry_shift, init, fold, state_budget, antichain
             group(groups, frozenset([x]), node[t])
             settled = settled and not any(s0[1:])
             moving = True
+            fixed = False
         if not t or not index and not walks:  # done, or every walk left
             break
         if t < starts[i]:  # free counts change
             i -= 1
             moves = None
+            fixed = False
         if k and starts[k - 1] == t:  # positions below t leave level k
             changes = undo[k]
-            for n in range(0, len(changes), 3):
-                a, d, r = changes[n : n + 3]
-                for b in _bits(d & ~dominators[a]):
-                    dominated[b] |= 1 << a
-                dominators[a], targets[a] = d, r
             k -= 1
-            movers, killers, merged, kills = level()
-            moving = True
+            if changes:  # a level that changes nothing keeps its memos
+                for n in range(0, len(changes), 3):
+                    a, d, r = changes[n : n + 3]
+                    for b in _bits(d & ~dominators[a]):
+                        dominated[b] |= 1 << a
+                    dominators[a], targets[a] = d, r
+                movers, killers, merged, kills = level()
+                moving = True
+                fixed = False
         if not index or settled and not busy[i]:
             continue  # nothing to step, or zero digits leave carry 0 where it is
+        if fixed:  # this step would repeat the last one
+            rows.append(rows[-1])
+            continue
         if moves is None:
             row = bytes(col[i] for col in reversed(columns))  # lane 0 is the low bit
             ge = [int(row.translate(_count_map(s, True)), 2) for s in range(fold + 1)]
@@ -784,6 +788,10 @@ def _count_outputs(table, emit, carry_shift, init, fold, state_budget, antichain
                 image = frozenset(map(zero.__getitem__, reach)).union(map(one.__getitem__, reach))
                 image -= {-1}
             group(images, image, n)
+        # a step that leaves the states and groups as they were (none then
+        # over the budget) repeats until a walk joins, the segment ends or
+        # the level changes something
+        fixed = new == index and images == groups
         groups = images
         left = [reach for reach in groups if len(reach) > state_budget]
         for reach in left:
@@ -829,11 +837,12 @@ def sum_prefix_counts(spec, fold, scales, mode="exact", state_budget=DEFAULT_STA
     DistinctCountResult}.  In exact mode a state-budget overflow falls back
     to bracket mode for that scale alone, flagged in the result, never
     silently.  The fold and each scale pass ``check_fold`` and
-    ``check_scale``; a state budget below 1 is a ValueError.
+    ``check_scale``; a state budget that is not an int (not a bool) of at
+    least 1 is a ValueError.
     """
     check_fold(fold)
-    if state_budget < 1:
-        raise ValueError("state_budget must be at least 1")
+    if isinstance(state_budget, bool) or not isinstance(state_budget, int) or state_budget < 1:
+        raise ValueError(f"state_budget must be an int of at least 1, got {state_budget!r}")
     if mode not in ("exact", "bracket"):
         raise ValueError(f"unknown mode {mode!r}")
     width = (fold - 1).bit_length()

@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sumdim import engine
-from sumdim.analysis import predicted_exponent
+from sumdim.analysis import count_trace, predicted_exponent, resolve_scales
 from sumdim.constructions import (
     CANONICAL_EXAMPLES,
     DimensionTargets,
@@ -378,6 +378,18 @@ def test_fold_above_max_fold_is_refused_before_any_table(monkeypatch, fold):
             sum_prefix_counts(spec, fold, [2], mode=mode)
     with pytest.raises(ValueError, match=f"1..{engine.MAX_FOLD}, got {fold}"):
         predicted_exponent(spec, fold, 2)
+
+
+@pytest.mark.parametrize("budget", [True, 2.5, 1.0, float("inf"), "3", None])
+def test_a_state_budget_that_is_not_an_int_is_a_value_error(budget):
+    # True used to count as a budget of 1, 2.5 and inf were taken as
+    # ceilings, and "3" and None raised a bare TypeError
+    spec = from_rows(["0000aa", "000a0a"])
+    for mode in ("exact", "bracket"):
+        with pytest.raises(ValueError, match=f"state_budget must be an int of at least 1, got {budget!r}"):
+            sum_prefix_counts(spec, 2, [3], mode=mode, state_budget=budget)
+        with pytest.raises(ValueError, match="state_budget"):
+            count_trace(spec, 2, [3], mode=mode, state_budget=budget)
 
 
 def test_state_budget_below_one_is_rejected():
@@ -803,6 +815,24 @@ def test_one_exact_call_serves_every_scale_of_a_deep_spec(name):
         assert got[j].mode == "exact" and b.lower <= got[j].bracket.lower <= b.upper, j
     for j in [*scales[::128], spec.depth]:
         assert got[j] == sum_prefix_counts(spec, 2, [j], mode="exact")[j], j
+
+
+@pytest.mark.parametrize("name", ["pair-hausdorff", "triple-hausdorff"])
+@pytest.mark.parametrize("fold", [2, 3])
+def test_carry_major_kernel_matches_the_lane_major_one_over_fixed_steps(name, fold):
+    # at the default scales the sweep repeats one fixed step for hundreds of
+    # positions between two joins, where the canonical-spec comparison joins
+    # a walk every 31st scale; the smaller budgets make groups leave the sweep
+    spec = build_canonical(name)
+    scales = resolve_scales(spec, "boundaries")
+    got = sum_prefix_counts(spec, fold, scales, mode="exact")
+    assert got == lane_major_prefix_counts(spec, fold, scales)
+    assert not any(r.fell_back for r in got.values())
+    peak = max(r.peak_states for r in got.values())
+    for budget in (peak - 1, 2):
+        got = sum_prefix_counts(spec, fold, scales, mode="exact", state_budget=budget)
+        assert got == lane_major_prefix_counts(spec, fold, scales, budget), budget
+        assert any(r.fell_back for r in got.values()), budget
 
 
 @given(specs_with_fold(), st.data())
