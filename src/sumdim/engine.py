@@ -60,14 +60,19 @@ Adjacent segments with equal count merge into runs.  A run of r
 positions is one sparse product of the vector with rows of M_f^r (the
 transfer-matrix method).  Row S of M_f^r is built on first use, from the
 cached squarings M_f^(2^k), and kept: the same (f, r, S) recur across
-combinations, so nearly every run reuses rows.  The low phase likewise
+combinations, so nearly every run reuses rows.  One cached rule,
+``_run_rule``, says what a run does to S, and holds the walk's two
+shortcuts: carry 0 alone with f < 2 only doubles its count, and a run
+with no addend free is cut to the carry width.  The low phase likewise
 looks up one cached entry of nextany[f] composed r times per run.
 
 A lone combination is walked once per call, not once per scale.  The
-call's emit positions e_1 > ... > e_m cut its positions into stretches,
-and each stretch is walked once from every carry set met at its top: the
-scale's own initial set and those the walks from above reach, so at most
-2^l - 1 walks share a stretch.  The count is linear in the vector, so a
+call's emit positions e_1 > ... > e_m, sorted once per call, cut its
+positions into stretches, and each stretch is walked once from every
+carry set met at its top: the scale's own initial set and those the
+walks from above reach, so at most 2^l - 1 walks share a stretch.  A
+stretch inside one run, as most are when a call asks for every scale, is
+one lookup of the rule.  The count is linear in the vector, so a
 bottom-up pass combines the stretch walks into every scale's count.
 
 Pruning
@@ -331,9 +336,9 @@ def _segments(masks, depth, combos):
     masks marks where a segment starts.  Returns ``(starts, columns)``:
     segment i covers positions starts[i]..starts[i+1]-1, from starts[0] = 1
     to starts[-1] = depth + 1, and byte i of columns[ci] is how many of
-    combination ci's addends are free there.  Each mask is spread to one
-    byte per segment, so a column is the big-int sum of its addends'
-    spreads.
+    combination ci's addends are free there.  Each mask is formatted once
+    and spread to one byte per segment, its digit at the segment's start,
+    so a column is the big-int sum of its addends' spreads.
     """
     change = 0
     for m in masks:
@@ -341,7 +346,8 @@ def _segments(masks, depth, combos):
     change &= (1 << (depth - 1)) - 1  # bit depth - 1 would compare position 1 with 0
     marks = format(change, f"0{depth}b")  # character t - 1 is position t
     starts = [1] + [t + 1 for t in range(1, depth) if marks[t] == "1"]
-    spread = [int.from_bytes(bytes((m >> (depth - t)) & 1 for t in starts), "big") for m in masks]
+    digits = [format(m, f"0{depth}b").encode() for m in masks]  # byte t - 1 is position t
+    spread = [int.from_bytes(bytes(d[t - 1] & 1 for t in starts), "big") for d in digits]
     columns = [sum(spread[c] for c in combo).to_bytes(len(starts), "big") for combo in combos]
     return starts + [depth + 1], columns
 
@@ -466,20 +472,22 @@ def _absorb_run(fold, f, r, s):
     return s
 
 
-def _initial_carry_masks(runs, fold, scales):
-    """Carry-set of one combination after absorbing every digit below each scale.
+def _initial_carry_masks(runs, fold, tops):
+    """Carry-set of one combination after absorbing every digit below each position.
 
-    One pass from the deepest position upward, one cached lookup per run
-    (or part of a run above and below a scale); returns {scale: mask}.
+    ``tops`` lists distinct positions in descending order.  One pass from
+    the deepest position upward, one cached lookup per run (or part of a
+    run above and below a position); returns {position: mask}, in the
+    order of ``tops``.
     """
     starts, counts = runs
     out = {}
     cur = 1  # carry 0 only
     hi = starts[-1] - 1
     i = len(counts) - 1  # the run that holds position hi
-    for j in sorted(set(scales), reverse=True):
+    for j in tops:
         while hi > j:
-            lo = max(starts[i], j + 1)
+            lo = starts[i] if starts[i] > j else j + 1
             cur = _absorb_run(fold, counts[i], hi - lo + 1, cur)
             hi = lo - 1
             if lo == starts[i]:
@@ -535,45 +543,59 @@ def _run_row(fold, f, r, s):
     return vec
 
 
+@lru_cache(maxsize=RUN_CACHE_SIZE)
+def _run_rule(fold, f, r, s):
+    """Carry set s through r positions with f addends free: ``(row, doublings)``.
+
+    The row is row s of M_f^r with its counts divided by 2^doublings.  Two
+    shortcuts live here and nowhere else.  Carry 0 alone with f < 2 stays
+    alone, each position having 2^f output bits, so the row is (({0}, 1),)
+    with f * r doublings and no big count.  With no addend free the carries
+    halve, so after ``width`` positions every carry set is {0}: r is
+    clamped to the carry width before ``_run_row`` is read.
+    """
+    if f < 2 and s == 1:
+        return ((1, 1),), f * r
+    return _run_row(fold, f, r if f else min(r, (fold - 1).bit_length()), s), 0
+
+
 def _stretch(runs, hi, lo, carry_set, fold):
     """One combination's walk over positions hi down to lo from one carry set, by runs.
 
-    Each run's overlap with hi..lo, r positions with f addends free, is one
-    sparse product of the vector with cached rows of M_f^r (``_run_row``).
-    A one-entry vector (S, x) is kept as the row of S times a common factor,
-    so its product copies nothing.  Returns ``(vec, doublings)``: the
-    sparse vector of the carry sets reached, whose counts are to be
-    multiplied by 2^doublings.
+    A stretch inside one run is one ``_run_rule`` lookup.  Otherwise each
+    run's overlap with hi..lo, r positions with f addends free, applies the
+    same rule to every carry set of the vector: one sparse product with
+    cached rows of M_f^r.  A one-entry vector (S, x) is kept as the rule's
+    row of S times a common factor, so its product copies nothing.  Returns
+    ``(vec, doublings)``: the sparse vector of the carry sets reached, whose
+    counts are to be multiplied by 2^doublings.
     """
     starts, counts = runs
-    width = (fold - 1).bit_length()
+    i = bisect_right(starts, hi) - 1  # the run that holds position hi
+    if starts[i] <= lo:
+        return _run_rule(fold, counts[i], hi - lo + 1, carry_set)
     vec = ((carry_set, 1),)
     factor = 1  # the counts in ``vec`` are times factor
     doublings = 0
-    i = bisect_right(starts, hi) - 1  # the run that holds position hi
     while hi >= lo:
         start = starts[i] if starts[i] > lo else lo
         f = counts[i]
         r = hi - start + 1
         hi = start - 1
         i -= 1
-        if f < 2 and vec[0][0] == 1 and len(vec) == 1:
-            # carry 0 stays alone: each position has 2^f output bits
-            doublings += f * r
-            continue
-        if not f:
-            # with no addend free the carries halve: after ``width``
-            # positions every carry set is {0}
-            r = min(r, width)
         if len(vec) == 1:
             s, x = vec[0]
             factor *= x
-            vec = _run_row(fold, f, r, s)
+            vec, d = _run_rule(fold, f, r, s)
+            doublings += d
         else:
             acc = {}
             get = acc.get
             for s, x in vec:
-                for t, m in _run_row(fold, f, r, s):
+                row, d = _run_rule(fold, f, r, s)
+                if d:  # a shift by 0 would still copy a big count
+                    x <<= d
+                for t, m in row:
                     acc[t] = get(t, 0) + x * m
             vec = tuple(acc.items())
     if factor != 1:
@@ -581,30 +603,40 @@ def _stretch(runs, hi, lo, carry_set, fold):
     return vec, doublings
 
 
-def _lone_counts(runs, init, fold):
+def _lone_counts(runs, tops, init, fold):
     """Distinct outputs of one combination from carry set init[e] at each emit position e.
 
-    Every e in ``init`` must be positive; the final carry is not shifted.
-    The walk goes down through the emit positions e_1 > ... > e_m, and each
+    ``tops`` lists the emit positions e_1 > ... > e_m, all positive; the
+    final carry is not shifted.  The walk goes down through them, and each
     stretch between two of them is walked once from every carry set met
     there: the scale's own init[e_i] and those the walks from above reach.
     The count is linear in the vector, so a bottom-up pass combines them:
     count(e_i, S) = (sum of v_S(S') * count(e_{i+1}, S')) << doublings, with
     count(0, S) = popcount(S).  Returns {e: count}.
     """
-    tops = sorted(init, reverse=True)
-    walked = []  # per stretch: {carry set: (vec, doublings)}
+    walked = []  # per stretch: (carry set, vec, doublings) per walk
     met = set()
     for hi, lo in zip(tops, tops[1:] + [0]):
         met.add(init[hi])
-        walked.append({s: _stretch(runs, hi, lo + 1, s, fold) for s in met})
-        met = {t for vec, _ in walked[-1].values() for t, _ in vec}
+        walks = []
+        reached = set()
+        for s in met:
+            vec, d = _stretch(runs, hi, lo + 1, s, fold)
+            walks.append((s, vec, d))
+            reached.update(dict(vec))
+        walked.append(walks)
+        met = reached
     out = {}
-    below = int.bit_count
+    below = [s.bit_count() for s in range(1 << fold)]
     for hi, walks in zip(reversed(tops), reversed(walked)):
-        here = {s: sum(x * below(t) for t, x in vec) << d for s, (vec, d) in walks.items()}
+        here = {}
+        for s, vec, d in walks:
+            n = 0
+            for t, x in vec:
+                n += x * below[t]
+            here[s] = n << d
         out[hi] = here[init[hi]]
-        below = here.__getitem__
+        below = here
     return out
 
 
@@ -856,7 +888,8 @@ def sum_prefix_counts(spec, fold, scales, mode="exact", state_budget=DEFAULT_STA
     table = _segments(masks, spec.depth, combos)
     if mode == "exact" and scales:
         table = _lane_order(table)
-        init = [_initial_carry_masks(rn, fold, emit.values()) for rn in _free_count_runs(table)]
+        tops = sorted(set(emit.values()), reverse=True)
+        init = [_initial_carry_masks(rn, fold, tops) for rn in _free_count_runs(table)]
         antichain = _antichain(table, max(emit.values()))
         counts = _count_outputs(table, emit, shift, init, fold, state_budget, antichain)
         for j, (count, peaks[j]) in counts.items():
@@ -864,18 +897,24 @@ def sum_prefix_counts(spec, fold, scales, mode="exact", state_budget=DEFAULT_STA
                 bracket = CellCountBracket(count, count)
                 results[j] = DistinctCountResult(j, fold, bracket, "exact", peaks[j], False)
     # bracket mode, and exact mode's fallbacks: each combination alone, its
-    # runs built when it is counted, one walk down serving every scale
+    # runs built when it is counted, one walk down serving every scale; a
+    # scale keeps the max and the sum of its counts, not each one
     rest = [j for j in scales if j not in results]
-    per = {j: [] for j in rest}
+    tops = sorted({emit[j] for j in rest}, reverse=True)
+    positive = [e for e in tops if e]
+    most = dict.fromkeys(rest, 0)
+    total = dict.fromkeys(rest, 0)
     for rn in _free_count_runs(table) if rest else ():
-        init = _initial_carry_masks(rn, fold, [emit[j] for j in rest])
-        lone = _lone_counts(rn, {e: init[e] for e in init if e}, fold)
+        init = _initial_carry_masks(rn, fold, tops)
+        lone = _lone_counts(rn, positive, init, fold)
         for j in rest:
             e = emit[j]
-            per[j].append(lone[e] if e else _carry_values_mask(init[0], shift[j]).bit_count())
+            n = lone[e] if e else _carry_values_mask(init[0], shift[j]).bit_count()
+            most[j] = max(most[j], n)
+            total[j] += n
     for j in rest:
         sup = ((fold << j) >> width) + 1  # windows meeting [0, fold]
-        bracket = CellCountBracket(max(per[j]), min(sum(per[j]), sup))
+        bracket = CellCountBracket(most[j], min(total[j], sup))
         results[j] = DistinctCountResult(
             j, fold, bracket, "bracket", peaks.get(j, 0), mode == "exact"
         )

@@ -161,7 +161,7 @@ def unpruned_prefix_counts(spec, fold, scales, state_budget=10**6):
     columns = per_position_columns(masks, spec.depth, combos)
     emit = {j: max(j - width, 0) for j in scales}
     init = [
-        _initial_carry_masks(runs, fold, emit.values())
+        _initial_carry_masks(runs, fold, sorted(set(emit.values()), reverse=True))
         for runs in _free_count_runs(_segments(masks, spec.depth, combos))
     ]
     return {
@@ -221,8 +221,9 @@ def run_stepped_lone_counts(spec, fold, scales):
     """{scale: [count]}: each combination alone, one run-stepped walk per scale."""
     masks, combos, shifts = lone_setup(spec, fold, scales)
     out = {j: [] for j in scales}
+    tops = sorted({e for e, _ in shifts.values()}, reverse=True)
     for runs in _free_count_runs(_segments(masks, spec.depth, combos)):
-        init = _initial_carry_masks(runs, fold, [e for e, _ in shifts.values()])
+        init = _initial_carry_masks(runs, fold, tops)
         for j, (e, shift) in shifts.items():
             out[j].append(per_scale_lone_count(runs, e, init[e], fold, shift))
     return out

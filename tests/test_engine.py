@@ -3,6 +3,7 @@
 import collections
 import dataclasses
 import random
+from bisect import bisect_right
 from fractions import Fraction
 
 import pytest
@@ -47,6 +48,7 @@ from sumdim.patterns import DigitPattern, SetSpec
 from helpers import (
     _run_steps,
     from_rows,
+    lane_major_count_outputs,
     lane_major_prefix_counts,
     lone_setup,
     per_position_branching_min_average,
@@ -263,20 +265,24 @@ def shared_walk_lone_counts(spec, fold, scales):
     """{scale: [count]}: each combination alone, one shared walk per call."""
     masks, combos, shifts = lone_setup(spec, fold, scales)
     out = {j: [] for j in scales}
+    tops = sorted({e for e, _ in shifts.values()}, reverse=True)
     for runs in _free_count_runs(_segments(masks, spec.depth, combos)):
-        init = _initial_carry_masks(runs, fold, [e for e, _ in shifts.values()])
-        lone = _lone_counts(runs, {e: init[e] for e in init if e}, fold)
+        init = _initial_carry_masks(runs, fold, tops)
+        lone = _lone_counts(runs, [e for e in tops if e], init, fold)
         for j, (e, shift) in shifts.items():
             out[j].append(lone[e] if e else _carry_values_mask(init[0], shift).bit_count())
     return out
 
 
-def reference_brackets(spec, fold, scales):
-    """{scale: bracket}: [max, min(sum, sup)] over the per-scale reference walks."""
+def reference_brackets(spec, fold, scales, lone=None):
+    """{scale: bracket}: [max, min(sum, sup)] over the per-scale reference walks.
+
+    ``lone``, if given, is ``run_stepped_lone_counts(spec, fold, scales)``.
+    """
     width = (fold - 1).bit_length()
     return {
         j: CellCountBracket(max(counts), min(sum(counts), ((fold << j) >> width) + 1))
-        for j, counts in run_stepped_lone_counts(spec, fold, scales).items()
+        for j, counts in (lone or run_stepped_lone_counts(spec, fold, scales)).items()
     }
 
 
@@ -298,16 +304,44 @@ def test_shared_walk_matches_per_scale_walks(spec_fold, data):
         assert not got[j].fell_back
 
 
+def check_shared_walk(spec, fold, step=1):
+    """One bracket call over every scale against the per-scale references.
+
+    Every step-th scale, and the depth, is checked: each combination's
+    count against its run-stepped walk from that scale, and the call's
+    result against a call for that scale alone and the reference bracket.
+    Over every scale most stretches are one position long, so they lie
+    inside one run.
+    """
+    scales = range(0, spec.depth + 1)
+    checked = [*scales[::step], spec.depth]
+    got = sum_prefix_counts(spec, fold, scales, mode="bracket")
+    shared = shared_walk_lone_counts(spec, fold, scales)
+    lone = run_stepped_lone_counts(spec, fold, checked)
+    want = reference_brackets(spec, fold, checked, lone)
+    for j in checked:
+        alone = sum_prefix_counts(spec, fold, [j], mode="bracket")[j]
+        assert shared[j] == lone[j], (spec.name, fold, j)
+        assert got[j] == alone, (spec.name, fold, j)
+        assert alone.bracket == want[j], (spec.name, fold, j)
+
+
 def test_shared_walk_matches_per_scale_walks_on_the_oracle_corpus():
     for spec in _oracle_corpus():
-        scales = list(range(0, spec.depth + 1))
         for fold in (1, 2, 3):
-            got = sum_prefix_counts(spec, fold, scales, mode="bracket")
-            want = reference_brackets(spec, fold, scales)
-            for j in scales:
-                alone = sum_prefix_counts(spec, fold, [j], mode="bracket")[j]
-                assert got[j] == alone, (spec.name, fold, j)
-                assert alone.bracket == want[j], (spec.name, fold, j)
+            check_shared_walk(spec, fold)
+
+
+@pytest.mark.parametrize("name", sorted(CANONICAL_EXAMPLES))
+def test_shared_walk_matches_per_scale_walks_on_the_canonical_specs(name):
+    # every scale in one call at folds 1-3; the per-scale references check
+    # every scale at folds 1-2 and every seventh at fold 3, and on the two
+    # deep hausdorff specs every 31st of those, as each costs a walk from
+    # its scale down
+    spec = build_canonical(name)
+    step = 31 if spec.depth > 1000 else 1
+    for fold in (1, 2, 3):
+        check_shared_walk(spec, fold, 7 * step if fold == 3 else step)
 
 
 @pytest.mark.parametrize("budget", [3, 6])
@@ -762,6 +796,8 @@ def test_bracket_walk_makes_one_vector_product_per_run(monkeypatch):
 
     monkeypatch.setattr(engine, "_run_row", row)
     monkeypatch.setattr(engine, "_stretch", stretch)
+    # past the rule's cache, so every row the walk reads reaches the spy
+    monkeypatch.setattr(engine, "_run_rule", engine._run_rule.__wrapped__)
     sum_prefix_counts(spec, fold, [spec.depth], mode="bracket")
     products = 0
     for steps, lookups in walks:
@@ -774,6 +810,60 @@ def test_bracket_walk_makes_one_vector_product_per_run(monkeypatch):
             products += bool(seen)
         assert i == len(lookups), (steps, lookups)
     assert len(walks) > 1 and products > len(walks)
+
+
+@pytest.mark.parametrize("name, fold", [("all-dims-3", 2), ("haus-lowbox", 3)])
+def test_a_stretch_inside_one_run_is_one_rule_lookup(monkeypatch, name, fold):
+    # over every scale most stretches lie inside one run; each such walk
+    # reads the shared rule once, for its own carry set, and nothing else
+    spec = build_canonical(name)
+    lookups = []
+    walks = []  # per stretch: its arguments and the rule lookups it made
+    real_rule, real_stretch = engine._run_rule, engine._stretch
+
+    def rule(fold, f, r, s):
+        lookups.append((fold, f, r, s))
+        return real_rule(fold, f, r, s)
+
+    def stretch(runs, hi, lo, carry_set, fold):
+        before = len(lookups)
+        out = real_stretch(runs, hi, lo, carry_set, fold)
+        walks.append((runs, hi, lo, carry_set, lookups[before:]))
+        return out
+
+    monkeypatch.setattr(engine, "_run_rule", rule)
+    monkeypatch.setattr(engine, "_stretch", stretch)
+    sum_prefix_counts(spec, fold, range(1, spec.depth + 1), mode="bracket")
+    inside = 0
+    for (starts, counts), hi, lo, carry_set, seen in walks:
+        i = bisect_right(starts, hi) - 1
+        if starts[i] <= lo:
+            inside += 1
+            assert seen == [(fold, counts[i], hi - lo + 1, carry_set)], (hi, lo)
+        else:  # a rule lookup for each run the walk crosses, at least
+            assert len(seen) >= bisect_right(starts, hi) - bisect_right(starts, lo) + 1, (hi, lo)
+    assert inside > len(walks) // 2
+
+
+def test_a_fixed_step_waits_for_the_reach_groups_too():
+    # A step can return the very states it was given while a walk's reach
+    # set still grows: the walk that joins at position 3 holds A = (lane 0
+    # at carry 0, lane 1 at carry 1), and A reaches {A, B} and then {A, B,
+    # C}, states the top walk already holds.  The second step is not a
+    # repeat of the first; reusing it would leave that walk's peak at 2.
+    # Lane 1 kills lane 0's carries here by a hand-built dominator table
+    # (its free count is the lower one), since no small real antichain
+    # gives this shape.
+    fold, depth = 3, 6
+    table = ([1, depth + 1], [bytes([3]), bytes([1])])
+    antichain = ([0b10, 0], [0, 1], [[], []])
+    init = [[0] * (depth + 1) for _ in range(2)]
+    init[0][depth] = init[1][depth] = 0b010  # the top walk: both lanes at carry 1
+    init[0][3], init[1][3] = 0b001, 0b010  # A
+    args = (table, {depth: depth, 3: 3}, {depth: 0, 3: 0}, init, fold, 10**6, antichain)
+    got = engine._count_outputs(*args)
+    assert got == lane_major_count_outputs(*args)
+    assert got[3][1] == 3
 
 
 @pytest.mark.parametrize("budget", [engine.DEFAULT_STATE_BUDGET, 3, 6, 12])
