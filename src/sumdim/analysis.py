@@ -25,8 +25,8 @@ from .engine import (
     check_scales,
     sum_prefix_counts,
     undominated_masks,
+    window_shift,
 )
-from .errors import ScaleError
 
 
 def log2_big(n):
@@ -74,8 +74,7 @@ def predicted_exponent(spec, fold, scale):
     scale-``scale`` output window retains, counts the digits that are
     free in the carry-free sum block; its density is the schedule's own
     exponent prediction.  The window is the top ``scale`` digits of the
-    sum word, whose low end sits ``(fold - 1).bit_length()`` digits above
-    the same-scale prefix cut, matching the counting engine.  The fold
+    sum word, cut by the engine's own ``window_shift``.  The fold
     and the scale pass the engine's ``check_fold`` and ``check_scale``
     (scale at least 1), as in every other entry point.
 
@@ -86,7 +85,7 @@ def predicted_exponent(spec, fold, scale):
     """
     check_fold(fold)
     check_scale(spec, scale, 1)
-    shift = spec.depth + (fold - 1).bit_length() - scale
+    shift = window_shift(spec, fold, scale)
     unions = _fold_unions(tuple(c.free_mask for c in spec.components), fold)
     best = max(((u >> shift).bit_count() for u in unions), default=0)
     return Fraction(best, scale)
@@ -94,19 +93,16 @@ def predicted_exponent(spec, fold, scale):
 
 def default_scales(spec):
     """Block-complete prefixes plus the dips at the end of forced-zero runs."""
-    out = set()
-    if spec.boundaries:
-        out.update(b - 1 for b in spec.boundaries[1:])
-    for token in spec.param("notable_scales", "").split(","):
-        if token:
-            try:
-                out.add(int(token))
-            except ValueError as exc:
-                raise ScaleError(f"notable_scales token {token!r} is not an integer") from exc
+    out = {b - 1 for b in spec.boundaries[1:]}
+    out.update(spec.notable_scales())
     out = {j for j in out if 1 <= j <= spec.depth}
     if not out:
         out = {spec.depth}
     return tuple(sorted(out))
+
+
+# The names a ``scales`` value may take in place of a list of scales.
+SCALE_NAMES = ("boundaries", "all")
 
 
 def resolve_scales(spec, scales):

@@ -23,6 +23,7 @@ from fractions import Fraction
 
 from . import __version__
 from .analysis import (
+    SCALE_NAMES,
     count_trace,
     off_trace,
     render_count_trace_csv,
@@ -33,6 +34,7 @@ from .constructions import (
     CANONICAL_EXAMPLES,
     CANONICAL_KEYS,
     CONSTRUCTION_NAMES,
+    SCALE_POLICIES,
     DimensionTargets,
     build_from_keys,
     validate_targets,
@@ -40,8 +42,9 @@ from .constructions import (
 from .engine import (
     DEFAULT_ENUM_BUDGET,
     DEFAULT_STATE_BUDGET,
-    MAX_FOLD,
+    MODES,
     brute_force_oracle,
+    check_fold,
     sum_prefix_counts,
 )
 from .errors import (
@@ -93,13 +96,15 @@ def _name(key, value):
 def _folds(key, value):
     folds = _integers(key, [value] if isinstance(value, int) else value)
     for fold in folds:
-        if not 1 <= fold <= MAX_FOLD:
-            raise ConfigError(f"{key} must lie in 1..{MAX_FOLD}, got {fold}")
+        try:
+            check_fold(fold)
+        except ValueError as exc:
+            raise ConfigError(f"{key}: {exc}") from exc
     return folds
 
 
 def _scales(key, value):
-    return value if value in ("boundaries", "all") else _integers(key, value)
+    return value if value in SCALE_NAMES else _integers(key, value)
 
 
 def _choice(*allowed):
@@ -128,12 +133,12 @@ class RunConfig:
     alpha: tuple | None = _key(None, _optional(_rationals))
     beta: tuple | None = _key(None, _optional(_rationals))
     gamma: tuple | None = _key(None, _optional(_rationals))
-    scale_policy: str = _key("scaled", _choice("tower", "scaled", "geometric"))
+    scale_policy: str = _key("scaled", _choice(*SCALE_POLICIES))
     scale_base: int = _key(4, _integer)
     horizon: int = _key(6, _integer)
     folds: tuple = _key((1, 2), _folds)
     scales: object = _key("boundaries", _scales)
-    mode: str = _key("bracket", _choice("exact", "bracket"))
+    mode: str = _key("bracket", _choice(*MODES))
     seed: int = _key(0, _integer)
     budget_enum: int = _key(DEFAULT_ENUM_BUDGET, _positive)
     budget_states: int = _key(DEFAULT_STATE_BUDGET, _positive)
@@ -379,7 +384,7 @@ def cmd_oracle(args, config):
 
 def _parse_scales(text):
     """The ``scales`` key value a --scales flag spells; the key's check does the rest."""
-    if text in ("boundaries", "all"):
+    if text in SCALE_NAMES:
         return text
     try:
         return [int(t) for t in text.split(",") if t]
@@ -395,7 +400,7 @@ _FLAGS = {
         "scales",
         _parse_scales,
     ),
-    "mode": ({"choices": ("exact", "bracket")}, "mode", str),
+    "mode": ({"choices": MODES}, "mode", str),
     "seed": ({"type": int, "help": "suite seed (recorded in the report)"}, "seed", int),
 }
 

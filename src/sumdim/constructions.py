@@ -20,11 +20,12 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import AdmissibilityError, ConstructionError, ScaleError
-from .patterns import DigitPattern, SetSpec
+from .patterns import DigitPattern, SetSpec, notable_param
 
 # make_scale_sequence refuses skeletons past this many positions: every
 # component of a spec holds a mask that wide, and counting walks it.
 MAX_SCALE = 1 << 20
+SCALE_POLICIES = ("tower", "scaled", "geometric")  # make_scale_sequence's growth rules
 
 
 def _as_fraction_tuple(values):
@@ -119,7 +120,7 @@ def make_scale_sequence(policy, horizon, base=2):
     """
     if horizon < 2:
         raise ScaleError("horizon must be at least 2")
-    if policy not in ("tower", "scaled", "geometric"):
+    if policy not in SCALE_POLICIES:
         raise ScaleError(f"unknown scale policy {policy!r}")
     if policy != "tower" and base < 2:
         raise ScaleError("base must be at least 2")
@@ -354,7 +355,7 @@ def _build_chunked(name, targets, scales, rows):
     for fam in _KIND_FAMILIES:
         if getattr(targets, fam) is not None:
             params.append((fam, _fmt_fracs(getattr(targets, fam))))
-    params.append(("notable_scales", ",".join(str(n) for n in sorted(notable))))
+    params.append(notable_param(notable))
     return SetSpec(
         tuple(DigitPattern(depth, mask) for mask in masks),
         depth,
@@ -393,7 +394,7 @@ def _build_interval(name, alpha, scales, rows):
     params = (
         ("construction", name),
         ("alpha", _fmt_fracs(alpha)),
-        ("notable_scales", ",".join(str(n) for n in sorted(notable))),
+        notable_param(notable),
     )
     schedule = tuple(
         tuple(f"{r}:{kind}" for r, kind in enumerate(row) if kind) for row in rows
@@ -481,14 +482,6 @@ def interleave(spec_a, spec_b, marks):
             mask = (mask << win.length) | win.free_mask
             length += win.length
         comps.append(DigitPattern(length, mask))
-    merged_notables = sorted(
-        {
-            int(t)
-            for spec in (spec_a, spec_b)
-            for t in spec.param("notable_scales", "").split(",")
-            if t
-        }
-    )
     return SetSpec(
         tuple(comps),
         spec_a.depth,
@@ -498,7 +491,7 @@ def interleave(spec_a, spec_b, marks):
             ("marks", ",".join(str(m) for m in marks)),
             ("first", spec_a.name or ""),
             ("second", spec_b.name or ""),
-            ("notable_scales", ",".join(str(n) for n in merged_notables)),
+            notable_param({*spec_a.notable_scales(), *spec_b.notable_scales()}),
         ),
         boundaries=bounds,
         schedule=(),

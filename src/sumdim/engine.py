@@ -58,11 +58,11 @@ its addends are free acts on those states as a small integer transfer
 matrix M_f: entry (S, S') counts the output bits that take S to S'.
 Adjacent segments with equal count merge into runs.  A run of r
 positions is one sparse product of the vector with rows of M_f^r (the
-transfer-matrix method).  Row S of M_f^r is built on first use, from the
-cached squarings M_f^(2^k), and kept: the same (f, r, S) recur across
-combinations, so nearly every run reuses rows.  One cached rule,
-``_run_rule``, says what a run does to S, and holds the walk's two
-shortcuts: carry 0 alone with f < 2 only doubles its count, and a run
+transfer-matrix method).  One cached rule, ``_run_rule``, says what a
+run does to S: it builds row S of M_f^r on first use, from the cached
+squarings M_f^(2^k), and keeps it, as the same (f, r, S) recur across
+combinations, so nearly every run reuses rows.  It also holds the walk's
+two shortcuts: carry 0 alone with f < 2 only doubles its count, and a run
 with no addend free is cut to the carry width.  The low phase likewise
 looks up one cached entry of nextany[f] composed r times per run.
 
@@ -149,7 +149,8 @@ DEFAULT_ENUM_BUDGET = 1 << 24
 # The carry automaton tabulates 2^fold carry sets, and free counts are
 # packed one byte per segment, so larger folds would exhaust time or memory.
 MAX_FOLD = 8
-# Entries kept by each run cache, ``_absorb_run`` and ``_run_row``.  A deep
+MODES = ("exact", "bracket")  # sum_prefix_counts's counting modes
+# Entries kept by each run cache, ``_absorb_run`` and ``_run_rule``.  A deep
 # interleave at fold 3 fills at most about a thousand, so none is evicted.
 RUN_CACHE_SIZE = 4096
 
@@ -171,7 +172,7 @@ class DistinctCountResult:
     scale: int
     fold: int
     bracket: CellCountBracket
-    mode: str  # "exact" or "bracket"
+    mode: str  # one of MODES
     peak_states: int
     fell_back: bool
 
@@ -272,11 +273,20 @@ def iterated_pattern_sums(spec, fold, budget=DEFAULT_ENUM_BUDGET):
     return tuple(sorted(sums))
 
 
+def window_shift(spec, fold, scale):
+    """The shift that takes an l-fold sum word Y to its top-``scale`` window.
+
+    Y has depth + W digits, W = bitlength(fold - 1) ("Value model" above),
+    so the window is Y >> (depth + W - scale): the one place W meets a scale.
+    """
+    return spec.depth + (fold - 1).bit_length() - scale
+
+
 def brute_force_oracle(spec, fold, scale, budget=DEFAULT_ENUM_BUDGET):
     """Definitionally exact count of distinct sum prefixes at one scale."""
     check_scale(spec, scale)
     sums = iterated_pattern_sums(spec, fold, budget)
-    shift = spec.depth + (fold - 1).bit_length() - scale
+    shift = window_shift(spec, fold, scale)
     count = len({y >> shift for y in sums})
     return CellCountBracket(count, count)
 
@@ -528,35 +538,28 @@ def _transfer_power(fold, f, k):
 
 
 @lru_cache(maxsize=RUN_CACHE_SIZE)
-def _run_row(fold, f, r, s):
-    """Row s of M_f^r: the carry sets that r positions with f addends free reach from s.
+def _run_rule(fold, f, r, s):
+    """Carry set s through r positions with f addends free: ``(row, doublings)``.
 
-    Built on first use, from the unit vector at s times the cached
-    squarings M_f^(2^k) for the set bits k of r.  The rows are bounded by
+    The row is row s of M_f^r with its counts divided by 2^doublings, built
+    on first use from the unit vector at s times the cached squarings
+    M_f^(2^k) for the set bits k of r.  The rules are bounded by
     RUN_CACHE_SIZE; the squarings are not, but they stay small: (fold + 1)
-    * log2(depth) matrices per fold.
+    * log2(depth) matrices per fold.  Two shortcuts live here and nowhere
+    else.  Carry 0 alone with f < 2 stays alone, each position having 2^f
+    output bits, so the row is (({0}, 1),) with f * r doublings and no big
+    count.  With no addend free the carries halve, so after ``width``
+    positions every carry set is {0}: r is clamped to the carry width.
     """
+    if f < 2 and s == 1:
+        return ((1, 1),), f * r
+    if not f:
+        r = min(r, (fold - 1).bit_length())
     vec = ((s, 1),)
     for k in range(r.bit_length()):
         if r >> k & 1:
             vec = _times(vec, _transfer_power(fold, f, k))
-    return vec
-
-
-@lru_cache(maxsize=RUN_CACHE_SIZE)
-def _run_rule(fold, f, r, s):
-    """Carry set s through r positions with f addends free: ``(row, doublings)``.
-
-    The row is row s of M_f^r with its counts divided by 2^doublings.  Two
-    shortcuts live here and nowhere else.  Carry 0 alone with f < 2 stays
-    alone, each position having 2^f output bits, so the row is (({0}, 1),)
-    with f * r doublings and no big count.  With no addend free the carries
-    halve, so after ``width`` positions every carry set is {0}: r is
-    clamped to the carry width before ``_run_row`` is read.
-    """
-    if f < 2 and s == 1:
-        return ((1, 1),), f * r
-    return _run_row(fold, f, r if f else min(r, (fold - 1).bit_length()), s), 0
+    return vec, 0
 
 
 def _stretch(runs, hi, lo, carry_set, fold):
@@ -875,7 +878,7 @@ def sum_prefix_counts(spec, fold, scales, mode="exact", state_budget=DEFAULT_STA
     check_fold(fold)
     if isinstance(state_budget, bool) or not isinstance(state_budget, int) or state_budget < 1:
         raise ValueError(f"state_budget must be an int of at least 1, got {state_budget!r}")
-    if mode not in ("exact", "bracket"):
+    if mode not in MODES:
         raise ValueError(f"unknown mode {mode!r}")
     width = (fold - 1).bit_length()
     scales = check_scales(spec, scales)

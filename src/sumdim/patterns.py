@@ -16,6 +16,8 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 
+from .errors import ScaleError
+
 ZERO = "0"
 FREE = "a"
 
@@ -40,10 +42,6 @@ class DigitPattern:
             return cls(0, 0)
         return cls(len(symbols), int(symbols.replace(FREE, "1"), 2))
 
-    @classmethod
-    def all_zero(cls, n):
-        return cls(n, 0)
-
     def symbols(self):
         if self.length == 0:
             return ""
@@ -58,12 +56,6 @@ class DigitPattern:
             raise IndexError(f"window [{lo}, {hi}) outside 1..{self.length}")
         width = hi - lo
         return DigitPattern(width, (self.free_mask >> (self.length - hi + 1)) & ((1 << width) - 1))
-
-    def concat(self, other):
-        return DigitPattern(
-            self.length + other.length,
-            (self.free_mask << other.length) | other.free_mask,
-        )
 
     def repeat(self, times):
         if times < 0:
@@ -115,6 +107,22 @@ class SetSpec:
             if k == key:
                 return v
         return default
+
+    def notable_scales(self):
+        """The scales ``notable_param`` wrote; a token that is not an integer is a ScaleError."""
+        out = []
+        for token in self.param("notable_scales", "").split(","):
+            if token:
+                try:
+                    out.append(int(token))
+                except ValueError as exc:
+                    raise ScaleError(f"notable_scales token {token!r} is not an integer") from exc
+        return out
+
+
+def notable_param(scales):
+    """The ``notable_scales`` param of a spec: its scales, sorted and comma-separated."""
+    return ("notable_scales", ",".join(str(n) for n in sorted(scales)))
 
 
 def to_json_dict(spec):

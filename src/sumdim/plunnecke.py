@@ -36,15 +36,6 @@ from functools import cached_property, reduce
 from .analysis import log2_big
 from .errors import ScaleError
 
-__all__ = [
-    "ruzsa_check",
-    "sumset_cover_bound_check",
-    "prop31_check",
-    "ruzsa_suite",
-    "cover_suite",
-    "prop31_suite",
-]
-
 # Point samples are rationals k / GRID: every denominator 2^j or 3 * 2^j
 # with j <= GRID_SCALE divides GRID.
 GRID_SCALE = 12

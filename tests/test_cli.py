@@ -10,10 +10,11 @@ import time
 import pytest
 
 from sumdim import cli
-from sumdim.cli import MAX_FOLD, RunConfig, main, write_text_atomic
-from sumdim.constructions import CANONICAL_EXAMPLES
-from sumdim.engine import CellCountBracket
+from sumdim.cli import RunConfig, main, write_text_atomic
+from sumdim.constructions import CANONICAL_EXAMPLES, SCALE_POLICIES
+from sumdim.engine import MAX_FOLD, MODES, CellCountBracket, sum_prefix_counts
 from sumdim.errors import ConfigError
+from sumdim.patterns import DigitPattern, SetSpec
 
 SMALL = {
     "construction": "haus-lowbox",
@@ -535,3 +536,29 @@ def test_command_refuses_a_flag_it_lacks(capsys, command, flag):
         cli.build_parser().parse_args([command, flag, FLAG_VALUES[flag][0]])
     assert exc.value.code == 2
     assert "unrecognized arguments" in capsys.readouterr().err
+
+
+NAME_CANDIDATES = ("exact", "bracket", "tower", "scaled", "geometric", "fast", "Exact", "")
+
+
+def test_mode_and_scale_policy_names_are_the_declared_ones():
+    # each name list has one home: the --mode parser choices, RunConfig's mode
+    # check and sum_prefix_counts accept exactly engine.MODES, and RunConfig's
+    # scale-policy check exactly constructions.SCALE_POLICIES
+    def accepts(call, errors):
+        try:
+            call()
+        except errors:
+            return False
+        return True
+
+    spec = SetSpec((DigitPattern.from_symbols("a0"),), 2)
+    for name in NAME_CANDIDATES:
+        modes = (
+            accepts(lambda: cli.build_parser().parse_args(["count", "--mode", name]), SystemExit),
+            accepts(lambda: RunConfig.from_dict({"mode": name}), ConfigError),
+            accepts(lambda: sum_prefix_counts(spec, 2, [1], mode=name), ValueError),
+        )
+        assert modes == (name in MODES,) * 3, name
+        policy = accepts(lambda: RunConfig.from_dict({"scale_policy": name}), ConfigError)
+        assert policy == (name in SCALE_POLICIES), name

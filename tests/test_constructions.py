@@ -1,5 +1,6 @@
 """Scale skeletons, block templates, named families, and combinators."""
 
+import dataclasses
 import hashlib
 import itertools
 import random
@@ -443,3 +444,18 @@ def test_interleave_validates_marks_and_skeletons():
     other = build_example("haus-lowbox", HL, make_scale_sequence("scaled", 3, base=4))
     with pytest.raises(ConstructionError):
         interleave(a, other, (1, 3, 4))
+
+
+def test_interleave_merges_notable_scales_and_rejects_one_that_is_not_an_integer():
+    # interleave reads each spec's notable scales with SetSpec.notable_scales
+    # and writes their union with notable_param; a bad token is a ScaleError
+    a = build_example("haus-lowbox", HL, make_scale_sequence("scaled", 4, base=4))
+
+    def with_notable(text):
+        params = {**dict(a.params), "notable_scales": text}
+        return dataclasses.replace(a, params=tuple(params.items()))
+
+    merged = interleave(a, with_notable("7,3"), (1, 3, 5)).notable_scales()
+    assert merged == sorted({3, 7, *a.notable_scales()})
+    with pytest.raises(ScaleError, match="'x'"):
+        interleave(a, with_notable("5,x"), (1, 3, 5))

@@ -31,7 +31,7 @@ from sumdim.engine import (
     _initial_carry_masks,
     _lane_order,
     _lone_counts,
-    _run_row,
+    _run_rule,
     _segments,
     _slice_moves,
     _times,
@@ -753,15 +753,17 @@ def run_cases():
 
 
 def test_run_rows_equal_single_steps_of_the_transfer_matrix():
-    # row s of M_f^r against r single steps of M_f from the unit vector at s
+    # row s of M_f^r, the rule's row shifted by its doublings, against r
+    # single steps of M_f from the unit vector at s
     for fold, f, s in run_cases():
         one = _transfer_power(fold, f, 0)
         vec = ((s, 1),)
         for r in range(1, max(RUN_LENGTHS) + 1):
             vec = _times(vec, one)
             if r in RUN_LENGTHS:
-                assert dict(_run_row(fold, f, r, s)) == dict(vec), (fold, f, r, s)
-        assert _run_row(fold, f, 0, s) == ((s, 1),)
+                row, d = _run_rule(fold, f, r, s)
+                assert {t: x << d for t, x in row} == dict(vec), (fold, f, r, s)
+        assert _run_rule(fold, f, 0, s) == (((s, 1),), 0)
 
 
 def test_absorb_runs_equal_nextany_iterated():
@@ -777,27 +779,23 @@ def test_absorb_runs_equal_nextany_iterated():
 
 def test_bracket_walk_makes_one_vector_product_per_run(monkeypatch):
     # a run's overlap with a stretch, r positions with f addends free, is one
-    # product with rows of M_f^r (r clamped to the carry width when f = 0):
+    # product with rows of M_f^r, read from the rule keyed by that run's r:
     # no stepping by powers of two, each carry set of the vector looked up once
     spec = build_canonical("pair-hausdorff")
     fold = 3
-    width = (fold - 1).bit_length()
-    walks = []  # per stretch: its runs' (f, r) and the rows it looked up
-    real_row, real_stretch = engine._run_row, engine._stretch
+    walks = []  # per stretch: its runs' (f, r) and the rules it looked up
+    real_rule, real_stretch = engine._run_rule, engine._stretch
 
-    def row(fold, f, r, s):
+    def rule(fold, f, r, s):
         walks[-1][1].append((f, r, s))
-        return real_row(fold, f, r, s)
+        return real_rule(fold, f, r, s)
 
     def stretch(runs, hi, lo, carry_set, fold):
-        steps = [(f, r if f else min(r, width)) for f, r in _run_steps(runs, hi, lo)]
-        walks.append((steps, []))
+        walks.append((list(_run_steps(runs, hi, lo)), []))
         return real_stretch(runs, hi, lo, carry_set, fold)
 
-    monkeypatch.setattr(engine, "_run_row", row)
+    monkeypatch.setattr(engine, "_run_rule", rule)
     monkeypatch.setattr(engine, "_stretch", stretch)
-    # past the rule's cache, so every row the walk reads reaches the spy
-    monkeypatch.setattr(engine, "_run_rule", engine._run_rule.__wrapped__)
     sum_prefix_counts(spec, fold, [spec.depth], mode="bracket")
     products = 0
     for steps, lookups in walks:
