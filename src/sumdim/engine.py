@@ -59,12 +59,13 @@ matrix M_f: entry (S, S') counts the output bits that take S to S'.
 Adjacent segments with equal count merge into runs.  A run of r
 positions is one sparse product of the vector with rows of M_f^r (the
 transfer-matrix method).  One cached rule, ``_run_rule``, says what a
-run does to S: it builds row S of M_f^r on first use, from the cached
-squarings M_f^(2^k), and keeps it, as the same (f, r, S) recur across
-combinations, so nearly every run reuses rows.  It also holds the walk's
-two shortcuts: carry 0 alone with f < 2 only doubles its count, and a run
-with no addend free is cut to the carry width.  The low phase likewise
-looks up one cached entry of nextany[f] composed r times per run.
+run does to S: it builds row S of M_f^r on first use, from the rows of
+the squarings M_f^(2^k), each itself built on first use (``_power_row``),
+and keeps it, as the same (f, r, S) recur across combinations, so nearly
+every run reuses rows.  It also holds the walk's two shortcuts: carry 0
+alone with f < 2 only doubles its count, and a run with no addend free
+is cut to the carry width.  The low phase likewise looks up one cached
+entry of nextany[f] composed r times per run.
 
 A lone combination is walked once per call, not once per scale.  The
 call's emit positions e_1 > ... > e_m, sorted once per call, cut its
@@ -74,6 +75,20 @@ walks from above reach, so at most 2^l - 1 walks share a stretch.  A
 stretch inside one run, as most are when a call asks for every scale, is
 one lookup of the rule.  The count is linear in the vector, so a
 bottom-up pass combines the stretch walks into every scale's count.
+
+The constructions build their sets block by block, so over a short
+stretch of segments many combinations have the same free counts.  Cut
+the segment table into blocks of BLOCK_SEGMENTS consecutive segments;
+once per call, ``_stretch_plan`` cuts each stretch that holds a whole
+block into pieces: the partial piece above the first whole block, each
+whole block, and the partial piece below the last.  A piece's row from
+carry set S depends only on the combination's free counts over the
+piece's segments, so one memo per call keys it by (piece, those counts,
+S), builds it with one ``_stretch`` and shares it across combinations
+(``_block_walk``).  On a deep interleave at fold 3, 560 combinations
+over 27 blocks make 15,120 (block, counts) pairs, of which 1,764 are
+distinct.  A stretch inside one run, or with no whole block, is walked
+as before.
 
 Pruning
 -------
@@ -137,7 +152,7 @@ from __future__ import annotations
 
 import itertools
 from array import array
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -153,6 +168,9 @@ MODES = ("exact", "bracket")  # sum_prefix_counts's counting modes
 # Entries kept by each run cache, ``_absorb_run`` and ``_run_rule``.  A deep
 # interleave at fold 3 fills at most about a thousand, so none is evicted.
 RUN_CACHE_SIZE = 4096
+# Segments per block of the lone walk's row memo (``_stretch_plan``).  On a
+# deep interleave 12-24 were best; 4 gave up a third of the gain, 64 nearly all.
+BLOCK_SEGMENTS = 16
 
 
 @dataclass(frozen=True)
@@ -506,35 +524,32 @@ def _initial_carry_masks(runs, fold, tops):
     return out
 
 
-def _times(vec, rows):
-    """A sparse row vector times a matrix of sparse rows.
+@lru_cache(maxsize=None)
+def _power_row(fold, f, k, s):
+    """Row s of M_f^(2^k): paths of 2^k output bits from carry set s to each nonempty set.
 
-    A sparse vector is a tuple of (carry set, count) pairs with nonzero
-    counts; row S of a matrix is such a vector.
+    A sparse row is a tuple of (carry set, count) pairs with nonzero
+    counts.  Row s of M_f^(2^k) is row s of M_f^(2^(k-1)) times that
+    matrix, so only the rows some walk reaches are ever squared.
     """
+    if k == 0:
+        next0, next1, _ = _carry_tables(fold)
+        row = {}
+        for t in (next0[f][s], next1[f][s]):
+            if t:  # the empty carry set is dropped
+                row[t] = row.get(t, 0) + 1
+        return tuple(row.items())
+    return _times(_power_row(fold, f, k - 1, s), fold, f, k - 1)
+
+
+def _times(vec, fold, f, k):
+    """A sparse row vector times M_f^(2^k), read row by row from ``_power_row``."""
     acc = {}
     get = acc.get
     for s, x in vec:
-        for t, m in rows[s]:
+        for t, m in _power_row(fold, f, k, s):
             acc[t] = get(t, 0) + x * m
     return tuple(acc.items())
-
-
-@lru_cache(maxsize=None)
-def _transfer_power(fold, f, k):
-    """M_f^(2^k): paths of 2^k output bits between nonempty carry sets."""
-    if k == 0:
-        next0, next1, _ = _carry_tables(fold)
-        rows = [()]  # the empty carry set is dropped
-        for s in range(1, 1 << fold):
-            row = {}
-            for t in (next0[f][s], next1[f][s]):
-                if t:
-                    row[t] = row.get(t, 0) + 1
-            rows.append(tuple(row.items()))
-        return tuple(rows)
-    half = _transfer_power(fold, f, k - 1)
-    return tuple(_times(row, half) for row in half)
 
 
 @lru_cache(maxsize=RUN_CACHE_SIZE)
@@ -542,14 +557,15 @@ def _run_rule(fold, f, r, s):
     """Carry set s through r positions with f addends free: ``(row, doublings)``.
 
     The row is row s of M_f^r with its counts divided by 2^doublings, built
-    on first use from the unit vector at s times the cached squarings
-    M_f^(2^k) for the set bits k of r.  The rules are bounded by
-    RUN_CACHE_SIZE; the squarings are not, but they stay small: (fold + 1)
-    * log2(depth) matrices per fold.  Two shortcuts live here and nowhere
-    else.  Carry 0 alone with f < 2 stays alone, each position having 2^f
-    output bits, so the row is (({0}, 1),) with f * r doublings and no big
-    count.  With no addend free the carries halve, so after ``width``
-    positions every carry set is {0}: r is clamped to the carry width.
+    on first use from the unit vector at s times the cached rows of the
+    squarings M_f^(2^k) for the set bits k of r (``_power_row``).  The
+    rules are bounded by RUN_CACHE_SIZE; the squarings' rows are not, but
+    they stay few: at most (fold + 1) * log2(depth) * (2^fold - 1) per
+    fold.  Two shortcuts live here and nowhere else.  Carry 0 alone with
+    f < 2 stays alone, each position having 2^f output bits, so the row is
+    (({0}, 1),) with f * r doublings and no big count.  With no addend
+    free the carries halve, so after ``width`` positions every carry set
+    is {0}: r is clamped to the carry width.
     """
     if f < 2 and s == 1:
         return ((1, 1),), f * r
@@ -558,7 +574,7 @@ def _run_rule(fold, f, r, s):
     vec = ((s, 1),)
     for k in range(r.bit_length()):
         if r >> k & 1:
-            vec = _times(vec, _transfer_power(fold, f, k))
+            vec = _times(vec, fold, f, k)
     return vec, 0
 
 
@@ -606,32 +622,117 @@ def _stretch(runs, hi, lo, carry_set, fold):
     return vec, doublings
 
 
-def _lone_counts(runs, tops, init, fold):
-    """Distinct outputs of one combination from carry set init[e] at each emit position e.
+def _stretch_plan(starts, tops):
+    """The stretches of ``_lone_counts``, each cut at the edges of the whole blocks inside it.
 
     ``tops`` lists the emit positions e_1 > ... > e_m, all positive; the
-    final carry is not shifted.  The walk goes down through them, and each
-    stretch between two of them is walked once from every carry set met
-    there: the scale's own init[e_i] and those the walks from above reach.
-    The count is linear in the vector, so a bottom-up pass combines them:
-    count(e_i, S) = (sum of v_S(S') * count(e_{i+1}, S')) << doublings, with
-    count(0, S) = popcount(S).  Returns {e: count}.
+    stretch below e_i covers positions e_i down to e_{i+1} + 1, or down to
+    1 for the last.  Block b is segments b*B..(b+1)*B - 1 of the segment
+    table, B = BLOCK_SEGMENTS, the last one possibly shorter.  Returns per
+    stretch ``(hi, lo, pieces)``: pieces is None when no whole block lies
+    in hi..lo, else the stretch top down as ``(hi', lo', a, z)``, positions
+    hi'..lo' over segments a..z-1: the partial piece above the first whole
+    block, each whole block, and the partial piece below the last.
     """
+    n = len(starts) - 1
+    cuts = [*range(0, n, BLOCK_SEGMENTS), n]
+    edges = [starts[a] for a in cuts]  # block b: positions edges[b]..edges[b+1]-1
+    plan = []
+    for hi, lo in zip(tops, tops[1:] + [0]):
+        lo += 1
+        first = bisect_left(edges, lo)
+        last = bisect_right(edges, hi + 1) - 2
+        if first > last:
+            plan.append((hi, lo, None))
+            continue
+        pieces = [
+            (edges[b + 1] - 1, edges[b], cuts[b], cuts[b + 1]) for b in range(last, first - 1, -1)
+        ]
+        if hi >= edges[last + 1]:
+            pieces.insert(0, (hi, edges[last + 1], cuts[last + 1], bisect_right(starts, hi)))
+        if lo < edges[first]:
+            pieces.append((edges[first] - 1, lo, bisect_right(starts, lo) - 1, cuts[first]))
+        plan.append((hi, lo, pieces))
+    return plan
+
+
+def _block_walk(runs, column, pieces, carry_set, fold, rows):
+    """One combination's walk over a stretch's pieces from one carry set: ``_stretch``'s result.
+
+    A piece's row for carry set S depends only on the combination's free
+    counts over the piece's segments, so ``rows``, one memo per call, keys
+    it by (the piece's top position, which no other piece of the call
+    shares, those counts, S) and builds it with ``_stretch`` on first use.  The vector goes through the pieces as
+    ``_stretch`` takes it through runs, one lookup per entry a piece.
+    """
+    vec = ((carry_set, 1),)
+    factor = 1  # the counts in ``vec`` are times factor
+    doublings = 0
+    for hi, lo, a, z in pieces:
+        pattern = column[a:z]
+        if len(vec) == 1:
+            s, x = vec[0]
+            factor *= x
+            key = (hi, pattern, s)
+            rule = rows.get(key)
+            if rule is None:
+                rule = rows[key] = _stretch(runs, hi, lo, s, fold)
+            vec, d = rule
+            doublings += d
+        else:
+            acc = {}
+            get = acc.get
+            for s, x in vec:
+                key = (hi, pattern, s)
+                rule = rows.get(key)
+                if rule is None:
+                    rule = rows[key] = _stretch(runs, hi, lo, s, fold)
+                row, d = rule
+                if d:  # a shift by 0 would still copy a big count
+                    x <<= d
+                for t, m in row:
+                    acc[t] = get(t, 0) + x * m
+            vec = tuple(acc.items())
+    if factor != 1:
+        vec = tuple((t, x * factor) for t, x in vec)
+    return vec, doublings
+
+
+def _lone_counts(runs, column, plan, init, fold, rows):
+    """Distinct outputs of one combination from carry set init[e] at each emit position e.
+
+    ``plan`` is the call's ``_stretch_plan`` and ``column`` the
+    combination's free counts per segment; the final carry is not shifted.
+    The walk goes down through the emit positions, and each stretch
+    between two of them is walked once from every carry set met there: the
+    scale's own init[e] and those the walks from above reach.  A stretch
+    inside one run, or with no whole block, is one ``_stretch``; otherwise
+    its pieces share ``rows`` with the call's other combinations
+    (``_block_walk``).  The count is linear in the vector, so a bottom-up
+    pass combines them: count(e_i, S) = (sum of v_S(S') * count(e_{i+1},
+    S')) << doublings, with count(0, S) = popcount(S).  Returns {e: count}.
+    """
+    starts = runs[0]
     walked = []  # per stretch: (carry set, vec, doublings) per walk
     met = set()
-    for hi, lo in zip(tops, tops[1:] + [0]):
+    for hi, lo, pieces in plan:
         met.add(init[hi])
+        if pieces is not None and starts[bisect_right(starts, hi) - 1] <= lo:
+            pieces = None  # inside one run: one rule lookup
         walks = []
         reached = set()
         for s in met:
-            vec, d = _stretch(runs, hi, lo + 1, s, fold)
+            if pieces is None:
+                vec, d = _stretch(runs, hi, lo, s, fold)
+            else:
+                vec, d = _block_walk(runs, column, pieces, s, fold, rows)
             walks.append((s, vec, d))
             reached.update(dict(vec))
         walked.append(walks)
         met = reached
     out = {}
     below = [s.bit_count() for s in range(1 << fold)]
-    for hi, walks in zip(reversed(tops), reversed(walked)):
+    for (hi, _, _), walks in zip(reversed(plan), reversed(walked)):
         here = {}
         for s, vec, d in walks:
             n = 0
@@ -900,16 +1001,19 @@ def sum_prefix_counts(spec, fold, scales, mode="exact", state_budget=DEFAULT_STA
                 bracket = CellCountBracket(count, count)
                 results[j] = DistinctCountResult(j, fold, bracket, "exact", peaks[j], False)
     # bracket mode, and exact mode's fallbacks: each combination alone, its
-    # runs built when it is counted, one walk down serving every scale; a
-    # scale keeps the max and the sum of its counts, not each one
+    # runs built when it is counted, one walk down serving every scale, and
+    # block rows shared across the combinations; a scale keeps the max and
+    # the sum of its counts, not each one
     rest = [j for j in scales if j not in results]
     tops = sorted({emit[j] for j in rest}, reverse=True)
     positive = [e for e in tops if e]
     most = dict.fromkeys(rest, 0)
     total = dict.fromkeys(rest, 0)
-    for rn in _free_count_runs(table) if rest else ():
+    plan = _stretch_plan(table[0], positive)
+    rows = {}  # the pieces' rows, shared by the combinations (``_block_walk``)
+    for column, rn in zip(table[1], _free_count_runs(table)) if rest else ():
         init = _initial_carry_masks(rn, fold, tops)
-        lone = _lone_counts(rn, positive, init, fold)
+        lone = _lone_counts(rn, column, plan, init, fold, rows)
         for j in rest:
             e = emit[j]
             n = lone[e] if e else _carry_values_mask(init[0], shift[j]).bit_count()

@@ -4,6 +4,7 @@ import itertools
 import struct
 from bisect import bisect_right
 from fractions import Fraction
+from functools import lru_cache
 from unittest import mock
 
 from sumdim import engine
@@ -15,8 +16,6 @@ from sumdim.engine import (
     _free_count_runs,
     _initial_carry_masks,
     _segments,
-    _times,
-    _transfer_power,
     undominated_masks,
 )
 from sumdim.patterns import DigitPattern, SetSpec
@@ -172,6 +171,37 @@ def unpruned_prefix_counts(spec, fold, scales, state_budget=10**6):
     }
 
 
+def matrix_times(vec, rows):
+    """A sparse row vector times a matrix of sparse rows, each a tuple of (carry set, count)."""
+    acc = {}
+    for s, x in vec:
+        for t, m in rows[s]:
+            acc[t] = acc.get(t, 0) + x * m
+    return tuple(acc.items())
+
+
+@lru_cache(maxsize=None)
+def transfer_power(fold, f, k):
+    """M_f^(2^k), every row at once: paths of 2^k output bits between nonempty carry sets.
+
+    Whole squarings, kept apart from the engine's lazily built rows
+    (``engine._power_row``) so that ``per_scale_lone_count`` stays an
+    independent reference.
+    """
+    if k == 0:
+        next0, next1, _ = _carry_tables(fold)
+        rows = [()]  # the empty carry set is dropped
+        for s in range(1, 1 << fold):
+            row = {}
+            for t in (next0[f][s], next1[f][s]):
+                if t:
+                    row[t] = row.get(t, 0) + 1
+            rows.append(tuple(row.items()))
+        return tuple(rows)
+    half = transfer_power(fold, f, k - 1)
+    return tuple(matrix_times(row, half) for row in half)
+
+
 def lone_setup(spec, fold, scales):
     """The undominated masks, their combinations and {scale: (emit, carry shift)}."""
     width = (fold - 1).bit_length()
@@ -213,7 +243,7 @@ def per_scale_lone_count(runs, scale, init_mask, fold, carry_shift):
             r = min(r, width)
         for k in range(r.bit_length()):
             if r >> k & 1:
-                vec = _times(vec, _transfer_power(fold, f, k))
+                vec = matrix_times(vec, transfer_power(fold, f, k))
     return sum(x * _carry_values_mask(s, carry_shift).bit_count() for s, x in vec) << doublings
 
 

@@ -3,8 +3,10 @@
 import collections
 import dataclasses
 import random
+import types
 from bisect import bisect_right
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -34,8 +36,7 @@ from sumdim.engine import (
     _run_rule,
     _segments,
     _slice_moves,
-    _times,
-    _transfer_power,
+    _stretch_plan,
     branching_min_average,
     brute_force_oracle,
     iterated_pattern_sums,
@@ -51,9 +52,11 @@ from helpers import (
     lane_major_count_outputs,
     lane_major_prefix_counts,
     lone_setup,
+    matrix_times,
     per_position_branching_min_average,
     per_position_columns,
     run_stepped_lone_counts,
+    transfer_power,
     unpruned_count_outputs,
     unpruned_prefix_counts,
 )
@@ -266,9 +269,12 @@ def shared_walk_lone_counts(spec, fold, scales):
     masks, combos, shifts = lone_setup(spec, fold, scales)
     out = {j: [] for j in scales}
     tops = sorted({e for e, _ in shifts.values()}, reverse=True)
-    for runs in _free_count_runs(_segments(masks, spec.depth, combos)):
+    table = _segments(masks, spec.depth, combos)
+    plan = _stretch_plan(table[0], [e for e in tops if e])
+    rows = {}
+    for column, runs in zip(table[1], _free_count_runs(table)):
         init = _initial_carry_masks(runs, fold, tops)
-        lone = _lone_counts(runs, [e for e in tops if e], init, fold)
+        lone = _lone_counts(runs, column, plan, init, fold, rows)
         for j, (e, shift) in shifts.items():
             out[j].append(lone[e] if e else _carry_values_mask(init[0], shift).bit_count())
     return out
@@ -286,6 +292,12 @@ def reference_brackets(spec, fold, scales, lone=None):
     }
 
 
+# block sizes for the lone walk's row memo: small ones make small specs hold
+# whole blocks, partial pieces at both ends of a stretch and vectors of two
+# or more carry sets entering a block
+BLOCK_SIZES = (1, 2, 3, engine.BLOCK_SEGMENTS)
+
+
 @given(specs_with_fold(), st.data())
 @settings(max_examples=80, deadline=None)
 def test_shared_walk_matches_per_scale_walks(spec_fold, data):
@@ -293,15 +305,17 @@ def test_shared_walk_matches_per_scale_walks(spec_fold, data):
     # several scales that share emit position 0
     spec, fold = spec_fold
     scales = data.draw(st.lists(st.integers(0, spec.depth), min_size=1, max_size=12))
-    assert shared_walk_lone_counts(spec, fold, scales) == run_stepped_lone_counts(
-        spec, fold, scales
-    )
-    got = sum_prefix_counts(spec, fold, scales, mode="bracket")
-    assert list(got) == sorted(set(scales))
-    for j, bracket in reference_brackets(spec, fold, scales).items():
-        assert got[j] == sum_prefix_counts(spec, fold, [j], mode="bracket")[j], j
-        assert (got[j].bracket, got[j].mode, got[j].peak_states) == (bracket, "bracket", 0), j
-        assert not got[j].fell_back
+    lone = run_stepped_lone_counts(spec, fold, scales)
+    want = reference_brackets(spec, fold, scales, lone)
+    for block in BLOCK_SIZES:
+        with mock.patch.object(engine, "BLOCK_SEGMENTS", block):
+            assert shared_walk_lone_counts(spec, fold, scales) == lone, block
+            got = sum_prefix_counts(spec, fold, scales, mode="bracket")
+            assert list(got) == sorted(set(scales))
+            for j, bracket in want.items():
+                assert got[j] == sum_prefix_counts(spec, fold, [j], mode="bracket")[j], (block, j)
+                assert (got[j].bracket, got[j].mode, got[j].peak_states) == (bracket, "bracket", 0)
+                assert not got[j].fell_back
 
 
 def check_shared_walk(spec, fold, step=1):
@@ -330,6 +344,16 @@ def test_shared_walk_matches_per_scale_walks_on_the_oracle_corpus():
     for spec in _oracle_corpus():
         for fold in (1, 2, 3):
             check_shared_walk(spec, fold)
+            # every third scale in blocks of 1 and 2 segments: stretches of
+            # three positions hold whole blocks and partial pieces at both ends
+            scales = range(spec.depth, -1, -3)
+            lone = run_stepped_lone_counts(spec, fold, scales)
+            want = reference_brackets(spec, fold, scales, lone)
+            for block in (1, 2):
+                with mock.patch.object(engine, "BLOCK_SEGMENTS", block):
+                    assert shared_walk_lone_counts(spec, fold, scales) == lone, (spec.name, block)
+                    got = sum_prefix_counts(spec, fold, scales, mode="bracket")
+                    assert {j: r.bracket for j, r in got.items()} == want, (spec.name, block)
 
 
 @pytest.mark.parametrize("name", sorted(CANONICAL_EXAMPLES))
@@ -363,18 +387,81 @@ def test_exact_fallbacks_match_per_scale_walks_on_the_oracle_corpus(budget):
 
 
 def record_walks(monkeypatch):
-    """Patch the stretch walk to log, per combination, how often each position is walked."""
-    walks = {}
-    real = engine._stretch
+    """Patch the lone walk to log what it walks, per bracket call.
 
-    def counted(runs, hi, lo, carry_set, fold):
-        # keying by id is safe: holding ``runs`` keeps its id from reuse
-        _, positions = walks.setdefault(id(runs), (runs, collections.Counter()))
-        positions.update(range(lo, hi + 1))
-        return real(runs, hi, lo, carry_set, fold)
+    ``log.stretches`` holds (runs, hi, lo, carry set) for each ``_stretch``
+    that ``_lone_counts`` makes itself.  ``log.blocks`` holds, for each
+    ``_block_walk``, its (runs, column, pieces, carry set), the call's row
+    memo, the memo keys it read in order and the (hi, lo, carry set) of
+    each ``_stretch`` it made to build a row.
+    """
+    log = types.SimpleNamespace(stretches=[], blocks=[])
+    real_stretch, real_block = engine._stretch, engine._block_walk
+    memos = {}  # id of a call's memo: (that memo, the recording one used instead)
+    current = []  # the block walk in progress
 
-    monkeypatch.setattr(engine, "_stretch", counted)
-    return walks
+    class Memo(dict):
+        def get(self, key):
+            current[-1].lookups.append(key)
+            return super().get(key)
+
+    def stretch(runs, hi, lo, carry_set, fold):
+        if current:
+            current[-1].builds.append((hi, lo, carry_set))
+        else:
+            log.stretches.append((runs, hi, lo, carry_set))
+        return real_stretch(runs, hi, lo, carry_set, fold)
+
+    def block_walk(runs, column, pieces, carry_set, fold, rows):
+        memo = memos.setdefault(id(rows), (rows, Memo()))[1]
+        current.append(types.SimpleNamespace(
+            runs=runs, column=column, pieces=pieces, carry_set=carry_set, memo=memo,
+            lookups=[], builds=[],
+        ))
+        try:
+            return real_block(runs, column, pieces, carry_set, fold, memo)
+        finally:
+            log.blocks.append(current.pop())
+
+    monkeypatch.setattr(engine, "_stretch", stretch)
+    monkeypatch.setattr(engine, "_block_walk", block_walk)
+    return log
+
+
+def covered_positions(log):
+    """Per combination (keyed by the id of its runs), how often each position was walked."""
+    out = collections.defaultdict(collections.Counter)
+    for runs, hi, lo, _ in log.stretches:
+        out[id(runs)].update(range(lo, hi + 1))
+    for walk in log.blocks:
+        for hi, lo, _, _ in walk.pieces:
+            out[id(walk.runs)].update(range(lo, hi + 1))
+    return out
+
+
+def check_block_rows(log):
+    """Each block walk reads one row per carry set a piece, in order; no row is built twice.
+
+    Returns (rows built, rows read).
+    """
+    built = set()
+    reads = 0
+    for walk in log.blocks:
+        pieces = {hi: (lo, walk.column[a:z]) for hi, lo, a, z in walk.pieces}
+        order = []
+        for hi, pattern, s in walk.lookups:
+            assert pattern == pieces[hi][1], (hi, pattern)
+            order.append(hi)
+            reads += 1
+        # the pieces top down, each read once per carry set of its vector
+        assert list(dict.fromkeys(order)) == [p[0] for p in walk.pieces]
+        assert len(set(walk.lookups)) == len(walk.lookups)
+        for hi, lo, s in walk.builds:
+            assert lo == pieces[hi][0], (hi, lo)
+            key = (id(walk.memo), hi, pieces[hi][1], s)
+            assert key not in built, key  # built at most once per call
+            built.add(key)
+    return len(built), reads
 
 
 @pytest.mark.parametrize("name, fold", [("all-dims-3", 2), ("haus-lowbox", 3)])
@@ -383,19 +470,59 @@ def test_bracket_mode_walks_each_combination_once_for_every_scale(monkeypatch, n
     masks = undominated_masks(c.free_mask for c in spec.components)
     ncombos = len(_combos(len(masks), fold))
     emit = spec.depth - (fold - 1).bit_length()
-    walks = record_walks(monkeypatch)
-    # one scale: one walk per combination, from the scale down to position 1
+    log = record_walks(monkeypatch)
+    # one scale: each position from the scale down to 1 is covered once per
+    # combination, by a run walk or by a block row; whole blocks share rows
     sum_prefix_counts(spec, fold, [spec.depth], mode="bracket")
-    assert len(walks) == ncombos
-    for _, positions in walks.values():
+    covered = covered_positions(log)
+    assert len(covered) == ncombos
+    for positions in covered.values():
         assert positions == collections.Counter(range(1, emit + 1))
-    walks.clear()
+    built, reads = check_block_rows(log)
+    assert log.blocks and built < reads
     # every scale: a stretch is walked once from each nonempty carry set
     # met there, so at most 2^fold - 1 walks cover any position
+    log.stretches.clear()
+    log.blocks.clear()
     sum_prefix_counts(spec, fold, range(1, spec.depth + 1), mode="bracket")
-    assert len(walks) == ncombos
-    most = max(max(positions.values()) for _, positions in walks.values())
+    covered = covered_positions(log)
+    assert len(covered) == ncombos
+    most = max(max(positions.values()) for positions in covered.values())
     assert 1 < most <= 2**fold - 1
+
+
+def deep_interleave(horizon, marks):
+    """The benchmark's deep-bracket construction, acceptance 7's interleave, at a given horizon."""
+    scales = make_scale_sequence("scaled", horizon, 4)
+
+    def half(fams):
+        targets = DimensionTargets(*(tuple(map(Fraction, f)) for f in fams))
+        return build_example("all-dims-3", targets, scales)
+
+    prime = half((("1/4", "1/2", "5/8"), ("1/4", "1/2", "5/8"), ("1/4", "1/2", "3/4")))
+    flat = half((("1/2",) * 3,) * 3)
+    return interleave(prime, flat, marks), scales
+
+
+def test_deep_interleave_shares_block_rows_across_combinations(monkeypatch):
+    # horizon 40 (depth 831, 135 segments): the stretches below the probes
+    # hold whole blocks, and most combinations repeat a block's free counts
+    spec, scales = deep_interleave(40, (1, 8, 24, 41))
+    probes = sorted({scales.start(k) - 1 for k in (8, 16, 24)} | {spec.depth})
+    masks = undominated_masks(c.free_mask for c in spec.components)
+    segments = len(_segments(masks, spec.depth, _combos(len(masks), 1))[0]) - 1
+    nblocks = -(-segments // engine.BLOCK_SEGMENTS)
+    log = record_walks(monkeypatch)
+    for fold in (1, 2, 3):
+        log.blocks.clear()
+        got = sum_prefix_counts(spec, fold, probes, mode="bracket")
+        want = reference_brackets(spec, fold, probes)
+        assert {j: r.bracket for j, r in got.items()} == want, fold
+        built, reads = check_block_rows(log)
+        # rows built against one per combination and block: at fold 3 (560
+        # combinations) 732 against 5,040
+        most = len(_combos(len(masks), fold)) * nblocks
+        assert built < reads and 2 * built < most and (fold < 3 or 5 * built < most), fold
 
 
 @pytest.mark.parametrize("fold", [engine.MAX_FOLD + 1, 256])
@@ -533,15 +660,7 @@ def test_undominated_masks_drops_duplicates_and_submasks():
     assert len(canonical.components) == 18
     assert len(undominated_masks(c.free_mask for c in canonical.components)) == 15
     # the benchmark's deep-bracket spec: acceptance 7's interleave at horizon 120
-    scales = make_scale_sequence("scaled", 120, 4)
-
-    def half(fams):
-        targets = DimensionTargets(*(tuple(map(Fraction, f)) for f in fams))
-        return build_example("all-dims-3", targets, scales)
-
-    prime = half((("1/4", "1/2", "5/8"), ("1/4", "1/2", "5/8"), ("1/4", "1/2", "3/4")))
-    flat = half((("1/2",) * 3,) * 3)
-    deep = interleave(prime, flat, (1, 22, 72, 121))
+    deep, _ = deep_interleave(120, (1, 22, 72, 121))
     assert len(deep.components) == 18
     assert len(undominated_masks(c.free_mask for c in deep.components)) == 14
 
@@ -754,16 +873,19 @@ def run_cases():
 
 def test_run_rows_equal_single_steps_of_the_transfer_matrix():
     # row s of M_f^r, the rule's row shifted by its doublings, against r
-    # single steps of M_f from the unit vector at s
+    # single steps of M_f from the unit vector at s; row s of M_f^(2^k)
+    # against the reference's whole squaring
     for fold, f, s in run_cases():
-        one = _transfer_power(fold, f, 0)
+        one = transfer_power(fold, f, 0)
         vec = ((s, 1),)
         for r in range(1, max(RUN_LENGTHS) + 1):
-            vec = _times(vec, one)
+            vec = matrix_times(vec, one)
             if r in RUN_LENGTHS:
                 row, d = _run_rule(fold, f, r, s)
                 assert {t: x << d for t, x in row} == dict(vec), (fold, f, r, s)
         assert _run_rule(fold, f, 0, s) == (((s, 1),), 0)
+        for k in range(6):  # the engine's lazy rows of the squarings
+            assert dict(engine._power_row(fold, f, k, s)) == dict(transfer_power(fold, f, k)[s])
 
 
 def test_absorb_runs_equal_nextany_iterated():
@@ -778,12 +900,15 @@ def test_absorb_runs_equal_nextany_iterated():
 
 
 def test_bracket_walk_makes_one_vector_product_per_run(monkeypatch):
-    # a run's overlap with a stretch, r positions with f addends free, is one
-    # product with rows of M_f^r, read from the rule keyed by that run's r:
-    # no stepping by powers of two, each carry set of the vector looked up once
-    spec = build_canonical("pair-hausdorff")
+    # a run's overlap with a stretch or a block row, r positions with f
+    # addends free, is one product with rows of M_f^r, read from the rule
+    # keyed by that run's r: no stepping by powers of two, each carry set of
+    # the vector looked up once.  A block walk reads one memo row per carry
+    # set of its vector a piece, and builds each (piece, free counts, carry
+    # set) row at most once in the call
+    spec = build_canonical("all-dims-3")
     fold = 3
-    walks = []  # per stretch: its runs' (f, r) and the rules it looked up
+    walks = []  # per _stretch: its runs' (f, r) and the rules it looked up
     real_rule, real_stretch = engine._run_rule, engine._stretch
 
     def rule(fold, f, r, s):
@@ -796,6 +921,7 @@ def test_bracket_walk_makes_one_vector_product_per_run(monkeypatch):
 
     monkeypatch.setattr(engine, "_run_rule", rule)
     monkeypatch.setattr(engine, "_stretch", stretch)
+    log = record_walks(monkeypatch)  # wraps the counting _stretch above
     sum_prefix_counts(spec, fold, [spec.depth], mode="bracket")
     products = 0
     for steps, lookups in walks:
@@ -808,39 +934,69 @@ def test_bracket_walk_makes_one_vector_product_per_run(monkeypatch):
             products += bool(seen)
         assert i == len(lookups), (steps, lookups)
     assert len(walks) > 1 and products > len(walks)
+    built, reads = check_block_rows(log)
+    assert built == sum(len(w.builds) for w in log.blocks) and built < reads
+    # a row read with a vector of two or more carry sets
+    assert any(len(w.lookups) > len(w.pieces) for w in log.blocks)
 
 
 @pytest.mark.parametrize("name, fold", [("all-dims-3", 2), ("haus-lowbox", 3)])
 def test_a_stretch_inside_one_run_is_one_rule_lookup(monkeypatch, name, fold):
-    # over every scale most stretches lie inside one run; each such walk
-    # reads the shared rule once, for its own carry set, and nothing else
+    # a stretch inside one run reads the shared rule once, for its own carry
+    # set, and nothing else, even where it holds whole blocks: over every
+    # scale most stretches are such, and over the default scales, in blocks
+    # of 2 segments, some combinations lie in one run across whole blocks
     spec = build_canonical(name)
     lookups = []
-    walks = []  # per stretch: its arguments and the rule lookups it made
-    real_rule, real_stretch = engine._run_rule, engine._stretch
+    real_rule = engine._run_rule
 
     def rule(fold, f, r, s):
         lookups.append((fold, f, r, s))
         return real_rule(fold, f, r, s)
 
+    monkeypatch.setattr(engine, "_run_rule", rule)
+    monkeypatch.setattr(engine, "BLOCK_SEGMENTS", 2)
+    log = record_walks(monkeypatch)
+    real_stretch = engine._stretch
+    seen = {}  # per _stretch call: the rule lookups it made
+
     def stretch(runs, hi, lo, carry_set, fold):
         before = len(lookups)
         out = real_stretch(runs, hi, lo, carry_set, fold)
-        walks.append((runs, hi, lo, carry_set, lookups[before:]))
+        seen[id(runs), hi, lo, carry_set] = lookups[before:]
         return out
 
-    monkeypatch.setattr(engine, "_run_rule", rule)
     monkeypatch.setattr(engine, "_stretch", stretch)
-    sum_prefix_counts(spec, fold, range(1, spec.depth + 1), mode="bracket")
-    inside = 0
-    for (starts, counts), hi, lo, carry_set, seen in walks:
-        i = bisect_right(starts, hi) - 1
-        if starts[i] <= lo:
-            inside += 1
-            assert seen == [(fold, counts[i], hi - lo + 1, carry_set)], (hi, lo)
-        else:  # a rule lookup for each run the walk crosses, at least
-            assert len(seen) >= bisect_right(starts, hi) - bisect_right(starts, lo) + 1, (hi, lo)
-    assert inside > len(walks) // 2
+    masks = undominated_masks(c.free_mask for c in spec.components)
+    starts = _segments(masks, spec.depth, _combos(len(masks), 1))[0]
+    width = (fold - 1).bit_length()
+    for scales in (range(1, spec.depth + 1), resolve_scales(spec, "boundaries")):
+        log.stretches.clear()
+        log.blocks.clear()
+        tops = sorted({j - width for j in scales if j > width}, reverse=True)
+        blocks = {hi: pieces for hi, _, pieces in _stretch_plan(starts, tops)}
+        sum_prefix_counts(spec, fold, scales, mode="bracket")
+        inside = across = 0
+        for runs, hi, lo, carry_set in log.stretches:
+            rules = seen[id(runs), hi, lo, carry_set]
+            run_starts, counts = runs
+            i = bisect_right(run_starts, hi) - 1
+            if run_starts[i] <= lo:
+                inside += 1
+                across += blocks[hi] is not None
+                assert rules == [(fold, counts[i], hi - lo + 1, carry_set)], (hi, lo)
+            else:  # no whole block: a rule lookup for each run the walk crosses, at least
+                assert blocks[hi] is None, (hi, lo)
+                crossed = bisect_right(run_starts, hi) - bisect_right(run_starts, lo) + 1
+                assert len(rules) >= crossed, (hi, lo)
+        for walk in log.blocks:  # a block walk only where the stretch crosses a run edge
+            run_starts = walk.runs[0]
+            hi, lo = walk.pieces[0][0], walk.pieces[-1][1]
+            assert run_starts[bisect_right(run_starts, hi) - 1] > lo
+        if len(scales) == spec.depth:  # every scale: most stretches lie inside one run
+            assert inside > len(log.stretches) // 2
+        else:  # the default scales: some lie inside one run across whole blocks
+            assert across
 
 
 def test_a_fixed_step_waits_for_the_reach_groups_too():
