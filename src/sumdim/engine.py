@@ -56,7 +56,8 @@ on each segment; every counting path reads free counts from it.  A lone
 combination's state is one nonempty carry set, and a position where f of
 its addends are free acts on those states as a small integer transfer
 matrix M_f: entry (S, S') counts the output bits that take S to S'.
-Adjacent segments with equal count merge into runs.  A run of r
+Adjacent segments with equal count merge into runs, found on the column
+bytes where a walk reads them; no run list is built.  A run of r
 positions is one sparse product of the vector with rows of M_f^r (the
 transfer-matrix method).  One cached rule, ``_run_rule``, says what a
 run does to S: it builds row S of M_f^r on first use, from the rows of
@@ -65,7 +66,7 @@ and keeps it, as the same (f, r, S) recur across combinations, so nearly
 every run reuses rows.  It also holds the walk's two shortcuts: carry 0
 alone with f < 2 only doubles its count, and a run with no addend free
 is cut to the carry width.  The low phase likewise looks up one cached
-entry of nextany[f] composed r times per run.
+entry of nextany[f] composed r times per run of the column's tail.
 
 A lone combination is walked once per call, not once per scale.  The
 call's emit positions e_1 > ... > e_m, sorted once per call, cut its
@@ -73,22 +74,23 @@ positions into stretches, and each stretch is walked once from every
 carry set met at its top: the scale's own initial set and those the
 walks from above reach, so at most 2^l - 1 walks share a stretch.  A
 stretch inside one run, as most are when a call asks for every scale, is
-one lookup of the rule.  The count is linear in the vector, so a
-bottom-up pass combines the stretch walks into every scale's count.
+one lookup of the rule, decided by one test on its segments' bytes.  The
+count is linear in the vector, so a bottom-up pass combines the stretch
+walks into every scale's count.
 
 The constructions build their sets block by block, so over a short
 stretch of segments many combinations have the same free counts.  Cut
 the segment table into blocks of BLOCK_SEGMENTS consecutive segments;
 once per call, ``_stretch_plan`` cuts each stretch that holds a whole
 block into pieces: the partial piece above the first whole block, each
-whole block, and the partial piece below the last.  A piece's row from
-carry set S depends only on the combination's free counts over the
-piece's segments, so one memo per call keys it by (piece, those counts,
-S), builds it with one ``_stretch`` and shares it across combinations
-(``_block_walk``).  On a deep interleave at fold 3, 560 combinations
-over 27 blocks make 15,120 (block, counts) pairs, of which 1,764 are
-distinct.  A stretch inside one run, or with no whole block, is walked
-as before.
+whole block, and the partial piece below the last; a stretch with no
+whole block is one piece.  A piece's row from carry set S depends only
+on the combination's free counts over the piece's segments, so one memo
+per call keys it by (piece, those counts, S), builds it with one
+``_stretch`` and shares it across combinations (``_block_walk``), for
+every stretch not inside one run.  On a deep interleave at fold 3, 560
+combinations over 27 blocks make 15,120 (block, counts) pairs, of which
+1,764 are distinct.
 
 Pruning
 -------
@@ -401,24 +403,6 @@ def _lane_order(table):
     return starts, [columns[i] for i in sorted(range(len(columns)), key=shared.__getitem__)]
 
 
-def _free_count_runs(table):
-    """Per combination of the segment table, its runs of positions with one free count.
-
-    Adjacent segments with equal count merge.  Yields ``(starts, counts)``:
-    run i covers positions starts[i]..starts[i+1]-1 with counts[i] addends
-    free; starts ends with depth + 1.  Byte i of ``x ^ x >> 8``, for x the
-    column read as one integer, is nonzero where segment i's count differs
-    from segment i - 1's; the top bit marks segment 0.
-    """
-    starts, columns = table
-    n = len(starts) - 1
-    first = 1 << 8 * n - 1
-    for column in columns:
-        x = int.from_bytes(column, "big")
-        runs = list(itertools.compress(range(n), (x ^ x >> 8 | first).to_bytes(n, "big")))
-        yield [starts[i] for i in runs] + [starts[-1]], [column[i] for i in runs]
-
-
 @lru_cache(maxsize=None)
 def _count_map(v, at_least):
     """A bytes.translate table: byte b to "1" if b >= v (or b == v), else "0"."""
@@ -500,25 +484,33 @@ def _absorb_run(fold, f, r, s):
     return s
 
 
-def _initial_carry_masks(runs, fold, tops):
+def _initial_carry_masks(starts, column, fold, tops):
     """Carry-set of one combination after absorbing every digit below each position.
 
-    ``tops`` lists distinct positions in descending order.  One pass from
-    the deepest position upward, one cached lookup per run (or part of a
-    run above and below a position); returns {position: mask}, in the
-    order of ``tops``.
+    ``tops`` lists distinct positions in descending order.  Runs are found
+    at C level on the column's tail below the lowest top: byte i of
+    ``x ^ x >> 8``, x the tail as one integer, is nonzero where segment i's
+    count differs from the one before.  One pass from the deepest position
+    upward, one cached lookup per run (or part of a run above and below a
+    position); returns {position: mask}, in the order of ``tops``.
     """
-    starts, counts = runs
+    a = bisect_right(starts, tops[-1] + 1) - 1  # the segment of the last position absorbed
+    n = len(column) - a  # the tail's segments
+    x = int.from_bytes(column[a:], "big")
+    # 1 << 8n >> 8 marks the tail's first segment, and is 0 when the tail is empty
+    edges = (x ^ x >> 8 | 1 << 8 * n >> 8).to_bytes(n, "big")
+    runs = list(itertools.compress(range(a, a + n), edges))  # the segment that starts each run
     out = {}
     cur = 1  # carry 0 only
     hi = starts[-1] - 1
-    i = len(counts) - 1  # the run that holds position hi
+    i = len(runs) - 1  # the run that holds position hi
     for j in tops:
         while hi > j:
-            lo = starts[i] if starts[i] > j else j + 1
-            cur = _absorb_run(fold, counts[i], hi - lo + 1, cur)
+            start = starts[runs[i]]
+            lo = start if start > j else j + 1
+            cur = _absorb_run(fold, column[runs[i]], hi - lo + 1, cur)
             hi = lo - 1
-            if lo == starts[i]:
+            if lo == start:
                 i -= 1
         out[j] = cur
     return out
@@ -578,27 +570,29 @@ def _run_rule(fold, f, r, s):
     return vec, 0
 
 
-def _stretch(runs, hi, lo, carry_set, fold):
+def _stretch(starts, column, hi, lo, carry_set, fold):
     """One combination's walk over positions hi down to lo from one carry set, by runs.
 
-    A stretch inside one run is one ``_run_rule`` lookup.  Otherwise each
-    run's overlap with hi..lo, r positions with f addends free, applies the
-    same rule to every carry set of the vector: one sparse product with
+    Each run is found by stepping down over the column's equal adjacent
+    bytes, a bounded walk: ``_block_walk`` builds a row for one piece, which
+    spans at most one block or, for a stretch with no whole block, fewer
+    than two, and never for a stretch inside one run.  A run's overlap
+    with hi..lo, r positions with f addends free, applies the same
+    ``_run_rule`` to every carry set of the vector: one sparse product with
     cached rows of M_f^r.  A one-entry vector (S, x) is kept as the rule's
     row of S times a common factor, so its product copies nothing.  Returns
     ``(vec, doublings)``: the sparse vector of the carry sets reached, whose
     counts are to be multiplied by 2^doublings.
     """
-    starts, counts = runs
-    i = bisect_right(starts, hi) - 1  # the run that holds position hi
-    if starts[i] <= lo:
-        return _run_rule(fold, counts[i], hi - lo + 1, carry_set)
+    i = bisect_right(starts, hi) - 1  # the segment that holds position hi
     vec = ((carry_set, 1),)
     factor = 1  # the counts in ``vec`` are times factor
     doublings = 0
     while hi >= lo:
+        f = column[i]
+        while starts[i] > lo and column[i - 1] == f:
+            i -= 1
         start = starts[i] if starts[i] > lo else lo
-        f = counts[i]
         r = hi - start + 1
         hi = start - 1
         i -= 1
@@ -629,10 +623,11 @@ def _stretch_plan(starts, tops):
     stretch below e_i covers positions e_i down to e_{i+1} + 1, or down to
     1 for the last.  Block b is segments b*B..(b+1)*B - 1 of the segment
     table, B = BLOCK_SEGMENTS, the last one possibly shorter.  Returns per
-    stretch ``(hi, lo, pieces)``: pieces is None when no whole block lies
-    in hi..lo, else the stretch top down as ``(hi', lo', a, z)``, positions
-    hi'..lo' over segments a..z-1: the partial piece above the first whole
-    block, each whole block, and the partial piece below the last.
+    stretch ``(hi, lo, a, z, pieces)``, positions hi..lo over segments
+    a..z-1, with the stretch top down as pieces of the same form
+    ``(hi, lo, a, z)``: the partial piece above the first whole block, each
+    whole block, and the partial piece below the last; a stretch with no
+    whole block is one piece.
     """
     n = len(starts) - 1
     cuts = [*range(0, n, BLOCK_SEGMENTS), n]
@@ -640,29 +635,31 @@ def _stretch_plan(starts, tops):
     plan = []
     for hi, lo in zip(tops, tops[1:] + [0]):
         lo += 1
+        a, z = bisect_right(starts, lo) - 1, bisect_right(starts, hi)
         first = bisect_left(edges, lo)
         last = bisect_right(edges, hi + 1) - 2
         if first > last:
-            plan.append((hi, lo, None))
+            plan.append((hi, lo, a, z, [(hi, lo, a, z)]))
             continue
         pieces = [
             (edges[b + 1] - 1, edges[b], cuts[b], cuts[b + 1]) for b in range(last, first - 1, -1)
         ]
         if hi >= edges[last + 1]:
-            pieces.insert(0, (hi, edges[last + 1], cuts[last + 1], bisect_right(starts, hi)))
+            pieces.insert(0, (hi, edges[last + 1], cuts[last + 1], z))
         if lo < edges[first]:
-            pieces.append((edges[first] - 1, lo, bisect_right(starts, lo) - 1, cuts[first]))
-        plan.append((hi, lo, pieces))
+            pieces.append((edges[first] - 1, lo, a, cuts[first]))
+        plan.append((hi, lo, a, z, pieces))
     return plan
 
 
-def _block_walk(runs, column, pieces, carry_set, fold, rows):
-    """One combination's walk over a stretch's pieces from one carry set: ``_stretch``'s result.
+def _block_walk(starts, column, pieces, carry_set, fold, rows):
+    """One combination's walk over a stretch's pieces from one carry set.
 
-    A piece's row for carry set S depends only on the combination's free
-    counts over the piece's segments, so ``rows``, one memo per call, keys
-    it by (the piece's top position, which no other piece of the call
-    shares, those counts, S) and builds it with ``_stretch`` on first use.  The vector goes through the pieces as
+    Returns ``_stretch``'s result.  A piece's row for carry set S depends
+    only on the combination's free counts over the piece's segments, so
+    ``rows``, one memo per call, keys it by (the piece's top position,
+    which no other piece of the call shares, those counts, S) and builds it
+    with ``_stretch`` on first use.  The vector goes through the pieces as
     ``_stretch`` takes it through runs, one lookup per entry a piece.
     """
     vec = ((carry_set, 1),)
@@ -676,7 +673,7 @@ def _block_walk(runs, column, pieces, carry_set, fold, rows):
             key = (hi, pattern, s)
             rule = rows.get(key)
             if rule is None:
-                rule = rows[key] = _stretch(runs, hi, lo, s, fold)
+                rule = rows[key] = _stretch(starts, column, hi, lo, s, fold)
             vec, d = rule
             doublings += d
         else:
@@ -686,7 +683,7 @@ def _block_walk(runs, column, pieces, carry_set, fold, rows):
                 key = (hi, pattern, s)
                 rule = rows.get(key)
                 if rule is None:
-                    rule = rows[key] = _stretch(runs, hi, lo, s, fold)
+                    rule = rows[key] = _stretch(starts, column, hi, lo, s, fold)
                 row, d = rule
                 if d:  # a shift by 0 would still copy a big count
                     x <<= d
@@ -698,41 +695,41 @@ def _block_walk(runs, column, pieces, carry_set, fold, rows):
     return vec, doublings
 
 
-def _lone_counts(runs, column, plan, init, fold, rows):
+def _lone_counts(starts, column, plan, init, fold, rows):
     """Distinct outputs of one combination from carry set init[e] at each emit position e.
 
     ``plan`` is the call's ``_stretch_plan`` and ``column`` the
-    combination's free counts per segment; the final carry is not shifted.
-    The walk goes down through the emit positions, and each stretch
-    between two of them is walked once from every carry set met there: the
-    scale's own init[e] and those the walks from above reach.  A stretch
-    inside one run, or with no whole block, is one ``_stretch``; otherwise
-    its pieces share ``rows`` with the call's other combinations
-    (``_block_walk``).  The count is linear in the vector, so a bottom-up
-    pass combines them: count(e_i, S) = (sum of v_S(S') * count(e_{i+1},
-    S')) << doublings, with count(0, S) = popcount(S).  Returns {e: count}.
+    combination's column of the segment table; the final carry is not
+    shifted.  The walk goes down through the emit positions, and each
+    stretch between two of them is walked once from every carry set met
+    there: the scale's own init[e] and those the walks from above reach.
+    A stretch inside one run, found by one test on its segments' bytes, is
+    one ``_run_rule`` lookup; otherwise its pieces share ``rows`` with the
+    call's other combinations (``_block_walk``).  The count is linear in
+    the vector, so a bottom-up pass combines them: count(e_i, S) = (sum of
+    v_S(S') * count(e_{i+1}, S')) << doublings, with count(0, S) =
+    popcount(S).  Returns {e: count}.
     """
-    starts = runs[0]
     walked = []  # per stretch: (carry set, vec, doublings) per walk
     met = set()
-    for hi, lo, pieces in plan:
+    for hi, lo, a, z, pieces in plan:
         met.add(init[hi])
-        if pieces is not None and starts[bisect_right(starts, hi) - 1] <= lo:
-            pieces = None  # inside one run: one rule lookup
+        run = column[a:z]
+        inside = not run.strip(run[:1])  # every segment of the stretch has one count
         walks = []
         reached = set()
         for s in met:
-            if pieces is None:
-                vec, d = _stretch(runs, hi, lo, s, fold)
+            if inside:
+                vec, d = _run_rule(fold, run[0], hi - lo + 1, s)
             else:
-                vec, d = _block_walk(runs, column, pieces, s, fold, rows)
+                vec, d = _block_walk(starts, column, pieces, s, fold, rows)
             walks.append((s, vec, d))
             reached.update(dict(vec))
         walked.append(walks)
         met = reached
     out = {}
     below = [s.bit_count() for s in range(1 << fold)]
-    for (hi, _, _), walks in zip(reversed(plan), reversed(walked)):
+    for (hi, _, _, _, _), walks in zip(reversed(plan), reversed(walked)):
         here = {}
         for s, vec, d in walks:
             n = 0
@@ -993,7 +990,7 @@ def sum_prefix_counts(spec, fold, scales, mode="exact", state_budget=DEFAULT_STA
     if mode == "exact" and scales:
         table = _lane_order(table)
         tops = sorted(set(emit.values()), reverse=True)
-        init = [_initial_carry_masks(rn, fold, tops) for rn in _free_count_runs(table)]
+        init = [_initial_carry_masks(table[0], column, fold, tops) for column in table[1]]
         antichain = _antichain(table, max(emit.values()))
         counts = _count_outputs(table, emit, shift, init, fold, state_budget, antichain)
         for j, (count, peaks[j]) in counts.items():
@@ -1001,19 +998,20 @@ def sum_prefix_counts(spec, fold, scales, mode="exact", state_budget=DEFAULT_STA
                 bracket = CellCountBracket(count, count)
                 results[j] = DistinctCountResult(j, fold, bracket, "exact", peaks[j], False)
     # bracket mode, and exact mode's fallbacks: each combination alone, its
-    # runs built when it is counted, one walk down serving every scale, and
-    # block rows shared across the combinations; a scale keeps the max and
-    # the sum of its counts, not each one
+    # runs found on its column where a walk reads them, one walk down serving
+    # every scale, and block rows shared across the combinations; a scale
+    # keeps the max and the sum of its counts, not each one
     rest = [j for j in scales if j not in results]
     tops = sorted({emit[j] for j in rest}, reverse=True)
     positive = [e for e in tops if e]
     most = dict.fromkeys(rest, 0)
     total = dict.fromkeys(rest, 0)
-    plan = _stretch_plan(table[0], positive)
+    starts, columns = table
+    plan = _stretch_plan(starts, positive)
     rows = {}  # the pieces' rows, shared by the combinations (``_block_walk``)
-    for column, rn in zip(table[1], _free_count_runs(table)) if rest else ():
-        init = _initial_carry_masks(rn, fold, tops)
-        lone = _lone_counts(rn, column, plan, init, fold, rows)
+    for column in columns if rest else ():
+        init = _initial_carry_masks(starts, column, fold, tops)
+        lone = _lone_counts(starts, column, plan, init, fold, rows)
         for j in rest:
             e = emit[j]
             n = lone[e] if e else _carry_values_mask(init[0], shift[j]).bit_count()

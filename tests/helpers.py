@@ -13,8 +13,6 @@ from sumdim.engine import (
     _carry_tables,
     _carry_values_mask,
     _combos,
-    _free_count_runs,
-    _initial_carry_masks,
     _segments,
     undominated_masks,
 )
@@ -36,10 +34,47 @@ def per_position_columns(masks, depth, combos):
     mask has bit depth - t set; byte 0 is unused.  The plain reference for
     the segment table.
     """
-    return [
-        bytes([0] + [sum(masks[c] >> (depth - t) & 1 for c in combo) for t in range(1, depth + 1)])
-        for combo in combos
-    ]
+    digits = [[0] + [m >> (depth - t) & 1 for t in range(1, depth + 1)] for m in masks]
+    return [bytes(map(sum, zip(*(digits[c] for c in combo)))) for combo in combos]
+
+
+def per_position_carry_masks(column, fold, tops):
+    """{position: carry set}: nextany applied position by position below each top.
+
+    ``column`` is a per-position column (``per_position_columns``) and
+    ``tops`` lists distinct positions in descending order.  The plain
+    reference for the low phase, ``engine._initial_carry_masks``.
+    """
+    nextany = _carry_tables(fold)[2]
+    out = {}
+    cur = 1  # carry 0 only
+    t = len(column) - 1  # the deepest position
+    for j in tops:
+        while t > j:
+            cur = nextany[column[t]][cur]
+            t -= 1
+        out[j] = cur
+    return out
+
+
+def free_count_runs(table):
+    """Per combination of the segment table, its runs of positions with one free count.
+
+    Adjacent segments with equal count merge.  Yields ``(starts, counts)``:
+    run i covers positions starts[i]..starts[i+1]-1 with counts[i] addends
+    free; starts ends with depth + 1.  Byte i of ``x ^ x >> 8``, for x the
+    column read as one integer, is nonzero where segment i's count differs
+    from segment i - 1's; the top bit marks segment 0.  The engine finds
+    runs on the column bytes where its walks read them; these whole run
+    lists are the references' view of the same table.
+    """
+    starts, columns = table
+    n = len(starts) - 1
+    first = 1 << 8 * n - 1
+    for column in columns:
+        x = int.from_bytes(column, "big")
+        runs = list(itertools.compress(range(n), (x ^ x >> 8 | first).to_bytes(n, "big")))
+        yield [starts[i] for i in runs] + [starts[-1]], [column[i] for i in runs]
 
 
 def per_position_branching_min_average(spec, scales):
@@ -159,10 +194,8 @@ def unpruned_prefix_counts(spec, fold, scales, state_budget=10**6):
     combos = _combos(len(masks), fold)
     columns = per_position_columns(masks, spec.depth, combos)
     emit = {j: max(j - width, 0) for j in scales}
-    init = [
-        _initial_carry_masks(runs, fold, sorted(set(emit.values()), reverse=True))
-        for runs in _free_count_runs(_segments(masks, spec.depth, combos))
-    ]
+    tops = sorted(set(emit.values()), reverse=True)
+    init = [per_position_carry_masks(column, fold, tops) for column in columns]
     return {
         j: unpruned_count_outputs(
             columns, e, [m[e] for m in init], fold, max(width - j, 0), state_budget
@@ -252,8 +285,10 @@ def run_stepped_lone_counts(spec, fold, scales):
     masks, combos, shifts = lone_setup(spec, fold, scales)
     out = {j: [] for j in scales}
     tops = sorted({e for e, _ in shifts.values()}, reverse=True)
-    for runs in _free_count_runs(_segments(masks, spec.depth, combos)):
-        init = _initial_carry_masks(runs, fold, tops)
+    table = _segments(masks, spec.depth, combos)
+    columns = per_position_columns(masks, spec.depth, combos)
+    for runs, column in zip(free_count_runs(table), columns, strict=True):
+        init = per_position_carry_masks(column, fold, tops)
         for j, (e, shift) in shifts.items():
             out[j].append(per_scale_lone_count(runs, e, init[e], fold, shift))
     return out

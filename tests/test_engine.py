@@ -19,6 +19,7 @@ from sumdim.constructions import (
     DimensionTargets,
     build_canonical,
     build_example,
+    build_from_keys,
     interleave,
     make_scale_sequence,
 )
@@ -29,7 +30,6 @@ from sumdim.engine import (
     _carry_tables,
     _carry_values_mask,
     _combos,
-    _free_count_runs,
     _initial_carry_masks,
     _lane_order,
     _lone_counts,
@@ -48,12 +48,14 @@ from sumdim.patterns import DigitPattern, SetSpec
 
 from helpers import (
     _run_steps,
+    free_count_runs,
     from_rows,
     lane_major_count_outputs,
     lane_major_prefix_counts,
     lone_setup,
     matrix_times,
     per_position_branching_min_average,
+    per_position_carry_masks,
     per_position_columns,
     run_stepped_lone_counts,
     transfer_power,
@@ -211,14 +213,12 @@ def test_dominated_components_change_no_result(case):
 def per_position_lone_counts(spec, fold, scales):
     """{scale: [count]}: each combination alone through the per-position kernel."""
     masks, combos, shifts = lone_setup(spec, fold, scales)
-    nextany = _carry_tables(fold)[2]
+    tops = sorted({e for e, _ in shifts.values()}, reverse=True)
     out = {j: [] for j in scales}
     for column in per_position_columns(masks, spec.depth, combos):
+        init = per_position_carry_masks(column, fold, tops)
         for j, (e, shift) in shifts.items():
-            init = 1
-            for t in range(spec.depth, e, -1):
-                init = nextany[column[t]][init]
-            count, _ = unpruned_count_outputs([column], e, [init], fold, shift, 1 << fold)
+            count, _ = unpruned_count_outputs([column], e, [init[e]], fold, shift, 1 << fold)
             out[j].append(count)
     return out
 
@@ -227,7 +227,7 @@ def test_runs_cover_the_depth_with_each_columns_counts():
     spec = from_rows(["aa00a0aaa", "0aaa00a0a", "a0000a00a"])
     masks, combos, _ = lone_setup(spec, 3, [])
     columns = per_position_columns(masks, spec.depth, combos)
-    runs = _free_count_runs(_segments(masks, spec.depth, combos))
+    runs = free_count_runs(_segments(masks, spec.depth, combos))
     for (starts, counts), column in zip(runs, columns, strict=True):
         assert starts[0] == 1 and starts[-1] == spec.depth + 1
         assert all(a != b for a, b in zip(counts, counts[1:]))  # adjacent runs differ
@@ -269,12 +269,12 @@ def shared_walk_lone_counts(spec, fold, scales):
     masks, combos, shifts = lone_setup(spec, fold, scales)
     out = {j: [] for j in scales}
     tops = sorted({e for e, _ in shifts.values()}, reverse=True)
-    table = _segments(masks, spec.depth, combos)
-    plan = _stretch_plan(table[0], [e for e in tops if e])
+    starts, columns = _segments(masks, spec.depth, combos)
+    plan = _stretch_plan(starts, [e for e in tops if e])
     rows = {}
-    for column, runs in zip(table[1], _free_count_runs(table)):
-        init = _initial_carry_masks(runs, fold, tops)
-        lone = _lone_counts(runs, column, plan, init, fold, rows)
+    for column in columns:
+        init = _initial_carry_masks(starts, column, fold, tops)
+        lone = _lone_counts(starts, column, plan, init, fold, rows)
         for j, (e, shift) in shifts.items():
             out[j].append(lone[e] if e else _carry_values_mask(init[0], shift).bit_count())
     return out
@@ -389,53 +389,73 @@ def test_exact_fallbacks_match_per_scale_walks_on_the_oracle_corpus(budget):
 def record_walks(monkeypatch):
     """Patch the lone walk to log what it walks, per bracket call.
 
-    ``log.stretches`` holds (runs, hi, lo, carry set) for each ``_stretch``
-    that ``_lone_counts`` makes itself.  ``log.blocks`` holds, for each
-    ``_block_walk``, its (runs, column, pieces, carry set), the call's row
-    memo, the memo keys it read in order and the (hi, lo, carry set) of
-    each ``_stretch`` it made to build a row.
+    ``log.lookups`` holds (column, hi, lo, rule key) for each ``_run_rule``
+    lookup that ``_lone_counts`` makes itself, for a stretch inside one run.
+    ``log.blocks`` holds, for each ``_block_walk``, its (column, pieces,
+    carry set), the call's row memo, the memo keys it read in order and the
+    (hi, lo, carry set) of each ``_stretch`` it made to build a row.
+    ``_lone_counts`` makes no ``_stretch`` of its own: that would fail.
     """
-    log = types.SimpleNamespace(stretches=[], blocks=[])
+    log = types.SimpleNamespace(lookups=[], blocks=[])
+    real_lone, real_rule = engine._lone_counts, engine._run_rule
     real_stretch, real_block = engine._stretch, engine._block_walk
     memos = {}  # id of a call's memo: (that memo, the recording one used instead)
     current = []  # the block walk in progress
+    here = []  # the combination's column and the (hi, lo) of the stretch it walks
 
     class Memo(dict):
         def get(self, key):
             current[-1].lookups.append(key)
             return super().get(key)
 
-    def stretch(runs, hi, lo, carry_set, fold):
-        if current:
-            current[-1].builds.append((hi, lo, carry_set))
-        else:
-            log.stretches.append((runs, hi, lo, carry_set))
-        return real_stretch(runs, hi, lo, carry_set, fold)
+    class Plan(list):
+        def __iter__(self):  # the walk down, one stretch at a time
+            for entry in super().__iter__():
+                here[1:] = entry[:2]
+                yield entry
 
-    def block_walk(runs, column, pieces, carry_set, fold, rows):
+    def lone_counts(starts, column, plan, init, fold, rows):
+        here[:] = [column]
+        try:
+            return real_lone(starts, column, Plan(plan), init, fold, rows)
+        finally:
+            here.clear()
+
+    def rule(fold, f, r, s):
+        if here and not current:  # not for a block walk's rows
+            log.lookups.append((*here, (fold, f, r, s)))
+        return real_rule(fold, f, r, s)
+
+    def stretch(starts, column, hi, lo, carry_set, fold):
+        assert current, (hi, lo)  # only a block walk builds rows
+        current[-1].builds.append((hi, lo, carry_set))
+        return real_stretch(starts, column, hi, lo, carry_set, fold)
+
+    def block_walk(starts, column, pieces, carry_set, fold, rows):
         memo = memos.setdefault(id(rows), (rows, Memo()))[1]
         current.append(types.SimpleNamespace(
-            runs=runs, column=column, pieces=pieces, carry_set=carry_set, memo=memo,
-            lookups=[], builds=[],
+            column=column, pieces=pieces, carry_set=carry_set, memo=memo, lookups=[], builds=[],
         ))
         try:
-            return real_block(runs, column, pieces, carry_set, fold, memo)
+            return real_block(starts, column, pieces, carry_set, fold, memo)
         finally:
             log.blocks.append(current.pop())
 
+    monkeypatch.setattr(engine, "_lone_counts", lone_counts)
+    monkeypatch.setattr(engine, "_run_rule", rule)
     monkeypatch.setattr(engine, "_stretch", stretch)
     monkeypatch.setattr(engine, "_block_walk", block_walk)
     return log
 
 
 def covered_positions(log):
-    """Per combination (keyed by the id of its runs), how often each position was walked."""
+    """Per combination (keyed by the id of its column), how often each position was walked."""
     out = collections.defaultdict(collections.Counter)
-    for runs, hi, lo, _ in log.stretches:
-        out[id(runs)].update(range(lo, hi + 1))
+    for column, hi, lo, _ in log.lookups:
+        out[id(column)].update(range(lo, hi + 1))
     for walk in log.blocks:
         for hi, lo, _, _ in walk.pieces:
-            out[id(walk.runs)].update(range(lo, hi + 1))
+            out[id(walk.column)].update(range(lo, hi + 1))
     return out
 
 
@@ -472,7 +492,7 @@ def test_bracket_mode_walks_each_combination_once_for_every_scale(monkeypatch, n
     emit = spec.depth - (fold - 1).bit_length()
     log = record_walks(monkeypatch)
     # one scale: each position from the scale down to 1 is covered once per
-    # combination, by a run walk or by a block row; whole blocks share rows
+    # combination, by a rule lookup or a block row; whole blocks share rows
     sum_prefix_counts(spec, fold, [spec.depth], mode="bracket")
     covered = covered_positions(log)
     assert len(covered) == ncombos
@@ -482,7 +502,7 @@ def test_bracket_mode_walks_each_combination_once_for_every_scale(monkeypatch, n
     assert log.blocks and built < reads
     # every scale: a stretch is walked once from each nonempty carry set
     # met there, so at most 2^fold - 1 walks cover any position
-    log.stretches.clear()
+    log.lookups.clear()
     log.blocks.clear()
     sum_prefix_counts(spec, fold, range(1, spec.depth + 1), mode="bracket")
     covered = covered_positions(log)
@@ -644,13 +664,125 @@ def test_run_stepping_edge_cases(rows):
                 assert got[j] == [brute_force_oracle(spec, fold, j).lower], (fold, j)
         masks, combos, _ = lone_setup(spec, fold, [])
         table = _segments(masks, spec.depth, combos)
-        assert list(_free_count_runs(table)) == list(plain_runs(table)), fold
+        assert list(free_count_runs(table)) == list(plain_runs(table)), fold
     masks, combos, _ = lone_setup(spec, 1, [])
-    runs = list(_free_count_runs(_segments(masks, spec.depth, combos)))
+    runs = list(free_count_runs(_segments(masks, spec.depth, combos)))
     if not any(masks):
         assert runs == [([1, spec.depth + 1], [0])]
     if tuple(rows) in PINNED_RUNS:
         assert runs == [PINNED_RUNS[tuple(rows)]]
+
+
+def check_low_phase(spec, fold):
+    """Each combination's low phase against nextany applied position by position.
+
+    Top sets: every position, the default scales' emit positions, [0], the
+    depth alone (nothing absorbed) and, per combination, a lowest top that
+    falls inside one of its runs, so the run found on the column's tail
+    starts above that top's segment.
+    """
+    masks, combos, _ = lone_setup(spec, fold, [])
+    starts, columns = table = _segments(masks, spec.depth, combos)
+    plain = per_position_columns(masks, spec.depth, combos)
+    width = (fold - 1).bit_length()
+    default = sorted({max(j - width, 0) for j in resolve_scales(spec, "boundaries")}, reverse=True)
+    shared = [range(spec.depth, -1, -1), default, [0], [spec.depth]]
+    inside = 0
+    for column, flat, (run_starts, _) in zip(columns, plain, free_count_runs(table), strict=True):
+        tops = list(shared)
+        i = max(range(len(run_starts) - 1), key=lambda i: run_starts[i + 1] - run_starts[i])
+        if run_starts[i + 1] - run_starts[i] > 1:  # a run of two positions or more
+            tops.append([(run_starts[i] + run_starts[i + 1] - 2) // 2])
+            inside += 1
+        for t in tops:
+            got = _initial_carry_masks(starts, column, fold, t)
+            assert got == per_position_carry_masks(flat, fold, t), (spec.name, fold, t)
+            assert list(got) == list(t)
+    return inside
+
+
+@pytest.mark.parametrize("rows", EDGE_ROWS)
+def test_low_phase_matches_nextany_position_by_position_on_the_edge_rows(rows):
+    spec = from_rows(rows)
+    for fold in (1, 2, 3):
+        check_low_phase(spec, fold)
+
+
+def test_low_phase_matches_nextany_position_by_position_on_the_oracle_corpus():
+    inside = 0
+    for spec in _oracle_corpus():
+        for fold in (1, 2, 3):
+            inside += check_low_phase(spec, fold)
+    assert inside
+
+
+@pytest.mark.parametrize("name", sorted(CANONICAL_EXAMPLES))
+def test_low_phase_matches_nextany_position_by_position_on_the_canonical_specs(name):
+    spec = build_canonical(name)
+    for fold in (1, 2, 3):
+        assert check_low_phase(spec, fold), fold
+
+
+def long_run_spec():
+    """haus-lowbox on a geometric skeleton: depth 4,096 over 4,034 segments.
+
+    A fold-2 combination has about 2,558 runs, some of them hundreds of
+    segments long.
+    """
+    keys = dict(CANONICAL_EXAMPLES["haus-lowbox"], scale_policy="geometric", scale_base=8)
+    return build_from_keys("haus-lowbox", dict(keys, horizon=3))
+
+
+def test_bracket_mode_matches_the_reference_on_long_runs():
+    # the walks find each run on the column bytes.  The call over every 37th
+    # scale is checked at every ninth of those and the depth, as the
+    # per-scale reference walks from each scale down
+    spec = long_run_spec()
+    masks = undominated_masks(c.free_mask for c in spec.components)
+    assert (spec.depth, len(_segments(masks, spec.depth, [])[0]) - 1) == (4096, 4034)
+    every = range(0, spec.depth + 1, 37)
+    checked = [*every[::9], every[-1]]
+    for fold in (1, 2, 3):
+        for scales, probes in (resolve_scales(spec, "boundaries"), None), (every, checked):
+            want = reference_brackets(spec, fold, probes or scales)
+            for block in (1, 2, 16):
+                with mock.patch.object(engine, "BLOCK_SEGMENTS", block):
+                    got = sum_prefix_counts(spec, fold, scales, mode="bracket")
+                assert {j: got[j].bracket for j in want} == want, (fold, block)
+
+
+def test_a_walk_reads_only_the_bytes_of_its_own_segments():
+    # _stretch steps over equal adjacent bytes to find a run, yet never past
+    # the segments of positions hi..lo, however far the run goes on; its
+    # result is the reference's product over the runs found on the whole column
+    spec = long_run_spec()
+    fold = 2
+    masks = undominated_masks(c.free_mask for c in spec.components)
+    starts, columns = table = _segments(masks, spec.depth, _combos(len(masks), fold))
+    runs = dict(zip(columns, free_count_runs(table)))
+    reads = []
+
+    class Column(bytes):
+        def __getitem__(self, i):
+            reads.append(i)
+            return super().__getitem__(i)
+
+    rng = random.Random(26)
+    for _ in range(100):
+        column = rng.choice(columns)
+        hi = rng.randrange(1, spec.depth + 1)
+        lo = max(1, hi - rng.randrange(400))
+        carry_set = rng.randrange(1, 1 << fold)
+        reads.clear()
+        vec, d = engine._stretch(starts, Column(column), hi, lo, carry_set, fold)
+        a, z = bisect_right(starts, lo) - 1, bisect_right(starts, hi)
+        assert reads and a <= min(reads) and max(reads) < z, (hi, lo)
+        want = ((carry_set, 1),)
+        for f, r in _run_steps(runs[column], hi, lo):
+            for k in range(r.bit_length()):
+                if r >> k & 1:
+                    want = matrix_times(want, transfer_power(fold, f, k))
+        assert {t: x << d for t, x in vec} == dict(want), (hi, lo)
 
 
 def test_undominated_masks_drops_duplicates_and_submasks():
@@ -903,21 +1035,29 @@ def test_bracket_walk_makes_one_vector_product_per_run(monkeypatch):
     # a run's overlap with a stretch or a block row, r positions with f
     # addends free, is one product with rows of M_f^r, read from the rule
     # keyed by that run's r: no stepping by powers of two, each carry set of
-    # the vector looked up once.  A block walk reads one memo row per carry
-    # set of its vector a piece, and builds each (piece, free counts, carry
-    # set) row at most once in the call
+    # the vector looked up once.  The runs are the reference's, found on the
+    # whole column.  A block walk reads one memo row per carry set of its
+    # vector a piece, and builds each (piece, free counts, carry set) row at
+    # most once in the call
     spec = build_canonical("all-dims-3")
     fold = 3
     walks = []  # per _stretch: its runs' (f, r) and the rules it looked up
+    walking = []  # the _stretch in progress
     real_rule, real_stretch = engine._run_rule, engine._stretch
 
     def rule(fold, f, r, s):
-        walks[-1][1].append((f, r, s))
+        if walking:
+            walks[-1][1].append((f, r, s))
         return real_rule(fold, f, r, s)
 
-    def stretch(runs, hi, lo, carry_set, fold):
+    def stretch(starts, column, hi, lo, carry_set, fold):
+        runs = next(free_count_runs((starts, [column])))
         walks.append((list(_run_steps(runs, hi, lo)), []))
-        return real_stretch(runs, hi, lo, carry_set, fold)
+        walking.append(hi)
+        try:
+            return real_stretch(starts, column, hi, lo, carry_set, fold)
+        finally:
+            walking.pop()
 
     monkeypatch.setattr(engine, "_run_rule", rule)
     monkeypatch.setattr(engine, "_stretch", stretch)
@@ -942,10 +1082,11 @@ def test_bracket_walk_makes_one_vector_product_per_run(monkeypatch):
 
 @pytest.mark.parametrize("name, fold", [("all-dims-3", 2), ("haus-lowbox", 3)])
 def test_a_stretch_inside_one_run_is_one_rule_lookup(monkeypatch, name, fold):
-    # a stretch inside one run reads the shared rule once, for its own carry
-    # set, and nothing else, even where it holds whole blocks: over every
+    # a stretch inside one run reads the shared rule once per carry set met
+    # there, and walks nothing, even where it holds whole blocks: over every
     # scale most stretches are such, and over the default scales, in blocks
-    # of 2 segments, some combinations lie in one run across whole blocks
+    # of 2 segments, some combinations lie in one run across whole blocks.
+    # The runs are the reference's, found on the whole column
     spec = build_canonical(name)
     lookups = []
     real_rule = engine._run_rule
@@ -960,41 +1101,46 @@ def test_a_stretch_inside_one_run_is_one_rule_lookup(monkeypatch, name, fold):
     real_stretch = engine._stretch
     seen = {}  # per _stretch call: the rule lookups it made
 
-    def stretch(runs, hi, lo, carry_set, fold):
+    def stretch(starts, column, hi, lo, carry_set, fold):
         before = len(lookups)
-        out = real_stretch(runs, hi, lo, carry_set, fold)
-        seen[id(runs), hi, lo, carry_set] = lookups[before:]
+        out = real_stretch(starts, column, hi, lo, carry_set, fold)
+        seen[id(column), hi, lo, carry_set] = lookups[before:]
         return out
 
     monkeypatch.setattr(engine, "_stretch", stretch)
     masks = undominated_masks(c.free_mask for c in spec.components)
-    starts = _segments(masks, spec.depth, _combos(len(masks), 1))[0]
-    width = (fold - 1).bit_length()
+    table = _segments(masks, spec.depth, _combos(len(masks), fold))
+    starts = table[0]
+    runs = dict(zip(table[1], free_count_runs(table)))  # by column
+    n, size = len(starts) - 1, engine.BLOCK_SEGMENTS
+    # block b holds positions starts[b] up to starts[min(b + size, n)] - 1
+    blocks = [(starts[b], starts[min(b + size, n)] - 1) for b in range(0, n, size)]
     for scales in (range(1, spec.depth + 1), resolve_scales(spec, "boundaries")):
-        log.stretches.clear()
+        log.lookups.clear()
         log.blocks.clear()
-        tops = sorted({j - width for j in scales if j > width}, reverse=True)
-        blocks = {hi: pieces for hi, _, pieces in _stretch_plan(starts, tops)}
         sum_prefix_counts(spec, fold, scales, mode="bracket")
-        inside = across = 0
-        for runs, hi, lo, carry_set in log.stretches:
-            rules = seen[id(runs), hi, lo, carry_set]
-            run_starts, counts = runs
+        met = collections.defaultdict(list)  # per combination and stretch: the carry sets
+        across = 0
+        for column, hi, lo, key in log.lookups:  # only for a stretch inside one run
+            run_starts, counts = runs[column]
             i = bisect_right(run_starts, hi) - 1
-            if run_starts[i] <= lo:
-                inside += 1
-                across += blocks[hi] is not None
-                assert rules == [(fold, counts[i], hi - lo + 1, carry_set)], (hi, lo)
-            else:  # no whole block: a rule lookup for each run the walk crosses, at least
-                assert blocks[hi] is None, (hi, lo)
-                crossed = bisect_right(run_starts, hi) - bisect_right(run_starts, lo) + 1
-                assert len(rules) >= crossed, (hi, lo)
+            assert run_starts[i] <= lo, (hi, lo)
+            assert key[:3] == (fold, counts[i], hi - lo + 1), (hi, lo)
+            met[id(column), hi].append(key[3])
+            across += any(lo <= a and b <= hi for a, b in blocks)
+        for sets in met.values():  # one lookup per carry set met
+            assert len(set(sets)) == len(sets), sets
         for walk in log.blocks:  # a block walk only where the stretch crosses a run edge
-            run_starts = walk.runs[0]
+            run_starts = runs[walk.column][0]
             hi, lo = walk.pieces[0][0], walk.pieces[-1][1]
             assert run_starts[bisect_right(run_starts, hi) - 1] > lo
+            for hi, lo, carry_set in walk.builds:
+                # a rule lookup for each run the row's walk crosses, at least
+                rules = seen[id(walk.column), hi, lo, carry_set]
+                crossed = bisect_right(run_starts, hi) - bisect_right(run_starts, lo) + 1
+                assert len(rules) >= crossed, (hi, lo)
         if len(scales) == spec.depth:  # every scale: most stretches lie inside one run
-            assert inside > len(log.stretches) // 2
+            assert len(log.lookups) > len(log.blocks)
         else:  # the default scales: some lie inside one run across whole blocks
             assert across
 
