@@ -11,6 +11,8 @@ every block is reproducible bit for bit.
 
 Each rule is checked in one place: the targets in ``validate_targets``
 (which ``build_example`` runs first), the templates in ``chunk_symbols``.
+The block layout has one home too: ``block_plan`` lays out every block
+of every family as pieces, and one builder makes the masks from them.
 """
 
 from __future__ import annotations
@@ -26,6 +28,12 @@ from .patterns import DigitPattern, SetSpec, notable_param
 # component of a spec holds a mask that wide, and counting walks it.
 MAX_SCALE = 1 << 20
 SCALE_POLICIES = ("tower", "scaled", "geometric")  # make_scale_sequence's growth rules
+
+
+def _scale_int(name, value):
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ScaleError(f"{name} {value!r} is not an integer")
+    return value
 
 
 def _as_fraction_tuple(values):
@@ -81,7 +89,7 @@ class ScaleSequence:
     values: tuple
 
     def __post_init__(self):
-        object.__setattr__(self, "values", tuple(int(v) for v in self.values))
+        object.__setattr__(self, "values", tuple(_scale_int("scale value", v) for v in self.values))
         v = self.values
         if len(v) < 2 or v[0] < 2:
             raise ScaleError("need n_1 >= 2 and at least one block")
@@ -118,11 +126,11 @@ def make_scale_sequence(policy, horizon, base=2):
     >= base.  "geometric" grows by a factor >= base instead.  A skeleton
     that passes MAX_SCALE positions is refused as soon as it does.
     """
-    if horizon < 2:
+    if _scale_int("horizon", horizon) < 2:
         raise ScaleError("horizon must be at least 2")
     if policy not in SCALE_POLICIES:
         raise ScaleError(f"unknown scale policy {policy!r}")
-    if policy != "tower" and base < 2:
+    if _scale_int("base", base) < 2 and policy != "tower":
         raise ScaleError("base must be at least 2")
     vals = [4 if policy == "tower" else base]
     for k in range(1, horizon + 1):
@@ -247,20 +255,44 @@ def chunk_symbols(kind, params):
     return "0" * (b - a) + "a" * (a + b - c) + "0" * (c - b) + "a" * (c - b) + "0" * (params.k - c)
 
 
-def make_block(kind, params, scales):
-    """Block [n_k, n_{k+1}) for k = ``params.k``, as a DigitPattern.
+def block_plan(targets, scales, rows):
+    """Each component's pieces (start, end, template) in order, and the notable scales.
 
-    beta/gamma kinds tile the whole block with the chunk; alpha kinds
-    prefix min(d_i(k), gap) forced zeros (a saturated run forces the whole
-    block) before tiling the remainder.
+    The pieces tile positions 1..depth, each repeating its '0'/'a' template;
+    a zero run's template is "0".  Block k of component r has kind
+    ``rows[r][k % len(rows[r])]``.  With beta targets the head [1, n_1) is
+    zero, and a block repeats its kind's ``chunk_symbols`` template after,
+    for an alpha kind, d_i(k) zeros cut at the block's end.  Alpha-only
+    targets (the interval families) leave all free but, for a kind that is
+    not None, the zero run from n_k to ``star_floor``.
     """
-    k = params.k
-    gap = scales.gap(k)
-    chunk = DigitPattern.from_symbols(chunk_symbols(kind, params))
-    fam, idx = parse_kind(kind)
-    d = min(params.d[idx - 1], gap) if fam == "alpha" else 0
-    # the d leading zeros are the high bits of a gap-wide mask
-    return DigitPattern(gap, chunk.repeat((gap - d) // k).free_mask)
+    interval = targets.beta is None
+    comps = [[(1, scales.start(1), "a" if interval else "0")] for _ in rows]
+    notable = set()
+    for k in range(1, scales.horizon + 1):
+        start, end = scales.start(k), scales.values[k]
+        par = None if interval else block_params(k, targets, scales)
+        pieces = {}  # each kind's pieces are laid out once per block
+        for row, comp in zip(rows, comps):
+            kind = row[k % len(row)]
+            if kind not in pieces:
+                if interval:
+                    fill, dip = "a", start
+                    if kind is not None:
+                        idx = int(kind[-1])
+                        dip = star_floor(start, targets.alpha[idx - 1], end - start, idx)
+                else:
+                    fam, idx = parse_kind(kind)
+                    fill = chunk_symbols(kind, par)
+                    dip = start + par.d[idx - 1] if fam == "alpha" else start
+                if start < dip <= scales.depth:
+                    # the first position past the zero run, kept even when the
+                    # run saturates its block: the frequency dip bottoms out there
+                    notable.add(dip)
+                cut = min(max(dip, start), end)
+                pieces[kind] = [p for p in ((start, cut, "0"), (cut, end, fill)) if p[0] < p[1]]
+            comp.extend(pieces[kind])
+    return comps, notable
 
 
 # ---------------------------------------------------------------------------
@@ -324,86 +356,38 @@ TRIPLE_RESIDUES = (
 )
 
 
-def _fmt_fracs(fam):
-    return ",".join(str(x) for x in fam)
-
-
-def _build_chunked(name, targets, scales, rows):
-    period = len(rows[0])
-    depth = scales.depth
-    masks = [0] * len(rows)  # the head [1, n_1) is forced zero
-    notable = set()
-    for k in range(1, scales.horizon + 1):
-        par = block_params(k, targets, scales)
-        kinds = [row[k % period] for row in rows]
-        blocks = {}
-        for kind in sorted(set(kinds)):
-            blocks[kind] = make_block(kind, par, scales).free_mask
-            fam, idx = parse_kind(kind)
-            if fam == "alpha" and par.d[idx - 1] > 0:
-                # first position past the zero run, kept even when the run
-                # saturates its block: the frequency dip bottoms out there
-                j = scales.start(k) + par.d[idx - 1]
-                if j <= depth:
-                    notable.add(j)
-        gap = scales.gap(k)
-        masks = [(mask << gap) | blocks[kind] for mask, kind in zip(masks, kinds)]
-    params = [
-        ("construction", name),
-        ("variant", "lower-box-only" if targets.gamma is None else "full"),
-    ]
+def _build(name, targets, scales, rows):
+    """The spec whose masks and notable scales come from ``block_plan``."""
+    comps, notable = block_plan(targets, scales, rows)
+    tiles = {}  # components share their kinds' pieces: each is tiled once
+    masks = []
+    for pieces in comps:
+        mask = 0
+        for piece in pieces:
+            lo, hi, template = piece
+            if piece not in tiles:
+                tile = DigitPattern.from_symbols(template)
+                tiles[piece] = tile.repeat((hi - lo) // len(template))
+            mask = (mask << (hi - lo)) | tiles[piece].free_mask
+        masks.append(mask)
+    params = [("construction", name), notable_param(notable)]
     for fam in _KIND_FAMILIES:
         if getattr(targets, fam) is not None:
-            params.append((fam, _fmt_fracs(getattr(targets, fam))))
-    params.append(notable_param(notable))
+            params.append((fam, ",".join(map(str, getattr(targets, fam)))))
+    if targets.beta is None:
+        schedule = tuple(tuple(f"{r}:{kind}" for r, kind in enumerate(row) if kind) for row in rows)
+        # a vanishing top target means unbounded zero runs: the component
+        # degenerates to finitely many points, so it is dropped outright
+        if name == "pair-hausdorff" and targets.alpha[1] == 0:
+            masks, schedule = masks[:1], schedule[:1]
+    else:
+        params.append(("variant", "lower-box-only" if targets.gamma is None else "full"))
+        schedule = tuple(tuple(row) for row in rows)
     return SetSpec(
-        tuple(DigitPattern(depth, mask) for mask in masks),
-        depth,
+        tuple(DigitPattern(scales.depth, mask) for mask in masks),
+        scales.depth,
         name=name,
         params=tuple(params),
-        boundaries=scales.values,
-        schedule=tuple(tuple(row) for row in rows),
-    )
-
-
-def _build_interval(name, alpha, scales, rows):
-    depth = scales.depth
-    comps = []
-    notable = set()
-    for row in rows:
-        mask = (1 << depth) - 1
-        for k in range(1, scales.horizon + 1):
-            kind = row[k % len(row)]
-            if kind is None:
-                continue
-            idx = int(kind[-1])
-            start = scales.start(k)
-            end = star_floor(start, alpha[idx - 1], scales.gap(k), idx)
-            if end <= start:
-                continue
-            run = end - start
-            mask &= ~(((1 << run) - 1) << (depth - (start + run - 1)))
-            if end <= depth:
-                notable.add(end)
-        comps.append(DigitPattern(depth, mask))
-    # a vanishing top target means unbounded zero runs: the component
-    # degenerates to finitely many points, so it is dropped outright
-    if name == "pair-hausdorff" and alpha[1] == 0:
-        comps = comps[:1]
-        rows = rows[:1]
-    params = (
-        ("construction", name),
-        ("alpha", _fmt_fracs(alpha)),
-        notable_param(notable),
-    )
-    schedule = tuple(
-        tuple(f"{r}:{kind}" for r, kind in enumerate(row) if kind) for row in rows
-    )
-    return SetSpec(
-        tuple(comps),
-        depth,
-        name=name,
-        params=params,
         boundaries=scales.values,
         schedule=schedule,
     )
@@ -438,9 +422,7 @@ def build_example(name, targets, scales):
     violations = validate_targets(read).violations
     if violations:
         raise AdmissibilityError(violations[0])
-    if len(families) == 1:
-        return _build_interval(name, read.alpha, scales, schedule)
-    return _build_chunked(name, read, scales, schedule)
+    return _build(name, read, scales, schedule)
 
 
 # ---------------------------------------------------------------------------

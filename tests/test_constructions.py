@@ -15,15 +15,18 @@ from sumdim.constructions import (
     CANONICAL_EXAMPLES,
     CONSTRUCTION_NAMES,
     HAUS_LOWBOX_ROWS,
+    PAIR_RESIDUES,
+    TRIPLE_RESIDUES,
     BlockParams,
     DimensionTargets,
     ScaleSequence,
     block_params,
+    block_plan,
     build_canonical,
     build_example,
+    build_from_keys,
     chunk_symbols,
     interleave,
-    make_block,
     make_scale_sequence,
     star_floor,
     validate_targets,
@@ -86,6 +89,23 @@ def test_scale_sequence_validation():
         make_scale_sequence("cubic", 4)
 
 
+def test_scale_inputs_must_be_integers():
+    # a float or bool is refused, not truncated: "scaled" with base 2.5
+    # used to give (2, 5, 9, 12), and (2.7, 5.2) used to become (2, 5)
+    with pytest.raises(ScaleError, match="base 2.5"):
+        make_scale_sequence("scaled", 3, 2.5)
+    with pytest.raises(ScaleError, match="base True"):
+        make_scale_sequence("geometric", 3, True)
+    with pytest.raises(ScaleError, match="horizon 3.0"):
+        make_scale_sequence("scaled", 3.0)
+    with pytest.raises(ScaleError, match="horizon True"):
+        make_scale_sequence("tower", True)
+    with pytest.raises(ScaleError, match="scale value 2.7"):
+        ScaleSequence((2.7, 5.2))
+    with pytest.raises(ScaleError, match="scale value False"):
+        ScaleSequence((2, False))
+
+
 def test_star_floor():
     assert star_floor(4, F(1, 2), 100, 1) == 8
     assert star_floor(4, F(1, 3), 5, 1) == 9  # clipped to start + gap
@@ -134,26 +154,45 @@ def test_chunk_template_inequalities_enforced():
         chunk_symbols("delta1", BlockParams(k=4, l=2))
 
 
-def test_make_block_tiles_and_saturates():
+def _block_pieces(pieces, scales, k):
+    return [p for p in pieces if scales.start(k) <= p[0] < scales.values[k]]
+
+
+def _expand(pieces):
+    return "".join(t * ((hi - lo) // len(t)) for lo, hi, t in pieces)
+
+
+def test_block_plan_tiles_and_saturates():
     scales = make_scale_sequence("scaled", 12, base=8)
-    par = block_params(4, HL, scales)
-    blk = make_block("beta1", par, scales)
-    assert blk.symbols() == "aa00" * 2  # gap(4) = 8 tiled by k = 4
-    # both alpha zero runs exceed the block: fully forced
-    assert make_block("alpha1", par, scales).symbols() == "0" * 8
-    assert make_block("alpha2", par, scales).symbols() == "0" * 8
-    # hand-built zero runs: none, one chunk, and at or past the gap of 8
-    for d, want in ((0, "aa00aa00"), (4, "0000aa00"), (8, "0" * 8), (12, "0" * 8)):
-        hand = BlockParams(k=4, l=2, m=4, d=(d, 0))
-        assert make_block("alpha1", hand, scales).symbols() == want, d
-    assert make_block("alpha2", hand, scales).symbols() == "00aa00aa"
+    rows = (("beta1",), ("alpha1",), ("alpha2",))
+    comps, notable = block_plan(HL, scales, rows)
+    beta1, alpha1, alpha2 = (_block_pieces(c, scales, 4) for c in comps)
+    # block 4 is [33, 41): gap(4) = 8 tiled by k = 4
+    assert beta1 == [(33, 41, "aa00")]
+    # both alpha zero runs exceed the block: fully forced, and the dip past
+    # the block's end, at 33 + d = 65, is still a notable scale
+    assert alpha1 == alpha2 == [(33, 41, "0")]
+    assert block_params(4, HL, scales).d == (32, 32) and 65 in notable
+    # zero runs of none, one chunk, and at or past the gap of 8
+    for a, d, want in (
+        (F(1, 2), 0, "aa00aa00"),
+        (F(3, 7), 4, "0000aa00"),
+        (F(2, 5), 8, "0" * 8),
+        (F(7, 20), 12, "0" * 8),
+    ):
+        targets = DimensionTargets((a, F(1)), HL.beta)
+        assert block_params(4, targets, scales).d == (d, 0)
+        comps, notable = block_plan(targets, scales, rows)
+        assert _expand(_block_pieces(comps[1], scales, 4)) == want, d
+        assert (33 + d in notable) == (d > 0), d
+        assert _expand(_block_pieces(comps[2], scales, 4)) == "00aa00aa"
 
 
 def test_misfit_kinds_fail_their_template():
     scales = make_scale_sequence("scaled", 12, base=8)
     par = block_params(4, HL, scales)
     with pytest.raises(AdmissibilityError, match="targets of length >= 3"):
-        make_block("beta3", par, scales)
+        block_plan(HL, scales, (("beta1",), ("beta3",)))
     with pytest.raises(AdmissibilityError, match="targets of length >= 3"):
         chunk_symbols("alpha3", par)
     with pytest.raises(AdmissibilityError, match="targets of length >= 1"):
@@ -296,10 +335,22 @@ def _target_grid(nfam, length, rng):
         yield tuple(rng.choice(tuples) for _ in range(nfam))
 
 
+LACUNARY = {
+    **CANONICAL_EXAMPLES["haus-lowbox"], "scale_policy": "geometric", "scale_base": 8, "horizon": 4
+}
+TOWER_PAIR = {**CANONICAL_EXAMPLES["pair-hausdorff"], "scale_policy": "tower", "horizon": 3}
+
+# sha256 over patterns.dumps of every spec the sweep below builds, in build
+# order, then of LACUNARY's haus-lowbox and TOWER_PAIR's pair-hausdorff: the
+# bytes of these non-canonical specs are pinned as the canonical ones are
+SWEEP_SHA256 = "14f7af307c090d27c3c5177207f20d3efd2a11272615287645a83a5b9df3a1be"
+
+
 def test_build_example_accepts_exactly_what_validate_accepts():
     rng = random.Random(0)
     scales = make_scale_sequence("scaled", 3, base=2)  # blocks k = 1, 2, 3
     built = dict.fromkeys(_READS, 0)
+    digest = hashlib.sha256()
     for nread in (1, 2, 3):
         names = [name for name, (_, n) in _READS.items() if n == nread]
         for length in (1, 2, 3):
@@ -311,14 +362,18 @@ def test_build_example_accepts_exactly_what_validate_accepts():
                 for name in names:
                     arity = _READS[name][0]
                     try:
-                        build_example(name, targets, scales)
+                        spec = build_example(name, targets, scales)
                     except AdmissibilityError as exc:
                         if length >= arity:
                             assert violations and str(exc) == violations[0], (name, fams)
                     else:
                         assert length >= arity and not violations, (name, fams)
                         built[name] += 1
+                        digest.update(patterns.dumps(spec).encode())
     assert min(built.values()) >= 35, built
+    for name, keys in (("haus-lowbox", LACUNARY), ("pair-hausdorff", TOWER_PAIR)):
+        digest.update(patterns.dumps(build_from_keys(name, keys)).encode())
+    assert digest.hexdigest() == SWEEP_SHA256
 
 
 def test_third_floor_rounding_is_absorbed():
@@ -338,7 +393,44 @@ def test_third_floor_rounding_is_absorbed():
     with pytest.raises(AdmissibilityError, match=r"s_k <= l_k \+ m_k"):
         chunk_symbols("beta3", par)
     with pytest.raises(AdmissibilityError, match=r"s_k <= l_k \+ m_k"):
-        make_block("alpha3", par, scales)
+        block_plan(over, scales, (("alpha3",),))
+
+
+_ROWS = {
+    "pair-hausdorff": PAIR_RESIDUES,
+    "triple-hausdorff": TRIPLE_RESIDUES,
+    "haus-lowbox": HAUS_LOWBOX_ROWS,
+    "all-dims-2": ALL_DIMS_2_ROWS,
+    "all-dims-3": ALL_DIMS_3_TABLE,
+}
+
+
+def test_block_plan_lays_out_the_built_specs():
+    saturated = 0
+    for name, keys in (*CANONICAL_EXAMPLES.items(), ("haus-lowbox", LACUNARY)):
+        spec = build_from_keys(name, keys)
+        scales = make_scale_sequence(keys["scale_policy"], keys["horizon"], keys["scale_base"])
+        families = ("alpha", "beta", "gamma")[: _READS[name][1]]
+        targets = DimensionTargets(*(keys[fam] for fam in families))
+        comps, _ = block_plan(targets, scales, _ROWS[name])
+        assert len(comps) == len(spec.components), name
+        for pieces, comp in zip(comps, spec.components):
+            # the pieces tile 1..depth with no gap, each a whole number of templates
+            assert pieces[0][0] == 1 and pieces[-1][1] == spec.depth + 1, name
+            assert [p[1] for p in pieces[:-1]] == [p[0] for p in pieces[1:]], name
+            assert all(lo < hi and (hi - lo) % len(t) == 0 for lo, hi, t in pieces), name
+            assert _expand(pieces) == comp.symbols(), name
+        if targets.beta is None:
+            continue
+        for k in range(1, scales.horizon + 1):
+            d = block_params(k, targets, scales).d
+            for kind in {row[k % len(row)] for row in _ROWS[name]}:
+                dip = scales.start(k) + d[int(kind[-1]) - 1]
+                # a zero run that saturates its block still leaves its dip notable
+                if kind.startswith("alpha") and scales.values[k] <= dip <= spec.depth:
+                    assert dip in spec.notable_scales(), (name, k, kind)
+                    saturated += 1
+    assert saturated > 0
 
 
 def test_interval_components_are_free_outside_zero_runs():
