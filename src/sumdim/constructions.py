@@ -6,8 +6,9 @@ zeros at the start of selected blocks, and "chunked" components tile
 each block [n_k, n_{k+1}) with a length-k template chosen per block from
 a cyclic schedule.  Both read a schedule the same way: row r gives block
 k the kind ``row[k % len(row)]``.  The template floors l_k, m_k, s_k (and
-p_k, q_k, v_k for the upper-box family) are exact rational floors, so
-every block is reproducible bit for bit.
+p_k, q_k, v_k for the upper-box family) and the zero runs are integer
+floor divisions of the targets' numerators and denominators, so every
+block is reproducible bit for bit.
 
 Each rule is checked in one place: the targets in ``validate_targets``
 (which ``build_example`` runs first), the templates in ``chunk_symbols``.
@@ -30,9 +31,9 @@ MAX_SCALE = 1 << 20
 SCALE_POLICIES = ("tower", "scaled", "geometric")  # make_scale_sequence's growth rules
 
 
-def _scale_int(name, value):
+def _integer(name, value, error=ScaleError):
     if isinstance(value, bool) or not isinstance(value, int):
-        raise ScaleError(f"{name} {value!r} is not an integer")
+        raise error(f"{name} {value!r} is not an integer")
     return value
 
 
@@ -89,7 +90,7 @@ class ScaleSequence:
     values: tuple
 
     def __post_init__(self):
-        object.__setattr__(self, "values", tuple(_scale_int("scale value", v) for v in self.values))
+        object.__setattr__(self, "values", tuple(_integer("scale value", v) for v in self.values))
         v = self.values
         if len(v) < 2 or v[0] < 2:
             raise ScaleError("need n_1 >= 2 and at least one block")
@@ -97,18 +98,20 @@ class ScaleSequence:
             if v[k] <= v[k - 1]:
                 raise ScaleError(f"scale values must increase (n_{k} -> n_{k + 1})")
             if (v[k] - v[k - 1]) % k:
-                raise ScaleError(
-                    f"block {k} width {v[k] - v[k - 1]} not divisible by {k}"
-                )
+                raise ScaleError(f"block {k} width {v[k] - v[k - 1]} not divisible by {k}")
 
     @property
     def horizon(self):
         return len(self.values) - 1
 
     def start(self, k):
+        if not 1 <= k <= len(self.values):
+            raise ScaleError(f"scale index {k} outside 1..{len(self.values)}")
         return self.values[k - 1]
 
     def gap(self, k):
+        if not 1 <= k <= self.horizon:
+            raise ScaleError(f"block index {k} outside 1..{self.horizon}")
         return self.values[k] - self.values[k - 1]
 
     @property
@@ -126,11 +129,11 @@ def make_scale_sequence(policy, horizon, base=2):
     >= base.  "geometric" grows by a factor >= base instead.  A skeleton
     that passes MAX_SCALE positions is refused as soon as it does.
     """
-    if _scale_int("horizon", horizon) < 2:
+    if _integer("horizon", horizon) < 2:
         raise ScaleError("horizon must be at least 2")
     if policy not in SCALE_POLICIES:
         raise ScaleError(f"unknown scale policy {policy!r}")
-    if _scale_int("base", base) < 2 and policy != "tower":
+    if _integer("base", base) < 2 and policy != "tower":
         raise ScaleError("base must be at least 2")
     vals = [4 if policy == "tower" else base]
     for k in range(1, horizon + 1):
@@ -142,9 +145,7 @@ def make_scale_sequence(policy, horizon, base=2):
             n = base * vals[-1]
         n += -(n - vals[-1]) % k  # block k's width is a multiple of k
         if n > MAX_SCALE:
-            raise ScaleError(
-                f"{policy} skeleton passes {MAX_SCALE} positions at block {k}"
-            )
+            raise ScaleError(f"{policy} skeleton passes {MAX_SCALE} positions at block {k}")
         vals.append(n)
     return ScaleSequence(tuple(vals))
 
@@ -159,10 +160,7 @@ def star_floor(start, alpha, gap, index):
     alpha = Fraction(alpha)
     if not 0 <= alpha <= 1:
         raise AdmissibilityError("0 <= alpha <= 1", f"got {alpha}")
-    if alpha == 0:
-        end = index * start
-    else:
-        end = (start / alpha).__floor__()
+    end = start * alpha.denominator // alpha.numerator if alpha else index * start
     return min(end, start + gap)
 
 
@@ -193,20 +191,20 @@ def parse_kind(kind):
 def block_params(k, targets, scales):
     """Floors l_k, m_k, s_k (p_k, q_k, v_k when gamma is set) and the zero-run lengths d_i(k).
 
-    The alpha deficit is measured against gamma when it is set, else
-    against beta.  Only k is checked: the templates are checked where they
-    are drawn, in ``chunk_symbols``.  A third floor that only rounding
+    Each is an integer floor division of the targets' numerators and
+    denominators.  The alpha deficit is measured against gamma when it is
+    set, else beta.  Only k is checked: the templates are checked where
+    they are drawn, in ``chunk_symbols``.  A third floor that only rounding
     lifts past the sum of the first two is lowered to that sum, so
     admissible targets (``validate_targets``) never fail a template.
     """
-    if not 1 <= k <= scales.horizon:
-        raise ScaleError(f"block index {k} outside 1..{scales.horizon}")
+    scales.gap(k)  # checks 1 <= k <= K
     alpha = targets.alpha
     beta = targets.family("beta")
     nfold = len(alpha)
 
     def floors(fam):
-        out = [(k * x).__floor__() for x in fam[:3]] + [None] * (3 - nfold)
+        out = [k * x.numerator // x.denominator for x in fam[:3]] + [None] * (3 - nfold)
         # with x_3 <= x_1 + x_2, floor(k x_3) passes floor(k x_1) + floor(k x_2)
         # by at most one rounding digit; dropping it keeps the template defined
         if nfold >= 3 and out[2] > out[0] + out[1] and fam[2] <= fam[0] + fam[1]:
@@ -218,7 +216,8 @@ def block_params(k, targets, scales):
     n_k = scales.start(k)
     # d_i(k): the deficit n_k (x_i - alpha_i) / alpha_i, down to a multiple of k
     d = tuple(
-        k * n_k if a == 0 else k * (n_k * (b - a) / a / k).__floor__()
+        k * (n_k * (b.numerator * a.denominator - a.numerator * b.denominator)
+             // (a.numerator * b.denominator * k)) if a else k * n_k
         for a, b in zip(alpha, x)
     )
     return BlockParams(k, *floors(beta), *upper, d)
@@ -237,9 +236,7 @@ def chunk_symbols(kind, params):
     names = ("p", "q", "v") if fam == "gamma" else ("l", "m", "s")
     floors = tuple(getattr(params, n) for n in names[:idx])
     if None in floors:
-        raise AdmissibilityError(
-            f"targets of length >= {idx}", f"kind {kind} lacks its floors"
-        )
+        raise AdmissibilityError(f"targets of length >= {idx}", f"kind {kind} lacks its floors")
     a, b, c = floors + floors[-1:] * (3 - idx)
     if a > b:
         raise AdmissibilityError(
@@ -360,16 +357,9 @@ def _build(name, targets, scales, rows):
     """The spec whose masks and notable scales come from ``block_plan``."""
     comps, notable = block_plan(targets, scales, rows)
     tiles = {}  # components share their kinds' pieces: each is tiled once
-    masks = []
-    for pieces in comps:
-        mask = 0
-        for piece in pieces:
-            lo, hi, template = piece
-            if piece not in tiles:
-                tile = DigitPattern.from_symbols(template)
-                tiles[piece] = tile.repeat((hi - lo) // len(template))
-            mask = (mask << (hi - lo)) | tiles[piece].free_mask
-        masks.append(mask)
+    for lo, hi, fill in {p for pieces in comps for p in pieces}:
+        tiles[lo, hi, fill] = fill.replace("a", "1") * ((hi - lo) // len(fill))
+    masks = [int("".join(map(tiles.get, pieces)), 2) for pieces in comps]
     params = [("construction", name), notable_param(notable)]
     for fam in _KIND_FAMILIES:
         if getattr(targets, fam) is not None:
@@ -415,9 +405,7 @@ def build_example(name, targets, scales):
         raise ConstructionError(f"unknown construction {name!r}")
     arity, families, schedule = _EXAMPLES[name]
     if targets.fold_capacity < arity:
-        raise AdmissibilityError(
-            f"at least {arity} targets", f"{name} got {targets.fold_capacity}"
-        )
+        raise AdmissibilityError(f"at least {arity} targets", f"{name} got {targets.fold_capacity}")
     read = DimensionTargets(*(targets.family(fam) for fam in families))
     violations = validate_targets(read).violations
     if violations:
@@ -442,10 +430,10 @@ def interleave(spec_a, spec_b, marks):
         raise ConstructionError("specs have different component counts")
     if not spec_a.boundaries:
         raise ConstructionError("specs carry no block boundaries")
-    marks = tuple(int(m) for m in marks)
-    K = len(spec_a.boundaries) - 1
-    if len(marks) < 2 or marks[0] != 1 or marks[-1] != K + 1:
-        raise ConstructionError(f"marks must run from 1 to {K + 1}")
+    marks = tuple(_integer("mark", m, ConstructionError) for m in marks)
+    top = len(spec_a.boundaries)
+    if len(marks) < 2 or marks[0] != 1 or marks[-1] != top:
+        raise ConstructionError(f"marks must run from 1 to {top}")
     for a, b in itertools.pairwise(marks):
         if b <= a:
             raise ConstructionError("marks must be strictly increasing")
@@ -453,9 +441,9 @@ def interleave(spec_a, spec_b, marks):
     head_end = bounds[0]  # head is [1, n_1)
     comps = []
     for ca, cb in zip(spec_a.components, spec_b.components):
-        if ca.window(1, head_end).free_mask != cb.window(1, head_end).free_mask:
-            raise ConstructionError("specs disagree on the pre-block head")
         mask = ca.window(1, head_end).free_mask
+        if mask != cb.window(1, head_end).free_mask:
+            raise ConstructionError("specs disagree on the pre-block head")
         length = head_end - 1
         for r in range(len(marks) - 1):
             src = ca if r % 2 == 0 else cb
@@ -470,7 +458,7 @@ def interleave(spec_a, spec_b, marks):
         name=f"interleave({spec_a.name or '?'},{spec_b.name or '?'})",
         params=(
             ("construction", "interleave"),
-            ("marks", ",".join(str(m) for m in marks)),
+            ("marks", ",".join(map(str, marks))),
             ("first", spec_a.name or ""),
             ("second", spec_b.name or ""),
             notable_param({*spec_a.notable_scales(), *spec_b.notable_scales()}),
@@ -519,18 +507,12 @@ def validate_targets(targets):
     """
     fold_max = targets.fold_capacity
     violations = []
-    fams = [("alpha", targets.alpha)]
-    if targets.beta is not None:
-        fams.append(("beta", targets.beta))
-    if targets.gamma is not None:
-        fams.append(("gamma", targets.gamma))
+    fams = [(n, getattr(targets, n)) for n in _KIND_FAMILIES if getattr(targets, n) is not None]
     for name, fam in fams:
         for i in range(fold_max - 1):
             if fam[i] > fam[i + 1]:
                 violations.append(f"{name}_{i + 1} <= {name}_{i + 2}")
-    for low, high in itertools.pairwise(fams):
-        lname, lfam = low
-        hname, hfam = high
+    for (lname, lfam), (hname, hfam) in itertools.pairwise(fams):
         for i in range(fold_max):
             if lfam[i] > hfam[i]:
                 violations.append(f"{lname}_{i + 1} <= {hname}_{i + 1}")

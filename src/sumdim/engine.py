@@ -153,6 +153,7 @@ prefix and every slice stays a short integer.
 from __future__ import annotations
 
 import itertools
+import operator
 from array import array
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
@@ -708,7 +709,7 @@ def _lone_counts(starts, column, plan, init, fold, rows):
     call's other combinations (``_block_walk``).  The count is linear in
     the vector, so a bottom-up pass combines them: count(e_i, S) = (sum of
     v_S(S') * count(e_{i+1}, S')) << doublings, with count(0, S) =
-    popcount(S).  Returns {e: count}.
+    popcount(S).  Returns the counts in ``plan`` order.
     """
     walked = []  # per stretch: (carry set, vec, doublings) per walk
     met = set()
@@ -727,7 +728,7 @@ def _lone_counts(starts, column, plan, init, fold, rows):
             reached.update(dict(vec))
         walked.append(walks)
         met = reached
-    out = {}
+    out = []
     below = [s.bit_count() for s in range(1 << fold)]
     for (hi, _, _, _, _), walks in zip(reversed(plan), reversed(walked)):
         here = {}
@@ -736,8 +737,9 @@ def _lone_counts(starts, column, plan, init, fold, rows):
             for t, x in vec:
                 n += x * below[t]
             here[s] = n << d
-        out[hi] = here[init[hi]]
+        out.append(here[init[hi]])
         below = here
+    out.reverse()
     return out
 
 
@@ -999,27 +1001,28 @@ def sum_prefix_counts(spec, fold, scales, mode="exact", state_budget=DEFAULT_STA
                 results[j] = DistinctCountResult(j, fold, bracket, "exact", peaks[j], False)
     # bracket mode, and exact mode's fallbacks: each combination alone, its
     # runs found on its column where a walk reads them, one walk down serving
-    # every scale, and block rows shared across the combinations; a scale
-    # keeps the max and the sum of its counts, not each one
+    # every scale, and block rows shared across the combinations; each emit
+    # position keeps the max and the sum of its counts, not each one
     rest = [j for j in scales if j not in results]
     tops = sorted({emit[j] for j in rest}, reverse=True)
     positive = [e for e in tops if e]
-    most = dict.fromkeys(rest, 0)
-    total = dict.fromkeys(rest, 0)
+    low = [j for j in rest if not emit[j]]  # these read init[0], each at its own shift
+    most = total = [0] * (len(positive) + len(low))
     starts, columns = table
     plan = _stretch_plan(starts, positive)
     rows = {}  # the pieces' rows, shared by the combinations (``_block_walk``)
     for column in columns if rest else ():
         init = _initial_carry_masks(starts, column, fold, tops)
-        lone = _lone_counts(starts, column, plan, init, fold, rows)
-        for j in rest:
-            e = emit[j]
-            n = lone[e] if e else _carry_values_mask(init[0], shift[j]).bit_count()
-            most[j] = max(most[j], n)
-            total[j] += n
+        counts = _lone_counts(starts, column, plan, init, fold, rows)
+        if low:
+            counts += [_carry_values_mask(init[0], shift[j]).bit_count() for j in low]
+        most = list(map(max, most, counts))
+        total = list(map(operator.add, total, counts))
+    slot = {e: i for i, e in enumerate(positive)}
     for j in rest:
+        i = slot[emit[j]] if emit[j] else len(positive) + low.index(j)
         sup = ((fold << j) >> width) + 1  # windows meeting [0, fold]
-        bracket = CellCountBracket(most[j], min(total[j], sup))
+        bracket = CellCountBracket(most[i], min(total[i], sup))
         results[j] = DistinctCountResult(
             j, fold, bracket, "bracket", peaks.get(j, 0), mode == "exact"
         )

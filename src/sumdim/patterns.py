@@ -57,15 +57,6 @@ class DigitPattern:
         width = hi - lo
         return DigitPattern(width, (self.free_mask >> (self.length - hi + 1)) & ((1 << width) - 1))
 
-    def repeat(self, times):
-        if times < 0:
-            raise ValueError("negative repeat count")
-        if times == 0 or self.length == 0:
-            return DigitPattern(0, 0)
-        # geometric series 1 + 2^L + 2^(2L) + ... stamps the mask `times` times
-        stamp = ((1 << (self.length * times)) - 1) // ((1 << self.length) - 1)
-        return DigitPattern(self.length * times, self.free_mask * stamp)
-
 
 @dataclass(frozen=True)
 class SetSpec:

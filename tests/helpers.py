@@ -8,6 +8,7 @@ from functools import lru_cache
 from unittest import mock
 
 from sumdim import engine
+from sumdim.constructions import BlockParams
 from sumdim.engine import (
     _bits,
     _carry_tables,
@@ -25,6 +26,40 @@ def from_rows(rows, name="", **kwargs):
     if not comps:
         raise ValueError("a spec needs at least one component")
     return SetSpec(comps, comps[0].length, name=name, **kwargs)
+
+
+def rational_block_params(k, targets, scales):
+    """``block_params`` by Fraction arithmetic, its differential reference.
+
+    The floors are floor(k x) and the zero runs k floor(n_k (x - a) / a / k)
+    on Fractions, each step normalised by a gcd, with the same third-floor
+    rule; k is not checked.
+    """
+    alpha = targets.alpha
+    beta = targets.family("beta")
+    nfold = len(alpha)
+
+    def floors(fam):
+        out = [(k * x).__floor__() for x in fam[:3]] + [None] * (3 - nfold)
+        if nfold >= 3 and out[2] > out[0] + out[1] and fam[2] <= fam[0] + fam[1]:
+            out[2] = out[0] + out[1]
+        return out
+
+    x = beta if targets.gamma is None else targets.gamma
+    upper = (None,) * 3 if targets.gamma is None else floors(x)
+    n_k = scales.start(k)
+    d = tuple(
+        k * n_k if a == 0 else k * (n_k * (b - a) / a / k).__floor__()
+        for a, b in zip(alpha, x)
+    )
+    return BlockParams(k, *floors(beta), *upper, d)
+
+
+def rational_star_floor(start, alpha, gap, index):
+    """``star_floor`` by Fraction arithmetic, its differential reference."""
+    alpha = Fraction(alpha)
+    end = index * start if alpha == 0 else (start / alpha).__floor__()
+    return min(end, start + gap)
 
 
 def per_position_columns(masks, depth, combos):

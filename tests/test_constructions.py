@@ -7,6 +7,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from sumdim import patterns
 from sumdim.constructions import (
@@ -33,7 +35,7 @@ from sumdim.constructions import (
 )
 from sumdim.errors import AdmissibilityError, ConstructionError, ScaleError
 
-from helpers import from_rows
+from helpers import from_rows, rational_block_params, rational_star_floor
 
 F = Fraction
 
@@ -106,6 +108,20 @@ def test_scale_inputs_must_be_integers():
         ScaleSequence((2, False))
 
 
+def test_start_and_gap_refuse_indices_outside_the_skeleton():
+    seq = make_scale_sequence("scaled", 3, 4)
+    assert seq.values == (4, 8, 12, 18)
+    assert [seq.start(k) for k in (1, 4)] == [4, 18] and seq.gap(3) == 6
+    # a negative index used to read from the end: start(0) gave 18,
+    # start(-1) 12 and gap(0) -14; start(5) was a bare IndexError
+    for k in (0, -1, 5):
+        with pytest.raises(ScaleError, match=f"scale index {k} outside 1..4"):
+            seq.start(k)
+    for k in (0, -1, 4):
+        with pytest.raises(ScaleError, match=f"block index {k} outside 1..3"):
+            seq.gap(k)
+
+
 def test_star_floor():
     assert star_floor(4, F(1, 2), 100, 1) == 8
     assert star_floor(4, F(1, 3), 5, 1) == 9  # clipped to start + gap
@@ -129,6 +145,80 @@ def test_block_params_floors_and_zero_runs():
     assert par.s is None and par.p is None
     # deficit n_k*(beta_i - alpha_i)/alpha_i = 33 for both indices at k=4
     assert par.d == (32, 32)
+
+
+MAX_DENOMINATOR = 10**6
+
+
+@st.composite
+def fractions_between(draw, lo, hi):
+    """A Fraction in [lo, hi] with a denominator up to MAX_DENOMINATOR, else lo."""
+    q = draw(st.integers(1, MAX_DENOMINATOR))
+    low, high = -(-lo.numerator * q // lo.denominator), hi.numerator * q // hi.denominator
+    return F(draw(st.integers(low, high)), q) if low <= high else lo
+
+
+@st.composite
+def admissible_targets(draw):
+    """Targets that pass ``validate_targets``, with beta and maybe gamma, and
+    alphas that are often 0: beta first by the sumset recursion, then alpha
+    under it and gamma over it."""
+    nfold = draw(st.integers(1, 3))
+    beta = []
+    for i in range(nfold):
+        lo = beta[-1] if beta else F(0)
+        hi = F(1) if not beta else min(F(1), 2 * beta[-1] - (beta[0] if i == 2 else 0))
+        beta.append(draw(fractions_between(lo, hi)))
+    alpha = []
+    for b in beta:
+        lo = alpha[-1] if alpha else F(0)
+        alpha.append(lo if lo == 0 and draw(st.booleans()) else draw(fractions_between(lo, b)))
+    gamma = None
+    if draw(st.booleans()):
+        gamma = []
+        for i, b in enumerate(beta):
+            lo = max(b, gamma[-1]) if gamma else b
+            hi = F(1) if not gamma else min(F(1), 2 * gamma[-1] - (gamma[0] if i == 2 else 0))
+            assume(lo <= hi)
+            gamma.append(draw(fractions_between(lo, hi)))
+    targets = DimensionTargets(tuple(alpha), tuple(beta), gamma and tuple(gamma))
+    assert validate_targets(targets).ok, targets
+    return targets
+
+
+@st.composite
+def skeletons(draw, least=2):
+    """A hand-built ScaleSequence from n_1 >= least, each block a random multiple of k wide."""
+    values = [draw(st.integers(least, 2 * least + 100))]
+    for k in range(1, draw(st.integers(1, 6)) + 1):
+        values.append(values[-1] + k * draw(st.integers(1, max(least, 100))))
+    return ScaleSequence(tuple(values))
+
+
+@given(admissible_targets(), skeletons(), st.data())
+@settings(max_examples=200, deadline=None)
+def test_block_params_match_the_rational_formulas(targets, scales, data):
+    k = data.draw(st.integers(1, scales.horizon))
+    assert block_params(k, targets, scales) == rational_block_params(k, targets, scales)
+
+
+@given(admissible_targets(), skeletons(least=2**64), st.data())
+@settings(max_examples=60, deadline=None)
+def test_block_params_match_the_rational_formulas_past_2_to_the_64(targets, scales, data):
+    # make_scale_sequence stops at MAX_SCALE; a hand-built skeleton does not
+    k = data.draw(st.integers(1, scales.horizon))
+    assert block_params(k, targets, scales) == rational_block_params(k, targets, scales)
+
+
+@given(
+    st.one_of(st.integers(2, 10**4), st.integers(2**64, 2**80)),
+    fractions_between(F(0), F(1)),
+    st.integers(0, 2**80),
+    st.integers(1, 3),
+)
+@settings(max_examples=200, deadline=None)
+def test_star_floor_matches_the_rational_formula(start, alpha, gap, index):
+    assert star_floor(start, alpha, gap, index) == rational_star_floor(start, alpha, gap, index)
 
 
 def test_chunk_symbols_templates():
@@ -262,6 +352,24 @@ CANONICAL_SHA256 = {
 def test_canonical_spec_bytes_are_pinned(name):
     text = patterns.dumps(build_canonical(name))
     assert hashlib.sha256(text.encode()).hexdigest() == CANONICAL_SHA256[name]
+
+
+# sha256 over patterns.dumps of the deep-bracket benchmark's inputs, acceptance
+# 7's two all-dims-3 halves on the scaled base-4 horizon-120 skeleton, then of
+# their interleave at marks (1, 22, 72, 121): deep blocks are pinned too
+DEEP_SHA256 = "d6709e55f3b3ce3d4b8124e80bbc564f67c934384f5aa2a58ff8af04ac002a02"
+
+
+def test_deep_interleave_bytes_are_pinned():
+    scales = make_scale_sequence("scaled", 120, 4)
+    prime = build_example("all-dims-3", DimensionTargets(
+        (F(1, 4), F(1, 2), F(5, 8)), (F(1, 4), F(1, 2), F(5, 8)), (F(1, 4), F(1, 2), F(3, 4))
+    ), scales)
+    flat = build_example("all-dims-3", DimensionTargets(*((F(1, 2),) * 3,) * 3), scales)
+    digest = hashlib.sha256()
+    for spec in (prime, flat, interleave(prime, flat, (1, 22, 72, 121))):
+        digest.update(patterns.dumps(spec).encode())
+    assert digest.hexdigest() == DEEP_SHA256
 
 
 def test_haus_lowbox_notable_scales():
@@ -536,6 +644,16 @@ def test_interleave_validates_marks_and_skeletons():
     other = build_example("haus-lowbox", HL, make_scale_sequence("scaled", 3, base=4))
     with pytest.raises(ConstructionError):
         interleave(a, other, (1, 3, 4))
+
+
+def test_interleave_marks_must_be_integers():
+    # a mark that is not an int, or is a bool, is refused: 5.7 used to be
+    # truncated to 5, and True and "5" were taken for 1 and 5
+    a = build_canonical("all-dims-2")
+    for marks, bad in (((1, 5.7, 13), "5.7"), ((True, 5, 13), "True"), ((1, "5", 13), "'5'")):
+        with pytest.raises(ConstructionError, match=f"mark {bad} is not an integer"):
+            interleave(a, a, marks)
+    assert interleave(a, a, (1, 5, 13)).param("marks") == "1,5,13"
 
 
 def test_interleave_merges_notable_scales_and_rejects_one_that_is_not_an_integer():

@@ -270,11 +270,12 @@ def shared_walk_lone_counts(spec, fold, scales):
     out = {j: [] for j in scales}
     tops = sorted({e for e, _ in shifts.values()}, reverse=True)
     starts, columns = _segments(masks, spec.depth, combos)
-    plan = _stretch_plan(starts, [e for e in tops if e])
+    positive = [e for e in tops if e]
+    plan = _stretch_plan(starts, positive)
     rows = {}
     for column in columns:
         init = _initial_carry_masks(starts, column, fold, tops)
-        lone = _lone_counts(starts, column, plan, init, fold, rows)
+        lone = dict(zip(positive, _lone_counts(starts, column, plan, init, fold, rows)))
         for j, (e, shift) in shifts.items():
             out[j].append(lone[e] if e else _carry_values_mask(init[0], shift).bit_count())
     return out

@@ -37,23 +37,11 @@ def test_window_and_prefix():
     assert p.window(3, 3).length == 0
 
 
-def test_concat_repeat():
-    a = DigitPattern.from_symbols("a0")
-    assert a.repeat(3).symbols() == "a0a0a0"
-    assert a.repeat(0).length == 0
-
-
 @given(st.text(alphabet="0a", min_size=1, max_size=40))
 def test_symbols_round_trip_property(s):
     p = DigitPattern.from_symbols(s)
     assert p.symbols() == s
     assert p.free_count() == s.count("a")
-
-
-@given(st.text(alphabet="0a", min_size=1, max_size=20), st.integers(1, 4))
-def test_repeat_matches_concat(s, times):
-    p = DigitPattern.from_symbols(s)
-    assert p.repeat(times).symbols() == s * times
 
 
 def test_spec_validation():
