@@ -105,12 +105,12 @@ class ScaleSequence:
         return len(self.values) - 1
 
     def start(self, k):
-        if not 1 <= k <= len(self.values):
+        if not 1 <= _integer("scale index", k) <= len(self.values):
             raise ScaleError(f"scale index {k} outside 1..{len(self.values)}")
         return self.values[k - 1]
 
     def gap(self, k):
-        if not 1 <= k <= self.horizon:
+        if not 1 <= _integer("block index", k) <= self.horizon:
             raise ScaleError(f"block index {k} outside 1..{self.horizon}")
         return self.values[k] - self.values[k - 1]
 

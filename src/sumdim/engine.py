@@ -26,7 +26,8 @@ Then
 
 and the second term is a carry in 0..l-1.  Digits are processed least
 significant first.  While positions N..e+1 are absorbed only the set of
-achievable carries matters ("low phase"); positions e..1 then emit output
+achievable carries matters ("low phase"), and from carry 0 it is always
+0..h: one number, its largest carry h.  Positions e..1 then emit output
 digits one by one, and the final carry supplies the top W digits ("high
 phase").  Y >> (N + W - j) = word * 2^W + carry with carry < 2^W, so
 distinct outputs correspond exactly to distinct (word, carry) pairs.
@@ -65,18 +66,22 @@ the squarings M_f^(2^k), each itself built on first use (``_power_row``),
 and keeps it, as the same (f, r, S) recur across combinations, so nearly
 every run reuses rows.  It also holds the walk's two shortcuts: carry 0
 alone with f < 2 only doubles its count, and a run with no addend free
-is cut to the carry width.  The low phase likewise looks up one cached
-entry of nextany[f] composed r times per run of the column's tail.
+is cut to the carry width.  The low phase looks up one cached entry per
+run of the column's tail: from carries 0..h a position with f addends
+free reaches 0..(h + f) >> 1, and a run of r positions acts as min(r, W)
+of them, as that map is fixed within W steps (``_absorb_run``).
 
 A lone combination is walked once per call, not once per scale.  The
 call's emit positions e_1 > ... > e_m, sorted once per call, cut its
 positions into stretches, and each stretch is walked once from every
-carry set met at its top: the scale's own initial set and those the
-walks from above reach, so at most 2^l - 1 walks share a stretch.  A
-stretch inside one run, as most are when a call asks for every scale, is
-one lookup of the rule, decided by one test on its segments' bytes.  The
-count is linear in the vector, so a bottom-up pass combines the stretch
-walks into every scale's count.
+carry set met at its top: the scale's own initial set {0..h} and those
+the walks from above reach.  The carry steps map an interval of carries
+to an interval or to nothing, so every set met is an interval and at
+most l(l + 1)/2 walks share a stretch.  A stretch inside one run, as
+most are when a call asks for every scale, is one lookup of the rule,
+decided by one test on its segments' bytes.  The count is linear in the
+vector, so a bottom-up pass combines the stretch walks into every
+scale's count.
 
 The constructions build their sets block by block, so over a short
 stretch of segments many combinations have the same free counts.  Cut
@@ -130,11 +135,12 @@ One sweep
 A step of the subset construction depends only on its position, through
 its segment and antichain level, never on the scale the walk began at.
 So exact mode walks once per call, from the largest emit position down
-to 1, and each scale's initial state, built from its low-phase carry
-sets, joins just before the scale's first position.  No state carries a
-count on the way down: each step records every state's two successors,
-and one pass back up sums each state's count from theirs (a backward
-transfer-matrix count over the forward-reachable pruned states).  Peaks
+to 1, and each scale's initial state, built from its lanes' largest
+low-phase carries, joins just before the scale's first position.  No
+state carries a count on the way down: each step records every state's
+two successors, and one pass back up sums each state's count from
+theirs (a backward transfer-matrix count over the forward-reachable
+pruned states).  Peaks
 and budgets are kept per reach group, the states that some scales reach
 exactly: the step is deterministic, so a group's next reach set is the
 image of its current one, and groups with equal images merge.  A group
@@ -318,16 +324,17 @@ def brute_force_oracle(spec, fold, scale, budget=DEFAULT_ENUM_BUDGET):
 
 @lru_cache(maxsize=None)
 def _carry_tables(fold):
-    """Carry-set transitions for a given fold.
+    """Carry-set transitions for a given fold: ``(next0, next1)``.
 
     next0[f][mask] / next1[f][mask]: successor carry-set when f addends are
-    free here and the emitted output bit is 0 / 1.  nextany ignores the
-    output bit (low phase).  From carry c with digit sum c + sigma,
-    sigma in 0..f, the bit is the parity and the next carry the half;
-    carries never leave 0..fold-1.
+    free here and the emitted output bit is 0 / 1.  From carry c with digit
+    sum c + sigma, sigma in 0..f, the bit is the parity and the next carry
+    the half; carries never leave 0..fold-1.  Both map an interval of
+    carries to an interval or to the empty set, so every carry set a walk
+    from {0..h} meets is an interval: at most fold * (fold + 1) / 2 of them.
     """
     size = 1 << fold
-    next0, next1, nextany = [], [], []
+    next0, next1 = [], []
     for f in range(fold + 1):
         t0, t1 = [0] * size, [0] * size
         for mask in range(1, size):
@@ -339,8 +346,7 @@ def _carry_tables(fold):
             t0[mask], t1[mask] = m
         next0.append(t0)
         next1.append(t1)
-        nextany.append([a | b for a, b in zip(t0, t1)])
-    return next0, next1, nextany
+    return next0, next1
 
 
 def undominated_masks(masks):
@@ -405,17 +411,9 @@ def _lane_order(table):
 
 
 @lru_cache(maxsize=None)
-def _count_map(v, at_least):
-    """A bytes.translate table: byte b to "1" if b >= v (or b == v), else "0"."""
-    return bytes.maketrans(
-        bytes(range(256)), bytes(49 if (b >= v if at_least else b == v) else 48 for b in range(256))
-    )
-
-
-@lru_cache(maxsize=None)
-def _bit_map(c):
-    """A bytes.translate table: byte b to "1" if bit c of b is set, else "0"."""
-    return bytes.maketrans(bytes(range(256)), bytes(49 if b >> c & 1 else 48 for b in range(256)))
+def _count_map(v):
+    """A bytes.translate table: byte b to "1" if b >= v, else "0"."""
+    return bytes.maketrans(bytes(range(256)), bytes(49 if b >= v else 48 for b in range(256)))
 
 
 def _antichain(table, top):
@@ -426,14 +424,14 @@ def _antichain(table, top):
     into the lowest-index combination whose free counts equal A's there,
     and B strictly dominates A when B's counts are at least A's everywhere
     there and differ somewhere.  Both come from one running AND per
-    combination, over the segments' "count = v" and "count >= v" sets of
-    combinations, kept as bitmasks in combination-index space.  Only a
-    combination that is its own merge target gets dominators: a merged one
-    has no lane.  The tables are stored at the top level with, per level
-    k, ``undo[k]``: the flat triples A, dominators, target that hold at
-    level k - 1 for each A that changed on entering level k.  Combinations
-    that tie at a level share one dominator set.  Returns ``(dominators,
-    targets, undo)``.
+    combination, over the segments' "count >= v" and "count = v" sets of
+    combinations, kept as bitmasks in combination-index space; the second
+    is the first less "count >= v + 1".  Only a combination that is its
+    own merge target gets dominators: a merged one has no lane.  The
+    tables are stored at the top level with, per level k, ``undo[k]``: the
+    flat triples A, dominators, target that hold at level k - 1 for each A
+    that changed on entering level k.  Combinations that tie at a level
+    share one dominator set.  Returns ``(dominators, targets, undo)``.
     """
     starts, columns = table
     n = len(columns)
@@ -453,8 +451,8 @@ def _antichain(table, top):
         for a in active:
             v = columns[a][k]
             if v not in ge_v:
-                ge_v[v] = int(row.translate(_count_map(v, True)), 2)
-                eq_v[v] = int(row.translate(_count_map(v, False)), 2)
+                ge_v[v] = int(row.translate(_count_map(v)), 2)
+                eq_v[v] = ge_v[v] & ~int(row.translate(_count_map(v + 1)), 2)
             g = ge[a] = ge[a] & ge_v[v]
             e = eq[a] = eq[a] & eq_v[v]
             r = (e & -e).bit_length() - 1
@@ -467,33 +465,30 @@ def _antichain(table, top):
     return dominators, targets, undo
 
 
-@lru_cache(maxsize=None)
-def _absorb_power(fold, f, k):
-    """nextany[f] composed 2^k times, as a table over carry sets."""
-    if k == 0:
-        return tuple(_carry_tables(fold)[2][f])
-    half = _absorb_power(fold, f, k - 1)
-    return tuple(half[s] for s in half)
-
-
 @lru_cache(maxsize=RUN_CACHE_SIZE)
-def _absorb_run(fold, f, r, s):
-    """Carry set s after r positions with f addends free: nextany[f] composed r times."""
-    for k in range(r.bit_length()):
-        if r >> k & 1:
-            s = _absorb_power(fold, f, k)[s]
-    return s
+def _absorb_run(fold, f, r, h):
+    """Largest carry after r positions with f addends free, from carries 0..h.
+
+    From {0..h} a position reaches {0..(h + f) >> 1}: every digit sum in
+    0..h + f occurs.  That map reaches its fixed point within the carry
+    width W = bitlength(fold - 1) steps, so r is clamped to W.
+    """
+    for _ in range(min(r, (fold - 1).bit_length())):
+        h = (h + f) >> 1
+    return h
 
 
-def _initial_carry_masks(starts, column, fold, tops):
-    """Carry-set of one combination after absorbing every digit below each position.
+def _initial_carries(starts, column, fold, tops):
+    """Largest carry of one combination after absorbing every digit below each position.
 
+    The low phase starts at carry 0 and reaches every carry up to the
+    largest, so that one number h stands for the carry set {0..h}.
     ``tops`` lists distinct positions in descending order.  Runs are found
     at C level on the column's tail below the lowest top: byte i of
     ``x ^ x >> 8``, x the tail as one integer, is nonzero where segment i's
     count differs from the one before.  One pass from the deepest position
     upward, one cached lookup per run (or part of a run above and below a
-    position); returns {position: mask}, in the order of ``tops``.
+    position); returns {position: h}, in the order of ``tops``.
     """
     a = bisect_right(starts, tops[-1] + 1) - 1  # the segment of the last position absorbed
     n = len(column) - a  # the tail's segments
@@ -502,18 +497,18 @@ def _initial_carry_masks(starts, column, fold, tops):
     edges = (x ^ x >> 8 | 1 << 8 * n >> 8).to_bytes(n, "big")
     runs = list(itertools.compress(range(a, a + n), edges))  # the segment that starts each run
     out = {}
-    cur = 1  # carry 0 only
+    h = 0
     hi = starts[-1] - 1
     i = len(runs) - 1  # the run that holds position hi
     for j in tops:
         while hi > j:
             start = starts[runs[i]]
             lo = start if start > j else j + 1
-            cur = _absorb_run(fold, column[runs[i]], hi - lo + 1, cur)
+            h = _absorb_run(fold, column[runs[i]], hi - lo + 1, h)
             hi = lo - 1
             if lo == start:
                 i -= 1
-        out[j] = cur
+        out[j] = h
     return out
 
 
@@ -526,7 +521,7 @@ def _power_row(fold, f, k, s):
     matrix, so only the rows some walk reaches are ever squared.
     """
     if k == 0:
-        next0, next1, _ = _carry_tables(fold)
+        next0, next1 = _carry_tables(fold)
         row = {}
         for t in (next0[f][s], next1[f][s]):
             if t:  # the empty carry set is dropped
@@ -553,10 +548,11 @@ def _run_rule(fold, f, r, s):
     on first use from the unit vector at s times the cached rows of the
     squarings M_f^(2^k) for the set bits k of r (``_power_row``).  The
     rules are bounded by RUN_CACHE_SIZE; the squarings' rows are not, but
-    they stay few: at most (fold + 1) * log2(depth) * (2^fold - 1) per
-    fold.  Two shortcuts live here and nowhere else.  Carry 0 alone with
-    f < 2 stays alone, each position having 2^f output bits, so the row is
-    (({0}, 1),) with f * r doublings and no big count.  With no addend
+    they stay few: at most (fold + 1) * log2(depth) * fold * (fold + 1) / 2
+    per fold, as every carry set a walk meets is an interval.  Two
+    shortcuts live here and nowhere else.  Carry 0 alone with f < 2 stays
+    alone, each position having 2^f output bits, so the row is (({0}, 1),)
+    with f * r doublings and no big count.  With no addend
     free the carries halve, so after ``width`` positions every carry set
     is {0}: r is clamped to the carry width.
     """
@@ -697,24 +693,24 @@ def _block_walk(starts, column, pieces, carry_set, fold, rows):
 
 
 def _lone_counts(starts, column, plan, init, fold, rows):
-    """Distinct outputs of one combination from carry set init[e] at each emit position e.
+    """Distinct outputs of one combination from carries 0..init[e] at each emit position e.
 
     ``plan`` is the call's ``_stretch_plan`` and ``column`` the
     combination's column of the segment table; the final carry is not
     shifted.  The walk goes down through the emit positions, and each
     stretch between two of them is walked once from every carry set met
-    there: the scale's own init[e] and those the walks from above reach.
-    A stretch inside one run, found by one test on its segments' bytes, is
-    one ``_run_rule`` lookup; otherwise its pieces share ``rows`` with the
-    call's other combinations (``_block_walk``).  The count is linear in
-    the vector, so a bottom-up pass combines them: count(e_i, S) = (sum of
-    v_S(S') * count(e_{i+1}, S')) << doublings, with count(0, S) =
-    popcount(S).  Returns the counts in ``plan`` order.
+    there: the scale's own {0..init[e]}, as the mask (2 << init[e]) - 1,
+    and those the walks from above reach.  A stretch inside one run,
+    found by one test on its segments' bytes, is one ``_run_rule`` lookup;
+    otherwise its pieces share ``rows`` with the call's other combinations
+    (``_block_walk``).  The count is linear in the vector, so a bottom-up
+    pass combines them: count(e_i, S) = (sum of v_S(S') * count(e_{i+1},
+    S')) << doublings, with count(0, S) = popcount(S).  Returns the counts in ``plan`` order.
     """
     walked = []  # per stretch: (carry set, vec, doublings) per walk
     met = set()
     for hi, lo, a, z, pieces in plan:
-        met.add(init[hi])
+        met.add((2 << init[hi]) - 1)
         run = column[a:z]
         inside = not run.strip(run[:1])  # every segment of the stretch has one count
         walks = []
@@ -737,7 +733,7 @@ def _lone_counts(starts, column, plan, init, fold, rows):
             for t, x in vec:
                 n += x * below[t]
             here[s] = n << d
-        out.append(here[init[hi]])
+        out.append(here[(2 << init[hi]) - 1])
         below = here
     out.reverse()
     return out
@@ -774,7 +770,7 @@ def _count_outputs(table, emit, carry_shift, init, fold, state_budget, antichain
     Subset state: a tuple of ``fold`` slices ("Bit slices" above), bit ci
     of slice c meaning combination (lane) ci can reach the current output
     word with carry c.  Scale j emits its word at positions emit[j]..1 from
-    the state that holds carry set init[ci][emit[j]] in lane ci, each
+    the state that holds carries 0..init[ci][emit[j]] in lane ci, each
     position stepping by the ``_slice_moves`` of its segment; an output is
     the word with its final carry shifted right by carry_shift[j].  Each
     successor is kept canonical over the positions still to come, by
@@ -851,7 +847,7 @@ def _count_outputs(table, emit, carry_shift, init, fold, state_budget, antichain
         if walks and walks[-1] == t:
             walks.pop()
             row = bytes(m[t] for m in reversed(init))  # lane 0 is the low bit
-            s0 = tuple(int(row.translate(_bit_map(c)), 2) for c in range(fold))
+            s0 = tuple(int(row.translate(_count_map(c)), 2) for c in range(fold))
             x = index.setdefault(s0, len(index))
             joins.setdefault(len(rows), []).append((t, x))
             node[t] = len(nodes)
@@ -885,7 +881,7 @@ def _count_outputs(table, emit, carry_shift, init, fold, state_budget, antichain
             continue
         if moves is None:
             row = bytes(col[i] for col in reversed(columns))  # lane 0 is the low bit
-            ge = [int(row.translate(_count_map(s, True)), 2) for s in range(fold + 1)]
+            ge = [int(row.translate(_count_map(s)), 2) for s in range(fold + 1)]
             moves = _slice_moves(ge)
         new = {}
         succ = []  # state x's successors on bits 0 and 1 at 2x and 2x + 1
@@ -953,14 +949,9 @@ def _count_outputs(table, emit, carry_shift, init, fold, state_budget, antichain
             succ = rows[r - 1]
             count.append(0)  # at index -1: no successor
             count = [count[a] + count[b] for a, b in zip(succ[::2], succ[1::2])]
-    union = sum(1 << c for c, x in enumerate(s0) if x)  # emit 0's walk joins last, as s0
-    values = {j: _carry_values_mask(union, s).bit_count() for j, s in carry_shift.items() if s}
+    top = fold - s0.count(0) - 1  # emit 0's walk joins last, as s0: its largest carry
+    values = {j: (top >> s) + 1 for j, s in carry_shift.items() if s}
     return {j: (values.get(j, reads[e]), nodes[node[e]][0]) for j, e in emit.items()}
-
-
-def _carry_values_mask(carry_set, shift):
-    """Bitmask of distinct ``carry >> shift`` values over a carry-set mask."""
-    return sum({1 << (c >> shift) for c in _bits(carry_set)})
 
 
 def sum_prefix_counts(spec, fold, scales, mode="exact", state_budget=DEFAULT_STATE_BUDGET):
@@ -982,6 +973,8 @@ def sum_prefix_counts(spec, fold, scales, mode="exact", state_budget=DEFAULT_STA
         raise ValueError(f"unknown mode {mode!r}")
     width = (fold - 1).bit_length()
     scales = check_scales(spec, scales)
+    if not scales:
+        return {}
     masks = undominated_masks(c.free_mask for c in spec.components)
     combos = _combos(len(masks), fold)
     emit = {j: max(j - width, 0) for j in scales}
@@ -989,11 +982,14 @@ def sum_prefix_counts(spec, fold, scales, mode="exact", state_budget=DEFAULT_STA
     results = {}
     peaks = {}
     table = _segments(masks, spec.depth, combos)
-    if mode == "exact" and scales:
+    if mode == "exact":
         table = _lane_order(table)
-        tops = sorted(set(emit.values()), reverse=True)
-        init = [_initial_carry_masks(table[0], column, fold, tops) for column in table[1]]
-        antichain = _antichain(table, max(emit.values()))
+    starts, columns = table
+    tops = sorted(set(emit.values()), reverse=True)
+    # the low phase, once per call: each combination's largest carry at every emit position
+    init = [_initial_carries(starts, column, fold, tops) for column in columns]
+    if mode == "exact":
+        antichain = _antichain(table, tops[0])
         counts = _count_outputs(table, emit, shift, init, fold, state_budget, antichain)
         for j, (count, peaks[j]) in counts.items():
             if count is not None:
@@ -1004,18 +1000,15 @@ def sum_prefix_counts(spec, fold, scales, mode="exact", state_budget=DEFAULT_STA
     # every scale, and block rows shared across the combinations; each emit
     # position keeps the max and the sum of its counts, not each one
     rest = [j for j in scales if j not in results]
-    tops = sorted({emit[j] for j in rest}, reverse=True)
-    positive = [e for e in tops if e]
+    positive = [e for e in sorted({emit[j] for j in rest}, reverse=True) if e]
     low = [j for j in rest if not emit[j]]  # these read init[0], each at its own shift
     most = total = [0] * (len(positive) + len(low))
-    starts, columns = table
     plan = _stretch_plan(starts, positive)
     rows = {}  # the pieces' rows, shared by the combinations (``_block_walk``)
-    for column in columns if rest else ():
-        init = _initial_carry_masks(starts, column, fold, tops)
-        counts = _lone_counts(starts, column, plan, init, fold, rows)
+    for column, carries in zip(columns, init) if rest else ():
+        counts = _lone_counts(starts, column, plan, carries, fold, rows)
         if low:
-            counts += [_carry_values_mask(init[0], shift[j]).bit_count() for j in low]
+            counts += [(carries[0] >> shift[j]) + 1 for j in low]
         most = list(map(max, most, counts))
         total = list(map(operator.add, total, counts))
     slot = {e: i for i, e in enumerate(positive)}

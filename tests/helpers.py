@@ -12,7 +12,6 @@ from sumdim.constructions import BlockParams
 from sumdim.engine import (
     _bits,
     _carry_tables,
-    _carry_values_mask,
     _combos,
     _segments,
     undominated_masks,
@@ -73,14 +72,31 @@ def per_position_columns(masks, depth, combos):
     return [bytes(map(sum, zip(*(digits[c] for c in combo)))) for combo in combos]
 
 
+@lru_cache(maxsize=None)
+def nextany_tables(fold):
+    """nextany[f][mask]: the carry set one position with f addends free leads to, either bit.
+
+    The OR of the two carry-set tables, a step on general carry sets that
+    knows nothing of the largest-carry rule of ``engine._absorb_run``.
+    """
+    next0, next1 = _carry_tables(fold)
+    return tuple(tuple(a | b for a, b in zip(t0, t1)) for t0, t1 in zip(next0, next1))
+
+
+def carry_values_mask(carry_set, shift):
+    """Bitmask of distinct ``carry >> shift`` values over a carry-set mask."""
+    return sum({1 << (c >> shift) for c in _bits(carry_set)})
+
+
 def per_position_carry_masks(column, fold, tops):
     """{position: carry set}: nextany applied position by position below each top.
 
     ``column`` is a per-position column (``per_position_columns``) and
     ``tops`` lists distinct positions in descending order.  The plain
-    reference for the low phase, ``engine._initial_carry_masks``.
+    reference for the low phase, ``engine._initial_carries``, whose largest
+    carry h stands for the set (2 << h) - 1.
     """
-    nextany = _carry_tables(fold)[2]
+    nextany = nextany_tables(fold)
     out = {}
     cur = 1  # carry 0 only
     t = len(column) - 1  # the deepest position
@@ -169,7 +185,7 @@ def unpruned_count_outputs(columns, scale, init_masks, fold, carry_shift, state_
     ``carry_shift``.  Returns (count, peak), or (None, peak) when the state
     budget is exceeded.
     """
-    next0, next1, _ = _carry_tables(fold)
+    next0, next1 = _carry_tables(fold)
     gmask = (1 << fold) - 1
     s0 = quiet = busy = 0
     for ci, (column, mask) in enumerate(zip(columns, init_masks)):
@@ -215,7 +231,7 @@ def unpruned_count_outputs(columns, scale, init_masks, fold, carry_shift, state_
         while rem:
             union |= rem & gmask
             rem >>= fold
-        total += cnt * _carry_values_mask(union, carry_shift).bit_count()
+        total += cnt * carry_values_mask(union, carry_shift).bit_count()
     return total, peak
 
 
@@ -257,7 +273,7 @@ def transfer_power(fold, f, k):
     independent reference.
     """
     if k == 0:
-        next0, next1, _ = _carry_tables(fold)
+        next0, next1 = _carry_tables(fold)
         rows = [()]  # the empty carry set is dropped
         for s in range(1, 1 << fold):
             row = {}
@@ -312,7 +328,7 @@ def per_scale_lone_count(runs, scale, init_mask, fold, carry_shift):
         for k in range(r.bit_length()):
             if r >> k & 1:
                 vec = matrix_times(vec, transfer_power(fold, f, k))
-    return sum(x * _carry_values_mask(s, carry_shift).bit_count() for s, x in vec) << doublings
+    return sum(x * carry_values_mask(s, carry_shift).bit_count() for s, x in vec) << doublings
 
 
 def run_stepped_lone_counts(spec, fold, scales):
@@ -376,7 +392,7 @@ def lane_major_count_outputs(table, emit, carry_shift, init, fold, state_budget,
     state budget leaves the sweep.  Returns {j: (count, peak)}, with count
     None where the walk left.
     """
-    next0, next1, _ = _carry_tables(fold)
+    next0, next1 = _carry_tables(fold)
     steps = [tuple(zip(next0[f], next1[f])) for f in range(fold + 1)]
     gmask = (1 << fold) - 1
     starts, columns = table
@@ -534,13 +550,28 @@ def lane_major_count_outputs(table, emit, carry_shift, init, fold, state_budget,
         field = (1 << (e + 1)) - 1
         total = 0
         for union, cnt in unions:
-            values = _carry_values_mask(union, carry_shift[j]).bit_count()
+            values = carry_values_mask(union, carry_shift[j]).bit_count()
             total += (cnt >> offset[w] & field) * values
         out[j] = total, peaks[w]
     return out
 
 
+def largest_carries_as_masks(init):
+    """Each lane's {position: largest carry h} as {position: the carry set (2 << h) - 1}."""
+    return [{e: (2 << h) - 1 for e, h in carries.items()} for carries in init]
+
+
 def lane_major_prefix_counts(spec, fold, scales, state_budget=engine.DEFAULT_STATE_BUDGET):
-    """``sum_prefix_counts`` in exact mode, run on ``lane_major_count_outputs``."""
-    with mock.patch.object(engine, "_count_outputs", lane_major_count_outputs):
+    """``sum_prefix_counts`` in exact mode, run on ``lane_major_count_outputs``.
+
+    The engine hands its kernel each lane's largest carries; the reference
+    takes carry sets, so they are turned into masks on the way in.
+    """
+
+    def count_outputs(table, emit, carry_shift, init, *rest):
+        return lane_major_count_outputs(
+            table, emit, carry_shift, largest_carries_as_masks(init), *rest
+        )
+
+    with mock.patch.object(engine, "_count_outputs", count_outputs):
         return engine.sum_prefix_counts(spec, fold, scales, "exact", state_budget)

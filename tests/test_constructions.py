@@ -122,6 +122,17 @@ def test_start_and_gap_refuse_indices_outside_the_skeleton():
             seq.gap(k)
 
 
+@pytest.mark.parametrize("k", [True, 1.5, "1"], ids=["bool", "float", "str"])
+def test_start_and_gap_refuse_indices_that_are_not_integers(k):
+    # True used to read as 1 (start and gap gave 4); 1.5 and "1" raised a
+    # bare TypeError from the comparison or the tuple index
+    seq = make_scale_sequence("scaled", 3, 4)
+    with pytest.raises(ScaleError, match=f"scale index {k!r} is not an integer"):
+        seq.start(k)
+    with pytest.raises(ScaleError, match=f"block index {k!r} is not an integer"):
+        seq.gap(k)
+
+
 def test_star_floor():
     assert star_floor(4, F(1, 2), 100, 1) == 8
     assert star_floor(4, F(1, 3), 5, 1) == 9  # clipped to start + gap

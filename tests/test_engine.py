@@ -28,9 +28,8 @@ from sumdim.engine import (
     _absorb_run,
     _antichain,
     _carry_tables,
-    _carry_values_mask,
     _combos,
-    _initial_carry_masks,
+    _initial_carries,
     _lane_order,
     _lone_counts,
     _run_rule,
@@ -48,12 +47,15 @@ from sumdim.patterns import DigitPattern, SetSpec
 
 from helpers import (
     _run_steps,
+    carry_values_mask,
     free_count_runs,
     from_rows,
     lane_major_count_outputs,
     lane_major_prefix_counts,
+    largest_carries_as_masks,
     lone_setup,
     matrix_times,
+    nextany_tables,
     per_position_branching_min_average,
     per_position_carry_masks,
     per_position_columns,
@@ -274,10 +276,13 @@ def shared_walk_lone_counts(spec, fold, scales):
     plan = _stretch_plan(starts, positive)
     rows = {}
     for column in columns:
-        init = _initial_carry_masks(starts, column, fold, tops)
+        init = _initial_carries(starts, column, fold, tops)
         lone = dict(zip(positive, _lone_counts(starts, column, plan, init, fold, rows)))
         for j, (e, shift) in shifts.items():
-            out[j].append(lone[e] if e else _carry_values_mask(init[0], shift).bit_count())
+            if e:
+                out[j].append(lone[e])
+            else:
+                out[j].append(carry_values_mask((2 << init[0]) - 1, shift).bit_count())
     return out
 
 
@@ -502,14 +507,15 @@ def test_bracket_mode_walks_each_combination_once_for_every_scale(monkeypatch, n
     built, reads = check_block_rows(log)
     assert log.blocks and built < reads
     # every scale: a stretch is walked once from each nonempty carry set
-    # met there, so at most 2^fold - 1 walks cover any position
+    # met there, and every set met is an interval of carries, so at most
+    # fold * (fold + 1) / 2 walks cover any position
     log.lookups.clear()
     log.blocks.clear()
     sum_prefix_counts(spec, fold, range(1, spec.depth + 1), mode="bracket")
     covered = covered_positions(log)
     assert len(covered) == ncombos
     most = max(max(positions.values()) for positions in covered.values())
-    assert 1 < most <= 2**fold - 1
+    assert 1 < most <= fold * (fold + 1) // 2
 
 
 def deep_interleave(horizon, marks):
@@ -552,12 +558,18 @@ def test_fold_above_max_fold_is_refused_before_any_table(monkeypatch, fold):
         raise AssertionError(f"carry tables built for fold {fold}")
 
     monkeypatch.setattr(engine, "_carry_tables", no_tables)
-    spec = from_rows(["a0a"])
+    # the stub is in the way of a bracket call at MAX_FOLD: the low phase
+    # leaves carries 0..7 at emit position 3, which no shortcut of
+    # _run_rule covers, so the walk builds a row of _power_row.  The two
+    # caches are emptied first, so that no earlier call answers from them
+    engine._run_rule.cache_clear()
+    engine._power_row.cache_clear()
+    spec = from_rows(["a" * 6])
     with pytest.raises(AssertionError, match="carry tables built"):
-        sum_prefix_counts(spec, engine.MAX_FOLD, [2])  # the stub is in the way
+        sum_prefix_counts(spec, engine.MAX_FOLD, [6], mode="bracket")
     for mode in ("exact", "bracket"):
         with pytest.raises(ValueError, match=f"1..{engine.MAX_FOLD}, got {fold}"):
-            sum_prefix_counts(spec, fold, [2], mode=mode)
+            sum_prefix_counts(spec, fold, [6], mode=mode)
     with pytest.raises(ValueError, match=f"1..{engine.MAX_FOLD}, got {fold}"):
         predicted_exponent(spec, fold, 2)
 
@@ -675,7 +687,7 @@ def test_run_stepping_edge_cases(rows):
 
 
 def check_low_phase(spec, fold):
-    """Each combination's low phase against nextany applied position by position.
+    """Each combination's largest carries against nextany applied position by position.
 
     Top sets: every position, the default scales' emit positions, [0], the
     depth alone (nothing absorbed) and, per combination, a lowest top that
@@ -696,8 +708,9 @@ def check_low_phase(spec, fold):
             tops.append([(run_starts[i] + run_starts[i + 1] - 2) // 2])
             inside += 1
         for t in tops:
-            got = _initial_carry_masks(starts, column, fold, t)
-            assert got == per_position_carry_masks(flat, fold, t), (spec.name, fold, t)
+            got = _initial_carries(starts, column, fold, t)
+            want = per_position_carry_masks(flat, fold, t)
+            assert largest_carries_as_masks([got]) == [want], (spec.name, fold, t)
             assert list(got) == list(t)
     return inside
 
@@ -732,6 +745,14 @@ def long_run_spec():
     """
     keys = dict(CANONICAL_EXAMPLES["haus-lowbox"], scale_policy="geometric", scale_base=8)
     return build_from_keys("haus-lowbox", dict(keys, horizon=3))
+
+
+def test_low_phase_matches_nextany_position_by_position_on_long_runs():
+    # runs hundreds of positions long, far past the carry width at which
+    # _absorb_run stops stepping
+    spec = long_run_spec()
+    for fold in (1, 2, 3):
+        assert check_low_phase(spec, fold), fold
 
 
 def test_bracket_mode_matches_the_reference_on_long_runs():
@@ -979,7 +1000,7 @@ def test_slice_moves_step_one_lane_like_the_carry_tables():
     # a one-lane state through the move list, for every fold, free count
     # and carry set: slices b * fold + c' must spell next_b[f][g]
     for fold in range(1, engine.MAX_FOLD + 1):
-        next0, next1, _ = _carry_tables(fold)
+        next0, next1 = _carry_tables(fold)
         for f in range(fold + 1):
             moves = _slice_moves([int(s <= f) for s in range(fold + 1)])
             for g in range(1 << fold):
@@ -1022,14 +1043,30 @@ def test_run_rows_equal_single_steps_of_the_transfer_matrix():
 
 
 def test_absorb_runs_equal_nextany_iterated():
-    # the low phase's run table against nextany[f] applied r times
-    for fold, f, s in run_cases():
-        nextany = _carry_tables(fold)[2][f]
-        cur = s
-        for r in range(1, max(RUN_LENGTHS) + 1):
-            cur = nextany[cur]
-            if r in RUN_LENGTHS:
-                assert _absorb_run(fold, f, r, s) == cur, (fold, f, r, s)
+    # the low phase's largest carry against nextany[f] applied r times to
+    # the carry set {0..h}: every fold, free count, largest carry and run length
+    for fold in range(1, engine.MAX_FOLD + 1):
+        for f, nextany in enumerate(nextany_tables(fold)):
+            for h in range(fold):
+                cur = (2 << h) - 1
+                for r in range(1, max(RUN_LENGTHS) + 1):
+                    cur = nextany[cur]
+                    if r in RUN_LENGTHS:
+                        got = _absorb_run(fold, f, r, h)
+                        assert (2 << got) - 1 == cur, (fold, f, r, h)
+
+
+def test_carry_steps_map_every_interval_to_an_interval_or_nothing():
+    # so every carry set a walk from {0..h} meets is an interval, at most
+    # fold * (fold + 1) / 2 of them
+    for fold in range(1, engine.MAX_FOLD + 1):
+        for table in _carry_tables(fold):
+            for f, step in enumerate(table):
+                for lo in range(fold):
+                    for hi in range(lo, fold):
+                        t = step[(2 << hi) - (1 << lo)]
+                        low = t & -t
+                        assert t & (t + low) == 0, (fold, f, lo, hi)  # one run of set bits
 
 
 def test_bracket_walk_makes_one_vector_product_per_run(monkeypatch):
@@ -1148,23 +1185,23 @@ def test_a_stretch_inside_one_run_is_one_rule_lookup(monkeypatch, name, fold):
 
 def test_a_fixed_step_waits_for_the_reach_groups_too():
     # A step can return the very states it was given while a walk's reach
-    # set still grows: the walk that joins at position 3 holds A = (lane 0
-    # at carry 0, lane 1 at carry 1), and A reaches {A, B} and then {A, B,
-    # C}, states the top walk already holds.  The second step is not a
-    # repeat of the first; reusing it would leave that walk's peak at 2.
-    # Lane 1 kills lane 0's carries here by a hand-built dominator table
-    # (its free count is the lower one), since no small real antichain
-    # gives this shape.
-    fold, depth = 3, 6
-    table = ([1, depth + 1], [bytes([3]), bytes([1])])
-    antichain = ([0b10, 0], [0, 1], [[], []])
-    init = [[0] * (depth + 1) for _ in range(2)]
-    init[0][depth] = init[1][depth] = 0b010  # the top walk: both lanes at carry 1
-    init[0][3], init[1][3] = 0b001, 0b010  # A
-    args = (table, {depth: depth, 3: 3}, {depth: 0, 3: 0}, init, fold, 10**6, antichain)
-    got = engine._count_outputs(*args)
-    assert got == lane_major_count_outputs(*args)
-    assert got[3][1] == 3
+    # set still grows: the walk that joins at position 4 starts from states
+    # the top walk already holds, and its reach set keeps growing over
+    # steps that leave the states as they were.  Reusing such a step as a
+    # repeat of the last one would leave that walk's peak at 4, not 5.
+    # Each lane's initial carries are 0..h, given by h; lane 1 kills lane
+    # 0's carries and lane 2 lane 1's by a hand-built dominator table (their
+    # free counts are the lower ones), since no small real antichain gives
+    # this shape.
+    fold, depth = 3, 7
+    table = ([1, depth + 1], [bytes([3]), bytes([1]), bytes([1])])
+    antichain = ([0b010, 0b100, 0], [0, 1, 2], [[], []])
+    init = [{depth: 0, 4: 1}, {depth: 1, 4: 2}, {depth: 1, 4: 0}]
+    walks = (table, {depth: depth, 4: 4}, {depth: 0, 4: 0})
+    got = engine._count_outputs(*walks, init, fold, 10**6, antichain)
+    masks = largest_carries_as_masks(init)
+    assert got == lane_major_count_outputs(*walks, masks, fold, 10**6, antichain)
+    assert got[4][1] == 5
 
 
 @pytest.mark.parametrize("budget", [engine.DEFAULT_STATE_BUDGET, 3, 6, 12])
