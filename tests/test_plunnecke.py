@@ -3,14 +3,18 @@
 import hashlib
 import json
 import random
+from functools import reduce
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from sumdim import plunnecke
 from sumdim.errors import ScaleError
 from sumdim.plunnecke import (
+    DENSE_POINTS,
     GRID,
+    GRID_SCALE,
     FiniteIntSet,
     cells,
     cover_suite,
@@ -44,6 +48,12 @@ def test_finite_int_set_basics():
     assert FiniteIntSet(0).values == ()
     with pytest.raises(ValueError):
         FiniteIntSet.of([-1])
+
+
+def test_a_negative_mask_is_refused():
+    # -3 is ...11101 in two's complement: it read as {0, 1} before
+    with pytest.raises(ValueError):
+        FiniteIntSet(-3)
 
 
 def test_point_sample_sorts_and_dedupes():
@@ -83,15 +93,40 @@ def test_cells_are_the_scale_cells_the_points_meet():
         cells(thirds, -1)
 
 
+
+
+@st.composite
+def dense_point_sets(draw):
+    """Sumsets of 2-3 point samples, or 64-2,000 numerators drawn at random."""
+    rng = random.Random(draw(st.integers(0, 2**32 - 1)))
+    if draw(st.booleans()):
+        parts = [random_point_sample(rng) for _ in range(draw(st.integers(2, 3)))]
+        return reduce(FiniteIntSet.sumset, parts)
+    return FiniteIntSet.of(rng.sample(range(2 * GRID), draw(st.integers(DENSE_POINTS, 2000))))
+
+
 @given(
-    st.frozensets(st.integers(0, 2 * GRID - 1), max_size=40),
+    st.one_of(
+        st.frozensets(st.integers(0, 2 * GRID - 1), max_size=40).map(FiniteIntSet.of),
+        dense_point_sets(),
+    ),
     st.integers(0, 14),
     st.integers(1, 4),
 )
-@settings(max_examples=300, deadline=None)
-def test_dyadic_count_matches_the_set_reference(numerators, scale, width):
-    points = FiniteIntSet.of(numerators)
+@settings(max_examples=500, deadline=None)
+def test_dyadic_count_matches_the_set_reference(points, scale, width):
+    # small sets take the per-point map of ``cells``, dense ones its fold
     assert dyadic_count(points, scale, width) == reference_dyadic_count(points, scale, width)
+
+
+@pytest.mark.parametrize("scale", range(GRID_SCALE + 1))
+def test_dense_cells_split_at_every_block_edge(scale):
+    # a cell is a block of m numerators: c * m - 1 ends cell c - 1, c * m starts cell c
+    m = GRID >> scale
+    edges = range(2, 2 + 3 * DENSE_POINTS // 2, 3)
+    points = FiniteIntSet.of(v for c in edges for v in (c * m - 1, c * m))
+    assert len(points) >= DENSE_POINTS
+    assert cells(points, scale).values == tuple(x for c in edges for x in (c - 1, c))
 
 
 def test_ruzsa_check_pinned_pair():
@@ -110,6 +145,41 @@ def test_ruzsa_check_pinned_pair():
         ruzsa_check(e, e, 0)
     with pytest.raises(ValueError):
         ruzsa_check(FiniteIntSet(0), e, 2)
+
+
+@pytest.mark.parametrize("fold", [True, 2.5, "2"])
+def test_a_fold_that_is_not_a_positive_int_is_a_value_error(fold):
+    # True ran as fold 1 and 2.5 raised a bare TypeError
+    e = FiniteIntSet.of([0, 1])
+    with pytest.raises(ValueError):
+        ruzsa_check(e, e, fold)
+    with pytest.raises(ValueError):
+        prop31_check(grid((0, 1)), grid((1, 2)), fold, [1])
+
+
+@pytest.mark.parametrize("width", [0, True, 2.0])
+def test_a_width_that_is_not_a_positive_int_is_refused_before_any_cell(width, monkeypatch):
+    # True counted at width 1, and width 0 was refused only after the cells were built
+    def no_cells(points, scale):
+        raise AssertionError("cells built before the width was checked")
+
+    monkeypatch.setattr(plunnecke, "cells", no_cells)
+    with pytest.raises(ValueError):
+        dyadic_count(grid((0, 1)), 2, width)
+    with pytest.raises(ValueError):
+        sumset_cover_bound_check([grid((0, 1))], 2, width)
+
+
+@pytest.mark.parametrize("scale", [True, 2.0, 1.5])
+def test_a_scale_that_is_not_a_nonnegative_int_is_a_scale_error(scale):
+    # 2.0 and 1.5 raised a bare TypeError
+    points = grid((0, 1), (1, 2))
+    with pytest.raises(ScaleError):
+        cells(points, scale)
+    with pytest.raises(ScaleError):
+        dyadic_count(points, scale)
+    with pytest.raises(ScaleError):
+        prop31_check(points, points, 2, [1, scale])
 
 
 def test_sumset_cover_bound_check_fields():
