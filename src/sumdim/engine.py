@@ -27,9 +27,11 @@ Then
 and the second term is a carry in 0..l-1.  Digits are processed least
 significant first.  While positions N..e+1 are absorbed only the set of
 achievable carries matters ("low phase"), and from carry 0 it is always
-0..h: one number, its largest carry h.  Positions e..1 then emit output
-digits one by one, and the final carry supplies the top W digits ("high
-phase").  Y >> (N + W - j) = word * 2^W + carry with carry < 2^W, so
+0..h: one number, its largest carry h.  The low phase is local: h forgets
+what lies below two long runs in a row, so each scale reads only the
+positions just below it ("Segments and runs").  Positions e..1 then emit
+output digits one by one, and the final carry supplies the top W digits
+("high phase").  Y >> (N + W - j) = word * 2^W + carry with carry < 2^W, so
 distinct outputs correspond exactly to distinct (word, carry) pairs.
 For j < W no digits are emitted and the count is over carries shifted by
 W - j.
@@ -66,10 +68,21 @@ the squarings M_f^(2^k), each itself built on first use (``_power_row``),
 and keeps it, as the same (f, r, S) recur across combinations, so nearly
 every run reuses rows.  It also holds the walk's two shortcuts: carry 0
 alone with f < 2 only doubles its count, and a run with no addend free
-is cut to the carry width.  The low phase looks up one cached entry per
-run of the column's tail: from carries 0..h a position with f addends
-free reaches 0..(h + f) >> 1, and a run of r positions acts as min(r, W)
-of them, as that map is fixed within W steps (``_absorb_run``).
+is cut to the carry width.
+
+The low phase reads runs as maps on the largest carry.  From carries
+0..h a position with f addends free reaches 0..(h + f) >> 1, a monotone
+step whose fixed points are f - 1 and f; h below f climbs to f - 1, the
+rest falls to f, each within W steps.  So a run of r positions is min(r,
+W) steps (``_run_maps``), and a run of W positions or more leaves h one
+of f - 1 and f, or one value when f is 0 or the fold.  The long run
+above it has another count, f' <= f - 1 or f' >= f + 1, so it sends
+both of those to one value: the composed map of two long runs in a row
+is constant, and nothing below them can change h.  The call's emit positions cut the tail into
+stretches; ``_initial_carries`` composes each stretch's runs downward
+from its top, stops once the map is constant, and applies the maps from
+the deepest stretch up.  On the lacunary constructions a stretch reads a
+run or two, not the thousands of runs below it.
 
 A lone combination is walked once per call, not once per scale.  The
 call's emit positions e_1 > ... > e_m, sorted once per call, cut its
@@ -174,12 +187,15 @@ DEFAULT_ENUM_BUDGET = 1 << 24
 # packed one byte per segment, so larger folds would exhaust time or memory.
 MAX_FOLD = 8
 MODES = ("exact", "bracket")  # sum_prefix_counts's counting modes
-# Entries kept by each run cache, ``_absorb_run`` and ``_run_rule``.  A deep
-# interleave at fold 3 fills at most about a thousand, so none is evicted.
+# Entries kept by each run cache, ``_compose`` and ``_run_rule``.  A deep
+# interleave at fold 3 fills at most about a thousand of ``_run_rule``'s and a
+# few dozen of ``_compose``'s (pairs of carry maps), so none is evicted.
 RUN_CACHE_SIZE = 4096
 # Segments per block of the lone walk's row memo (``_stretch_plan``).  On a
 # deep interleave 12-24 were best; 4 gave up a third of the gain, 64 nearly all.
 BLOCK_SEGMENTS = 16
+# A bytes.translate table: byte b to 1 if b is nonzero, else 0 (``_initial_carries``).
+_RUN_MARKS = bytes.maketrans(bytes(range(256)), bytes(1 if b else 0 for b in range(256)))
 
 
 @dataclass(frozen=True)
@@ -465,17 +481,30 @@ def _antichain(table, top):
     return dominators, targets, undo
 
 
-@lru_cache(maxsize=RUN_CACHE_SIZE)
-def _absorb_run(fold, f, r, h):
-    """Largest carry after r positions with f addends free, from carries 0..h.
+@lru_cache(maxsize=None)
+def _run_maps(fold):
+    """Each run's map on the largest carry: entry [f][r] for f addends free over r positions.
 
-    From {0..h} a position reaches {0..(h + f) >> 1}: every digit sum in
-    0..h + f occurs.  That map reaches its fixed point within the carry
-    width W = bitlength(fold - 1) steps, so r is clamped to W.
+    A map acts on the largest carry h in 0..fold - 1 as a tuple: h goes to
+    m[h].  From carries 0..h a position with f addends free reaches
+    0..(h + f) >> 1, as every digit sum in 0..h + f occurs.  That step is
+    monotone and reaches its fixed point within the carry width W =
+    bitlength(fold - 1) steps, so r runs over 0..W and a longer run is
+    looked up at W.
     """
-    for _ in range(min(r, (fold - 1).bit_length())):
-        h = (h + f) >> 1
-    return h
+    maps = []
+    for f in range(fold + 1):
+        row = [tuple(range(fold))]
+        for _ in range((fold - 1).bit_length()):
+            row.append(tuple((h + f) >> 1 for h in row[-1]))
+        maps.append(tuple(row))
+    return tuple(maps)
+
+
+@lru_cache(maxsize=RUN_CACHE_SIZE)
+def _compose(m, g):
+    """The map m after the map g: h goes to m[g[h]]."""
+    return tuple(m[h] for h in g)
 
 
 def _initial_carries(starts, column, fold, tops):
@@ -483,31 +512,48 @@ def _initial_carries(starts, column, fold, tops):
 
     The low phase starts at carry 0 and reaches every carry up to the
     largest, so that one number h stands for the carry set {0..h}.
-    ``tops`` lists distinct positions in descending order.  Runs are found
-    at C level on the column's tail below the lowest top: byte i of
-    ``x ^ x >> 8``, x the tail as one integer, is nonzero where segment i's
-    count differs from the one before.  One pass from the deepest position
-    upward, one cached lookup per run (or part of a run above and below a
-    position); returns {position: h}, in the order of ``tops``.
+    ``tops`` lists distinct positions in descending order; they cut the
+    positions below them into stretches, one between each two adjacent
+    tops and one below the deepest.  A stretch's map on h is its runs'
+    maps composed downward from its top.  The composition stops when the
+    map is constant, as no deeper run can change it ("Segments and runs"
+    above), or when the stretch ends; the maps are then applied from the
+    deepest stretch up, from h = 0.  A stretch inside one segment is one
+    table lookup.  Runs are found at C level on the column's tail below
+    the lowest top: byte i of ``x ^ x >> 8``, x the tail as one integer,
+    is nonzero where segment i's count differs from the one before.  Those
+    bytes become 0/1 marks once per column, and each next run start is one
+    ``bytes.find``.  Returns {position: h}, in the order of ``tops``.
     """
+    w = (fold - 1).bit_length()
+    runs = _run_maps(fold)
     a = bisect_right(starts, tops[-1] + 1) - 1  # the segment of the last position absorbed
     n = len(column) - a  # the tail's segments
     x = int.from_bytes(column[a:], "big")
-    # 1 << 8n >> 8 marks the tail's first segment, and is 0 when the tail is empty
-    edges = (x ^ x >> 8 | 1 << 8 * n >> 8).to_bytes(n, "big")
-    runs = list(itertools.compress(range(a, a + n), edges))  # the segment that starts each run
+    # byte n marks the end: its segment, past the last, starts at depth + 1
+    marks = (x ^ x >> 8).to_bytes(n, "big").translate(_RUN_MARKS) + b"\x01"
     out = {}
     h = 0
-    hi = starts[-1] - 1
-    i = len(runs) - 1  # the run that holds position hi
+    s = len(column) - 1  # the segment of the stretch's top
+    bottom = starts[-1] - 1  # the stretch's deepest position
     for j in tops:
-        while hi > j:
-            start = starts[runs[i]]
-            lo = start if start > j else j + 1
-            h = _absorb_run(fold, column[runs[i]], hi - lo + 1, h)
-            hi = lo - 1
-            if lo == start:
-                i -= 1
+        if j < bottom:  # the stretch is j + 1..bottom
+            if starts[s] > j + 1:
+                s = bisect_right(starts, j + 1, a, s) - 1
+            if starts[s + 1] > bottom:  # inside one segment
+                r = bottom - j
+                h = runs[column[s]][r if r < w else w][h]
+            else:
+                m = runs[0][0]  # the identity
+                t, p = s, j + 1  # the next run piece starts at position p, in segment t
+                while p <= bottom and m[0] != m[-1]:
+                    k = a + marks.find(1, t - a + 1)  # the segment that starts the next run
+                    e = min(starts[k], bottom + 1)
+                    r = e - p
+                    m = _compose(m, runs[column[t]][r if r < w else w])
+                    t, p = k, e
+                h = m[h]
+            bottom = j
         out[j] = h
     return out
 

@@ -62,6 +62,9 @@ class FiniteIntSet:
     mask: int
 
     def __post_init__(self):
+        if isinstance(self.mask, bool) or not isinstance(self.mask, int):
+            kind = type(self.mask).__name__
+            raise ValueError(f"an integer set's mask must be an int, got {kind}")
         if self.mask < 0:
             raise ValueError("an integer set's mask must be nonnegative")
 

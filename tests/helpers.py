@@ -77,7 +77,7 @@ def nextany_tables(fold):
     """nextany[f][mask]: the carry set one position with f addends free leads to, either bit.
 
     The OR of the two carry-set tables, a step on general carry sets that
-    knows nothing of the largest-carry rule of ``engine._absorb_run``.
+    knows nothing of the largest-carry run maps of ``engine._run_maps``.
     """
     next0, next1 = _carry_tables(fold)
     return tuple(tuple(a | b for a, b in zip(t0, t1)) for t0, t1 in zip(next0, next1))
@@ -94,7 +94,9 @@ def per_position_carry_masks(column, fold, tops):
     ``column`` is a per-position column (``per_position_columns``) and
     ``tops`` lists distinct positions in descending order.  The plain
     reference for the low phase, ``engine._initial_carries``, whose largest
-    carry h stands for the set (2 << h) - 1.
+    carry h stands for the set (2 << h) - 1: this walks every position up
+    from the deepest, where the engine composes each stretch's run maps
+    downward and stops once the map is constant.
     """
     nextany = nextany_tables(fold)
     out = {}

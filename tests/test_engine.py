@@ -2,6 +2,7 @@
 
 import collections
 import dataclasses
+import itertools
 import random
 import types
 from bisect import bisect_right
@@ -25,13 +26,13 @@ from sumdim.constructions import (
 )
 from sumdim.engine import (
     CellCountBracket,
-    _absorb_run,
     _antichain,
     _carry_tables,
     _combos,
     _initial_carries,
     _lane_order,
     _lone_counts,
+    _run_maps,
     _run_rule,
     _segments,
     _slice_moves,
@@ -715,6 +716,55 @@ def check_low_phase(spec, fold):
     return inside
 
 
+@st.composite
+def low_phase_cases(draw):
+    """A random column of a segment table at a fold of 1-8, and descending tops.
+
+    Free counts are 0..fold.  Most segments are shorter than the carry
+    width, so a stretch's composed map can stay non-constant over several
+    runs, and some are far longer; adjacent segments may share a count, so
+    runs span several.  Tops are random positions, many of them inside a
+    segment, and the last positions of random segments, so stretches also
+    end on a segment's edge; top 0 is drawn half the time.
+    """
+    fold = draw(st.integers(1, engine.MAX_FOLD))
+    length = st.one_of(st.integers(1, 2), st.integers(1, 4), st.integers(5, 300))
+    lengths = draw(st.lists(length, min_size=1, max_size=12))
+    counts = draw(st.lists(st.integers(0, fold), min_size=len(lengths), max_size=len(lengths)))
+    starts = list(itertools.accumulate(lengths, initial=1))
+    depth = starts[-1] - 1
+    tops = draw(st.sets(st.integers(0, depth), min_size=1, max_size=20))
+    tops |= {p - 1 for p in draw(st.sets(st.sampled_from(starts[1:]), max_size=6))}
+    if draw(st.booleans()):
+        tops.add(0)
+    flat = bytes([0]) + b"".join(bytes([c]) * n for c, n in zip(counts, lengths))
+    return fold, starts, bytes(counts), flat, sorted(tops, reverse=True)
+
+
+@given(low_phase_cases())
+@settings(max_examples=100, deadline=None)
+def test_low_phase_matches_nextany_position_by_position_on_random_columns(case):
+    fold, starts, column, flat, tops = case
+    got = _initial_carries(starts, column, fold, tops)
+    assert largest_carries_as_masks([got]) == [per_position_carry_masks(flat, fold, tops)]
+    assert list(got) == tops
+
+
+def test_low_phase_matches_nextany_position_by_position_on_every_short_column():
+    # every column of three one-position segments at folds 1-8, under every
+    # set of tops: stretches of several runs whose composed map is not
+    # constant, above a tail whose carry is not a fixed point of its map
+    starts = [1, 2, 3, 4]
+    for fold in range(1, engine.MAX_FOLD + 1):
+        for counts in itertools.product(range(fold + 1), repeat=3):
+            column = bytes(counts)
+            for k in range(1, 16):
+                tops = [p for p in range(3, -1, -1) if k >> p & 1]
+                got = _initial_carries(starts, column, fold, tops)
+                want = per_position_carry_masks(bytes([0]) + column, fold, tops)
+                assert largest_carries_as_masks([got]) == [want], (fold, counts, tops)
+
+
 @pytest.mark.parametrize("rows", EDGE_ROWS)
 def test_low_phase_matches_nextany_position_by_position_on_the_edge_rows(rows):
     spec = from_rows(rows)
@@ -749,7 +799,7 @@ def long_run_spec():
 
 def test_low_phase_matches_nextany_position_by_position_on_long_runs():
     # runs hundreds of positions long, far past the carry width at which
-    # _absorb_run stops stepping
+    # a run's map stops changing
     spec = long_run_spec()
     for fold in (1, 2, 3):
         assert check_low_phase(spec, fold), fold
@@ -1043,16 +1093,18 @@ def test_run_rows_equal_single_steps_of_the_transfer_matrix():
 
 
 def test_absorb_runs_equal_nextany_iterated():
-    # the low phase's largest carry against nextany[f] applied r times to
-    # the carry set {0..h}: every fold, free count, largest carry and run length
+    # the low phase's run map, looked up at min(r, W) as the engine does,
+    # against nextany[f] applied r times to the carry set {0..h}: every
+    # fold, free count, largest carry and run length
     for fold in range(1, engine.MAX_FOLD + 1):
+        width = (fold - 1).bit_length()
         for f, nextany in enumerate(nextany_tables(fold)):
             for h in range(fold):
                 cur = (2 << h) - 1
                 for r in range(1, max(RUN_LENGTHS) + 1):
                     cur = nextany[cur]
                     if r in RUN_LENGTHS:
-                        got = _absorb_run(fold, f, r, h)
+                        got = _run_maps(fold)[f][min(r, width)][h]
                         assert (2 << got) - 1 == cur, (fold, f, r, h)
 
 

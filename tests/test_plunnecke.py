@@ -56,6 +56,13 @@ def test_a_negative_mask_is_refused():
         FiniteIntSet(-3)
 
 
+@pytest.mark.parametrize("mask", [True, 1.5, -1])
+def test_a_mask_that_is_not_a_nonnegative_int_is_refused(mask):
+    # True read as {0}, and 1.5 was accepted until formatting it failed
+    with pytest.raises(ValueError, match="mask must be"):
+        FiniteIntSet(mask)
+
+
 def test_point_sample_sorts_and_dedupes():
     s = grid((1, 2), (2, 4), (1, 4))
     assert s.values == (GRID // 4, GRID // 2)
