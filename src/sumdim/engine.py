@@ -128,7 +128,7 @@ the count stays exact; this is the counting analogue of antichain
 subsumption (De Wulf, Doyen, Henzinger and Raskin, CAV 2006).  Both
 relations change only at the segment cuts and only grow as positions
 are consumed: ``_antichain`` finds them once per call, as bitmasks over
-combination indices, which are the kernel's lanes.
+the kernel's lanes, by stepping groups of tied combinations.
 
 Bit slices
 ----------
@@ -153,20 +153,19 @@ low-phase carries, joins just before the scale's first position.  No
 state carries a count on the way down: each step records every state's
 two successors, and one pass back up sums each state's count from
 theirs (a backward transfer-matrix count over the forward-reachable
-pruned states).  Peaks
-and budgets are kept per reach group, the states that some scales reach
-exactly: the step is deterministic, so a group's next reach set is the
-image of its current one, and groups with equal images merge.  A group
-whose reach set passes the budget leaves with its scales, which fall
-back alone.  The forward ``settled`` skip is kept, so a one-scale call
-does the work it did on its own.  A step that leaves the states and the
-reach groups as they were is a fixed point: every later step repeats it
-until a walk joins, the segment ends or the level changes something, so
-those steps record its successor row again without stepping a state.  On
-the deep interval specs nearly every step between two scales is one.
-The combinations are put in lane order once per call (``_lane_order``):
-each level's merge targets come first, so the occupied lanes form a
-prefix and every slice stays a short integer.
+pruned states).  Peaks and budgets are kept per reach group, the states
+that some scales reach exactly: the step is deterministic, so a group's
+next reach set is the image of its current one, and groups with equal
+images merge.  A group whose reach set passes the budget leaves with its
+scales, which fall back alone.  The forward ``settled`` skip is kept, so
+a one-scale call does the work it did on its own.  A step that leaves
+the states and the reach groups as they were is a fixed point: every
+later step repeats it until a walk joins, the segment ends or the level
+changes something, so those steps record its successor row again without
+stepping a state.  On the deep interval specs nearly every step between
+two scales is one.  The combinations are put in lane order once per call
+(``_lane_order``): each level's merge targets come first, so the
+occupied lanes form a prefix and every slice stays a short integer.
 """
 
 from __future__ import annotations
@@ -176,6 +175,7 @@ import operator
 from array import array
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
+from decimal import Decimal
 from fractions import Fraction
 from functools import lru_cache
 
@@ -208,6 +208,9 @@ class CellCountBracket:
     def __post_init__(self):
         if not 1 <= self.lower <= self.upper:
             raise ValueError(f"bad bracket [{self.lower}, {self.upper}]")
+
+    def __repr__(self):  # Decimal renders counts of any size; int's repr stops at 4,300 digits
+        return f"CellCountBracket(lower={Decimal(self.lower)}, upper={Decimal(self.upper)})"
 
 
 @dataclass(frozen=True)
@@ -435,49 +438,53 @@ def _count_map(v):
 def _antichain(table, top):
     """Merge targets and strict dominators over positions 1..p, for p < ``top``.
 
-    Level k stands for the positions of the first k segments of the
-    segment table (level 0 for none).  At a level, combination A merges
-    into the lowest-index combination whose free counts equal A's there,
-    and B strictly dominates A when B's counts are at least A's everywhere
-    there and differ somewhere.  Both come from one running AND per
-    combination, over the segments' "count >= v" and "count = v" sets of
-    combinations, kept as bitmasks in combination-index space; the second
-    is the first less "count >= v + 1".  Only a combination that is its
-    own merge target gets dominators: a merged one has no lane.  The
-    tables are stored at the top level with, per level k, ``undo[k]``: the
-    flat triples A, dominators, target that hold at level k - 1 for each A
-    that changed on entering level k.  Combinations that tie at a level
-    share one dominator set.  Returns ``(dominators, targets, undo)``.
+    Level k stands for the positions of the first k segments (level 0 for
+    none).  There combination A merges into its leader, the lowest-index
+    combination whose free counts equal A's, and B strictly dominates A
+    when B's counts are at least A's everywhere and differ somewhere; only
+    a leader has dominators, as a merged combination has no lane.  Tied
+    combinations share a leader and the set of those at least as free, so
+    the tables step tie groups, as bitmasks over combination indices: a
+    level splits a group by one AND per count value v with "count = v",
+    ANDs each part's set with "count >= v", and drops a group that no
+    other is at least as free as.  Only a split or a leader's new
+    dominators touch a combination.  Returns ``(dominators, targets,
+    undo)``: the tables at the top level and, per level k, the flat
+    triples A, dominators, target at level k - 1 for each A that changed
+    on entering level k, in any order.
     """
     starts, columns = table
     n = len(columns)
-    full = (1 << n) - 1
-    ge = [full] * n
-    eq = [full] * n
-    dominators = [0] * n
-    targets = [0] * n
-    undo = [[]]
-    active = range(n)
-    for k in range(bisect_right(starts, top - 1)):
-        row = bytes(col[k] for col in reversed(columns))  # combination 0 is the low bit
-        ge_v = {}
-        eq_v = {}
-        shared = {}
-        changed = []
-        for a in active:
-            v = columns[a][k]
-            if v not in ge_v:
-                ge_v[v] = int(row.translate(_count_map(v)), 2)
-                eq_v[v] = ge_v[v] & ~int(row.translate(_count_map(v + 1)), 2)
-            g = ge[a] = ge[a] & ge_v[v]
-            e = eq[a] = eq[a] & eq_v[v]
-            r = (e & -e).bit_length() - 1
-            d = g & ~e if r == a else 0  # a merged lane is empty: nothing to drop
-            if d != dominators[a] or r != targets[a]:
-                changed += (a, dominators[a], targets[a])
-                dominators[a], targets[a] = shared.setdefault(d, d), r
+    dominators, targets, undo = [0] * n, [0] * n, [[]]
+    groups = [((1 << n) - 1,) * 2]  # (members, those at least as free)
+    rows = map(bytes, zip(*reversed(columns)))  # combination 0 is the low bit
+    for _, row in zip(range(bisect_right(starts, top - 1)), rows):
+        at_least = [int(row.translate(_count_map(v)), 2) for v in sorted(set(row))]
+        cuts = [(g, g & ~h) for g, h in zip(at_least, at_least[1:] + [0])]  # ">= v", "= v"
+        changed, split = [], []
+        for members, ge in groups:
+            r0 = (members & -members).bit_length() - 1
+            for ge_v, eq_v in cuts:
+                part = members & eq_v
+                if not part:
+                    continue
+                g = ge & ge_v
+                r = (part & -part).bit_length() - 1
+                if r == r0:  # the leader's part: only its dominators can change
+                    if g & ~part != dominators[r]:
+                        changed += (r, dominators[r], r)
+                else:  # a new group: each member leaves r0 for its lowest one
+                    m = part
+                    while m:
+                        a = m.bit_length() - 1
+                        changed += (a, 0, r0)
+                        targets[a] = r
+                        m ^= 1 << a
+                dominators[r] = g & ~part
+                if g & (g - 1):
+                    split.append((part, g))
         undo.append(changed)
-        active = [a for a in active if ge[a] != 1 << a]
+        groups = split
     return dominators, targets, undo
 
 
@@ -785,14 +792,6 @@ def _lone_counts(starts, column, plan, init, fold, rows):
     return out
 
 
-def _bits(x):
-    """Indices of the set bits of ``x``."""
-    while x:
-        low = x & -x
-        yield low.bit_length() - 1
-        x ^= low
-
-
 def _slice_moves(ge):
     """One step over bit slices, from ge[s], the lanes with at least s addends free.
 
@@ -821,9 +820,9 @@ def _count_outputs(table, emit, carry_shift, init, fold, state_budget, antichain
     the word with its final carry shifted right by carry_shift[j].  Each
     successor is kept canonical over the positions still to come, by
     the ``_antichain`` tables: a lane moves into its merge target's, and a
-    member whose carry a live strict dominator holds is dropped.  The
-    merge and kill memos are emptied only at a level that changes a merge
-    target or a dominator set.
+    member whose carry a live strict dominator holds is dropped.  The top
+    level's tables enter as changes, as every level's do; the merge and
+    kill memos are emptied only at a level that changes something.
 
     Scales with one emit position share a walk, whose initial state joins
     the sweep just before its first position ("One sweep" above).  Each
@@ -839,21 +838,13 @@ def _count_outputs(table, emit, carry_shift, init, fold, state_budget, antichain
     """
     starts, columns = table
     dominators, targets, undo = antichain
-    dominators = list(dominators)
-    targets = list(targets)
-    # dominated[B]: every A that B has strictly dominated since the top level.
-    # An A that later ties B shares B's merge target, so it has no lane of
-    # its own and B's kills can never reach a live member of A.
-    dominated = [0] * len(columns)
-    for a, d in enumerate(dominators):
-        for b in _bits(d):
-            dominated[b] |= 1 << a
-
-    def level():
-        """This level's movers and killers; empty memos of merges and of kept (unkilled) lanes."""
-        movers = sum(1 << a for a, r in enumerate(targets) if r != a)
-        killers = sum(1 << a for a, r in enumerate(targets) if r == a and dominated[a])
-        return movers, killers, {}, {}
+    lanes = range(len(columns))
+    changes = [x for change in zip(lanes, dominators, targets) for x in change]
+    # dominated[B]: every A that B has strictly dominated since the top level,
+    # B then a killer.  An A that later ties B shares B's target, so it has no
+    # lane and B's kills reach no live member of it; a killer that moves holds no bit.
+    dominators, targets, dominated = [0] * len(lanes), list(lanes), [0] * len(lanes)
+    movers = killers = 0  # lanes that move to a merge target, and killers
 
     # ``groups`` maps each reach set, a frozenset of state indices, to a node.
     # A walk joins as a new node; when two reach sets coincide, a new node
@@ -874,7 +865,6 @@ def _count_outputs(table, emit, carry_shift, init, fold, state_budget, antichain
     walks = sorted(set(emit.values()))  # the next walk to join is walks[-1]
     top = walks[-1]
     k = len(undo) - 1  # the tables stop at the level that holds position top
-    movers, killers, merged, kills = level()
     busy = 0
     for column in columns:
         busy |= int.from_bytes(column, "big")
@@ -909,17 +899,20 @@ def _count_outputs(table, emit, carry_shift, init, fold, state_budget, antichain
             moves = None
             fixed = False
         if k and starts[k - 1] == t:  # positions below t leave level k
-            changes = undo[k]
-            k -= 1
-            if changes:  # a level that changes nothing keeps its memos
-                for n in range(0, len(changes), 3):
-                    a, d, r = changes[n : n + 3]
-                    for b in _bits(d & ~dominators[a]):
-                        dominated[b] |= 1 << a
-                    dominators[a], targets[a] = d, r
-                movers, killers, merged, kills = level()
-                moving = True
-                fixed = False
+            changes, k = undo[k], k - 1
+        if changes:  # a level that changes nothing keeps its memos
+            for n in range(0, len(changes), 3):
+                a, d, r = changes[n : n + 3]
+                d, dominators[a], targets[a] = d & ~dominators[a], d, r
+                while d:  # the lanes a is newly dominated by
+                    b = d.bit_length() - 1
+                    dominated[b] |= 1 << a
+                    killers |= 1 << b
+                    d ^= 1 << b
+                movers |= (r != a) << a  # targets only move down: a mover stays one
+            changes = None
+            merged, kills = {}, {}  # memos of merges and of kept (unkilled) lanes
+            moving, fixed = True, False
         if not index or settled and not busy[i]:
             continue  # nothing to step, or zero digits leave carry 0 where it is
         if fixed:  # this step would repeat the last one
@@ -941,15 +934,22 @@ def _count_outputs(table, emit, carry_shift, init, fold, state_budget, antichain
                     m = x & movers
                     to = merged.get(m)
                     if to is None:
-                        to = merged[m] = sum({1 << targets[a] for a in _bits(m)})
+                        to, y = 0, m
+                        while y:
+                            b = y.bit_length() - 1
+                            to |= 1 << targets[b]
+                            y ^= 1 << b
+                        merged[m] = to
                     x = x ^ m | to
                 key = x & killers
                 if key:
                     keep = kills.get(key)
                     if keep is None:
-                        kill = 0
-                        for b in _bits(key):
+                        kill, y = 0, key
+                        while y:
+                            b = y.bit_length() - 1
                             kill |= dominated[b]
+                            y ^= 1 << b
                         keep = kills[key] = ~kill
                     x &= keep
                 out.append(x)

@@ -104,6 +104,12 @@ def _check_count(name, value):
         raise ValueError(f"{name} must be an integer of at least 1, got {value!r}")
 
 
+def _check_nonempty(*sets):
+    """ValueError unless every set holds a point: an empty one has no count to compare."""
+    if not all(map(len, sets)):
+        raise ValueError("sets must be nonempty")
+
+
 def _check_scale(scale):
     """``scale`` if it is an int (not a bool) of at least 0, else ScaleError."""
     if isinstance(scale, bool) or not isinstance(scale, int) or scale < 0:
@@ -157,8 +163,7 @@ def ruzsa_check(e, f, fold):
     |lF| * |E|^(l-1) against |E + F|^l in exact integer arithmetic.
     """
     _check_count("fold", fold)
-    if not len(e) or not len(f):
-        raise ValueError("sets must be nonempty")
+    _check_nonempty(e, f)
     ef = e.sumset(f)
     lf = reduce(FiniteIntSet.sumset, [f] * fold)
     lhs = len(lf) * len(e) ** (fold - 1)
@@ -187,6 +192,7 @@ def sumset_cover_bound_check(samples, scale, width=None):
     samples = tuple(samples)
     if not samples:
         raise ValueError("need at least one sample")
+    _check_nonempty(*samples)
     fold = len(samples)
     if width is None:
         width = fold
@@ -222,6 +228,7 @@ def prop31_check(a, b, fold, scales):
     scales = sorted({_check_scale(j) for j in scales})
     if not scales:
         raise ValueError("need at least one scale")
+    _check_nonempty(a, b)
     ab = a.sumset(b)
     rows = []
     best = None
@@ -265,6 +272,7 @@ def prop31_check(a, b, fold, scales):
 
 
 def random_int_set(rng, max_size=64, max_value=4096):
+    _check_count("max_size", max_size)
     size = rng.randint(1, max_size)
     return FiniteIntSet.of(rng.randrange(max_value) for _ in range(size))
 
@@ -274,6 +282,7 @@ def random_point_sample(rng, max_size=48, max_scale=GRID_SCALE):
 
     The points come back as their numerators over ``GRID``.
     """
+    _check_count("max_size", max_size)
     if max_scale > GRID_SCALE:
         raise ValueError(f"max_scale {max_scale} is finer than the 1/GRID grid")
     size = rng.randint(1, max_size)

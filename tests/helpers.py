@@ -10,13 +10,21 @@ from unittest import mock
 from sumdim import engine
 from sumdim.constructions import BlockParams
 from sumdim.engine import (
-    _bits,
     _carry_tables,
     _combos,
+    _count_map,
     _segments,
     undominated_masks,
 )
 from sumdim.patterns import DigitPattern, SetSpec
+
+
+def _bits(x):
+    """Indices of the set bits of ``x``."""
+    while x:
+        low = x & -x
+        yield low.bit_length() - 1
+        x ^= low
 
 
 def from_rows(rows, name="", **kwargs):
@@ -345,6 +353,49 @@ def run_stepped_lone_counts(spec, fold, scales):
         for j, (e, shift) in shifts.items():
             out[j].append(per_scale_lone_count(runs, e, init[e], fold, shift))
     return out
+
+
+def per_lane_antichain(table, top):
+    """``engine._antichain`` one combination at a time: its reference.
+
+    Level k stands for the positions of the first k segments.  Each
+    combination keeps a running AND of the segments' "count >= v" and
+    "count = v" sets of combinations; the lowest of the second is its
+    merge target, and if that is itself, the first less the second are
+    its strict dominators.  A combination that no other is at least as
+    free as can change no more and is no longer stepped.  Returns the
+    engine's ``(dominators, targets, undo)``, each level's undo in lane
+    order.
+    """
+    starts, columns = table
+    n = len(columns)
+    full = (1 << n) - 1
+    ge = [full] * n
+    eq = [full] * n
+    dominators = [0] * n
+    targets = [0] * n
+    undo = [[]]
+    active = range(n)
+    for k in range(bisect_right(starts, top - 1)):
+        row = bytes(col[k] for col in reversed(columns))  # combination 0 is the low bit
+        ge_v = {}
+        eq_v = {}
+        changed = []
+        for a in active:
+            v = columns[a][k]
+            if v not in ge_v:
+                ge_v[v] = int(row.translate(_count_map(v)), 2)
+                eq_v[v] = ge_v[v] & ~int(row.translate(_count_map(v + 1)), 2)
+            g = ge[a] = ge[a] & ge_v[v]
+            e = eq[a] = eq[a] & eq_v[v]
+            r = (e & -e).bit_length() - 1
+            d = g & ~e if r == a else 0  # a merged lane is empty: nothing to drop
+            if d != dominators[a] or r != targets[a]:
+                changed += (a, dominators[a], targets[a])
+                dominators[a], targets[a] = d, r
+        undo.append(changed)
+        active = [a for a in active if ge[a] != 1 << a]
+    return dominators, targets, undo
 
 
 class _LaneKills(dict):

@@ -2,6 +2,7 @@
 
 import collections
 import dataclasses
+import decimal
 import itertools
 import random
 import types
@@ -14,7 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sumdim import engine
-from sumdim.analysis import count_trace, predicted_exponent, resolve_scales
+from sumdim.analysis import count_trace, default_scales, predicted_exponent, resolve_scales
 from sumdim.constructions import (
     CANONICAL_EXAMPLES,
     DimensionTargets,
@@ -57,6 +58,7 @@ from helpers import (
     lone_setup,
     matrix_times,
     nextany_tables,
+    per_lane_antichain,
     per_position_branching_min_average,
     per_position_carry_masks,
     per_position_columns,
@@ -81,6 +83,21 @@ def test_bracket_invariants():
         CellCountBracket(5, 4)
     with pytest.raises(ValueError):
         CellCountBracket(0, 4)
+
+
+def test_results_render_counts_of_any_size():
+    # int's repr stops at 4,300 digits; a bracket renders its counts as
+    # Decimal does, digit for digit
+    assert repr(CellCountBracket(3, 7)) == "CellCountBracket(lower=3, upper=7)"
+    big = "1" + "0" * 5000
+    assert repr(CellCountBracket(10**5000, 10**5000)) == f"CellCountBracket(lower={big}, upper={big})"
+    # the lacunary haus-lowbox at horizon 4 (depth 32,776) has 4,684 digits at the depth
+    keys = dict(CANONICAL_EXAMPLES["haus-lowbox"], scale_policy="geometric", scale_base=8)
+    spec = build_from_keys("haus-lowbox", dict(keys, horizon=4))
+    res = sum_prefix_counts(spec, 1, [spec.depth])[spec.depth]
+    lower, upper = (str(decimal.Decimal(n)) for n in (res.bracket.lower, res.bracket.upper))
+    assert len(lower) > 4300
+    assert f"bracket=CellCountBracket(lower={lower}, upper={upper})" in repr(res)
 
 
 def test_single_free_component_fold2_doubles_per_scale():
@@ -1000,6 +1017,44 @@ def test_lane_order_puts_each_levels_merge_targets_first(name):
             changes = undo[k]
             for i in range(0, len(changes), 3):
                 targets[changes[i]] = changes[i + 2]
+
+
+def triples(undo):
+    """Each level's undo as its sorted (combination, dominators, target) triples."""
+    return [sorted(zip(u[::3], u[1::3], u[2::3])) for u in undo]
+
+
+def check_antichain(table, top):
+    """``_antichain`` against the per-lane reference: tables, and each level's undo in any order."""
+    dominators, targets, undo = _antichain(table, top)
+    want = per_lane_antichain(table, top)
+    return [dominators, targets, triples(undo)] == [*want[:2], triples(want[2])]
+
+
+@pytest.mark.parametrize("name", sorted(CANONICAL_EXAMPLES))
+def test_antichain_steps_tie_groups_like_the_per_lane_reference(name):
+    spec = build_canonical(name)
+    masks = undominated_masks(c.free_mask for c in spec.components)
+    for fold in (1, 2, 3):
+        table = _lane_order(_segments(masks, spec.depth, _combos(len(masks), fold)))
+        width = (fold - 1).bit_length()
+        for top in sorted({max(j - width, 0) for j in default_scales(spec)}):
+            assert check_antichain(table, top), (fold, top)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_antichain_matches_the_per_lane_reference_on_random_tables(data):
+    fold = data.draw(st.integers(1, engine.MAX_FOLD))
+    segments = data.draw(st.integers(1, 16))
+    lengths = data.draw(st.lists(st.integers(1, 3), min_size=segments, max_size=segments))
+    starts = list(itertools.accumulate(lengths, initial=1))  # the last is depth + 1
+    # few count values make many ties, and equal columns tie at every level
+    counts = st.integers(0, data.draw(st.integers(0, fold)))
+    column = st.lists(counts, min_size=segments, max_size=segments).map(bytes)
+    columns = data.draw(st.lists(column, min_size=1, max_size=24))
+    top = data.draw(st.integers(0, starts[-1] - 1))
+    assert check_antichain(_lane_order((starts, columns)), top)
 
 
 def test_state_budget_falls_back_to_bracket():

@@ -231,6 +231,31 @@ def test_random_generators_are_bounded():
         assert all(0 <= v < 2 * GRID and v % (GRID // 48) == 0 for v in p.values)
     with pytest.raises(ValueError):
         random_point_sample(rng, max_scale=13)
+    for generate in (random_int_set, random_point_sample):
+        for bad in (0, -1, True, 2.0):
+            with pytest.raises(ValueError, match="max_size must be an integer of at least 1"):
+                generate(rng, max_size=bad)
+
+
+def test_empty_sets_are_refused_before_any_cell_is_built(monkeypatch):
+    # an empty A once reached log2_big's "nonpositive count" in prop31, and
+    # an empty sample passed the cover check
+    built = []
+    real = plunnecke.cells
+    monkeypatch.setattr(plunnecke, "cells", lambda points, scale: built.append(scale) or real(points, scale))
+    a, empty = grid((0, 1), (1, 2)), FiniteIntSet(0)
+    calls = [
+        lambda: ruzsa_check(empty, a, 2),
+        lambda: ruzsa_check(a, empty, 2),
+        lambda: prop31_check(empty, a, 2, [1, 2]),
+        lambda: prop31_check(a, empty, 3, [1]),
+        lambda: sumset_cover_bound_check([empty], 1),
+        lambda: sumset_cover_bound_check([a, empty, a], 2),
+    ]
+    for call in calls:
+        with pytest.raises(ValueError, match="sets must be nonempty"):
+            call()
+    assert not built
 
 
 def test_suites_pass_and_are_deterministic():
