@@ -45,9 +45,9 @@ GRID_SCALE = 12
 GRID = 3 << GRID_SCALE
 
 # ``cells`` folds sets of at least this many points.  In process, the
-# suites at seed 0 (best of 5, 2-core Xeon, Python 3.11) ran 19-22%
-# faster than on the map alone at thresholds 32-256, 13-14% at 16, and
-# 2-7% folding every set, as prop31's 24-point samples got 39-47% slower.
+# suites at seed 0 (best of 5, twice, 2-core Xeon, Python 3.11) ran
+# 36-41% faster than on the map alone at thresholds 32-256, 29-32% at
+# 16, and 14-15% folding every set; 64 was the fastest both times.
 DENSE_POINTS = 64
 
 
@@ -79,12 +79,12 @@ class FiniteIntSet:
 
     @cached_property
     def values(self):
-        bits = format(self.mask, "b")[::-1]
-        out = []
-        v = bits.find("1")
-        while v >= 0:
+        m, out = self.mask, []
+        while m:
+            v = m.bit_length() - 1
             out.append(v)
-            v = bits.find("1", v + 1)
+            m ^= 1 << v
+        out.reverse()
         return tuple(out)
 
     def __len__(self):
@@ -117,28 +117,43 @@ def _check_scale(scale):
     return scale
 
 
+def _merge_blocks(mask, block):
+    """The mask whose bit c is set iff one of bits c * block .. (c + 1) * block - 1 is.
+
+    An OR-fold by doubling shifts, then every block-th bit by a strided
+    string slice: C passes over the mask, not a Python step per set bit.
+    """
+    span = 1
+    while span < block:
+        step = min(span, block - span)
+        mask |= mask >> step
+        span += step
+    bits = format(mask, "b")
+    return int(bits[(len(bits) - 1) % block :: block], 2)
+
+
+def _window_count(mask, width):
+    """How many windows of ``width`` cells meet the cells set in ``mask``."""
+    return reduce(int.__or__, (mask >> s for s in range(width))).bit_count()
+
+
 def cells(points, scale):
     """The cells [c * 2^-scale, (c + 1) * 2^-scale) holding a point, as indices c.
 
     ``points`` holds numerators over ``GRID``.  A sparse set, or any
     scale past ``GRID_SCALE``, maps each point v to (v << scale) // GRID.
     Otherwise cell c is the block of m = GRID >> scale numerators from
-    c * m, so a set of ``DENSE_POINTS`` or more ORs its mask over m bits
-    by doubling shifts and keeps every m-th bit by a strided string
-    slice: C passes over the mask, not a Python step per point.  That
-    wins on sumsets but loses on a few dozen already decoded points.
+    c * m, so a set of ``DENSE_POINTS`` or more merges its mask's blocks
+    of m bits.  That wins on sumsets but loses on a few dozen already
+    decoded points.
     """
     _check_scale(scale)
     if scale > GRID_SCALE or len(points) < DENSE_POINTS:
-        return FiniteIntSet.of((v << scale) // GRID for v in points.values)
-    block = GRID >> scale
-    folded, span = points.mask, 1
-    while span < block:
-        step = min(span, block - span)
-        folded |= folded >> step
-        span += step
-    bits = format(folded, "b")
-    return FiniteIntSet(int(bits[(len(bits) - 1) % block :: block], 2))
+        mask = 0
+        for v in points.values:
+            mask |= 1 << ((v << scale) // GRID)
+        return FiniteIntSet(mask)
+    return FiniteIntSet(_merge_blocks(points.mask, GRID >> scale))
 
 
 def dyadic_count(points, scale, width=1):
@@ -148,8 +163,7 @@ def dyadic_count(points, scale, width=1):
     meets the points iff one of cells i..i+width-1 holds one.
     """
     _check_count("width", width)
-    mask = cells(points, scale).mask
-    return reduce(int.__or__, (mask >> s for s in range(width))).bit_count()
+    return _window_count(cells(points, scale).mask, width)
 
 
 # ---------------------------------------------------------------------------
@@ -162,22 +176,31 @@ def ruzsa_check(e, f, fold):
     With K = |E + F| / |E|, verifies |lF| <= K^l * |E| by comparing
     |lF| * |E|^(l-1) against |E + F|^l in exact integer arithmetic.
     """
-    _check_count("fold", fold)
+    return _ruzsa_checks(e, f, (fold,))[0]
+
+
+def _ruzsa_checks(e, f, folds):
+    """``ruzsa_check`` at each fold, from one E + F and one chain F, 2F, 3F, ..."""
+    for fold in folds:
+        _check_count("fold", fold)
     _check_nonempty(e, f)
     ef = e.sumset(f)
-    lf = reduce(FiniteIntSet.sumset, [f] * fold)
-    lhs = len(lf) * len(e) ** (fold - 1)
-    rhs = len(ef) ** fold
-    return {
-        "check": "ruzsa",
-        "fold": fold,
-        "size_e": len(e),
-        "size_f": len(f),
-        "size_e_plus_f": len(ef),
-        "size_fold_f": len(lf),
-        "ratio": str(Fraction(len(ef), len(e))),
-        "ok": lhs <= rhs,
-    }
+    chain = [f]
+    while len(chain) < max(folds, default=0):
+        chain.append(chain[-1].sumset(f))
+    return [
+        {
+            "check": "ruzsa",
+            "fold": fold,
+            "size_e": len(e),
+            "size_f": len(f),
+            "size_e_plus_f": len(ef),
+            "size_fold_f": len(chain[fold - 1]),
+            "ratio": str(Fraction(len(ef), len(e))),
+            "ok": len(chain[fold - 1]) * len(e) ** (fold - 1) <= len(ef) ** fold,
+        }
+        for fold in folds
+    ]
 
 
 def sumset_cover_bound_check(samples, scale, width=None):
@@ -229,12 +252,17 @@ def prop31_check(a, b, fold, scales):
     if not scales:
         raise ValueError("need at least one scale")
     _check_nonempty(a, b)
-    ab = a.sumset(b)
+    # A + B's cells once, at the finest scale; each coarser scale j merges
+    # the cells of the next finer one, j + d, in blocks of 2^d, as
+    # floor(floor(v * 2^(j+d) / GRID) / 2^d) = floor(v * 2^j / GRID)
+    ab_cells = [cells(a.sumset(b), scales[-1]).mask]
+    for j, finer in zip(scales[-2::-1], scales[::-1]):
+        ab_cells.append(_merge_blocks(ab_cells[-1], 1 << (finer - j)))
     rows = []
     best = None
-    for j in scales:
+    for j, ab in zip(scales, reversed(ab_cells)):
         ca = dyadic_count(a, j, 1)
-        cab2 = dyadic_count(ab, j, 2)
+        cab2 = _window_count(ab, 2)
         cb = dyadic_count(b, j, fold)
         lhs = cb * ca ** (fold - 1)
         rhs = (fold + 1) * cab2**fold
@@ -273,8 +301,11 @@ def prop31_check(a, b, fold, scales):
 
 def random_int_set(rng, max_size=64, max_value=4096):
     _check_count("max_size", max_size)
-    size = rng.randint(1, max_size)
-    return FiniteIntSet.of(rng.randrange(max_value) for _ in range(size))
+    _check_count("max_value", max_value)
+    mask = 0
+    for _ in range(rng.randint(1, max_size)):
+        mask |= 1 << rng.randrange(max_value)
+    return FiniteIntSet(mask)
 
 
 def random_point_sample(rng, max_size=48, max_scale=GRID_SCALE):
@@ -283,19 +314,19 @@ def random_point_sample(rng, max_size=48, max_scale=GRID_SCALE):
     The points come back as their numerators over ``GRID``.
     """
     _check_count("max_size", max_size)
-    if max_scale > GRID_SCALE:
-        raise ValueError(f"max_scale {max_scale} is finer than the 1/GRID grid")
-    size = rng.randint(1, max_size)
-    pts = []
-    for _ in range(size):
+    if (isinstance(max_scale, bool) or not isinstance(max_scale, int)
+            or not 0 <= max_scale <= GRID_SCALE):
+        raise ValueError(f"max_scale must be an integer from 0 to {GRID_SCALE}, got {max_scale!r}")
+    mask = 0
+    for _ in range(rng.randint(1, max_size)):
         j = rng.randint(0, max_scale)
         num = rng.randrange(1 << (j + 1))
         den = 1 << j
         if rng.random() < 0.25:
             den *= 3
             num = rng.randrange(2 * den)
-        pts.append(num * (GRID // den))
-    return FiniteIntSet.of(pts)
+        mask |= 1 << (num * (GRID // den))
+    return FiniteIntSet(mask)
 
 
 def _run_suite(name, seed, cases):
@@ -315,8 +346,7 @@ def ruzsa_suite(seed, pairs=1000, folds=(2, 3)):
         for i in range(pairs):
             e = random_int_set(rng)
             f = random_int_set(rng)
-            for fold in folds:
-                res = ruzsa_check(e, f, fold)
+            for res in _ruzsa_checks(e, f, folds):
                 yield res["ok"], {"pair": i, **res}
 
     return _run_suite("ruzsa", seed, cases)

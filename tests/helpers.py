@@ -628,3 +628,17 @@ def lane_major_prefix_counts(spec, fold, scales, state_budget=engine.DEFAULT_STA
 
     with mock.patch.object(engine, "_count_outputs", count_outputs):
         return engine.sum_prefix_counts(spec, fold, scales, "exact", state_budget)
+
+
+def string_values(mask):
+    """``FiniteIntSet.values`` by its old decoder, the differential reference.
+
+    It reverses the mask's binary string and finds each "1" in it.
+    """
+    bits = format(mask, "b")[::-1]
+    out = []
+    v = bits.find("1")
+    while v >= 0:
+        out.append(v)
+        v = bits.find("1", v + 1)
+    return tuple(out)

@@ -6,9 +6,10 @@ import random
 from functools import reduce
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from helpers import string_values
 from sumdim import plunnecke
 from sumdim.errors import ScaleError
 from sumdim.plunnecke import (
@@ -48,6 +49,21 @@ def test_finite_int_set_basics():
     assert FiniteIntSet(0).values == ()
     with pytest.raises(ValueError):
         FiniteIntSet.of([-1])
+
+
+@given(
+    st.one_of(
+        st.frozensets(st.integers(0, (1 << 16) - 1), max_size=2000),
+        st.integers(0, 16).map(lambda b: {(1 << b) - 1}),
+    )
+)
+@example(frozenset())
+@example({(1 << 16) - 1})
+@settings(max_examples=300, deadline=None)
+def test_values_match_the_string_decoder(bits):
+    # up to 2,000 bits over 2^16 positions, and a single high bit (or bit 0)
+    mask = sum(1 << v for v in bits)
+    assert FiniteIntSet(mask).values == string_values(mask) == tuple(sorted(bits))
 
 
 def test_a_negative_mask_is_refused():
@@ -136,6 +152,20 @@ def test_dense_cells_split_at_every_block_edge(scale):
     assert cells(points, scale).values == tuple(x for c in edges for x in (c - 1, c))
 
 
+@given(st.integers(0, 2**32 - 1), st.lists(st.integers(1, 4), min_size=1, max_size=4))
+@settings(max_examples=100, deadline=None)
+def test_ruzsa_chain_matches_a_sumset_per_fold(seed, folds):
+    # the suite builds E + F once and lF as F, 2F, 3F, ...; the reference
+    # builds both afresh at every fold
+    rng = random.Random(seed)
+    e, f = random_int_set(rng), random_int_set(rng)
+    for fold, res in zip(folds, plunnecke._ruzsa_checks(e, f, folds), strict=True):
+        assert res == ruzsa_check(e, f, fold)
+        assert res["fold"] == fold
+        assert res["size_e_plus_f"] == len({x + y for x in e.values for y in f.values})
+        assert res["size_fold_f"] == len(reduce(FiniteIntSet.sumset, [f] * fold))
+
+
 def test_ruzsa_check_pinned_pair():
     e = FiniteIntSet.of([0, 1])
     res = ruzsa_check(e, e, 2)
@@ -219,6 +249,27 @@ def test_prop31_check_fields():
         prop31_check(a, b, 0, [1])
 
 
+@given(
+    st.integers(0, 2**32 - 1),
+    st.lists(st.integers(0, 14), min_size=1, max_size=5),
+    st.integers(1, 3),
+)
+@settings(max_examples=200, deadline=None)
+def test_prop31_rows_match_a_count_per_scale(seed, scales, fold):
+    # prop31 coarsens A + B's cells from its finest scale, past GRID_SCALE
+    # too; the reference counts A + B afresh at every scale
+    rng = random.Random(seed)
+    a, b = (random_point_sample(rng, max_size=24) for _ in range(2))
+    ab = a.sumset(b)
+    rows = prop31_check(a, b, fold, scales)["scales"]
+    assert [row["scale"] for row in rows] == sorted(set(scales))
+    for row in rows:
+        j = row["scale"]
+        assert row["count_ab_width2"] == dyadic_count(ab, j, 2)
+        assert row["count_a"] == dyadic_count(a, j)
+        assert row["count_b_width_fold"] == dyadic_count(b, j, fold)
+
+
 def test_random_generators_are_bounded():
     rng = random.Random(3)
     for _ in range(20):
@@ -229,12 +280,19 @@ def test_random_generators_are_bounded():
         assert 1 <= len(p) <= 6
         # points in [0, 2) with denominators dividing 3 * 2^4
         assert all(0 <= v < 2 * GRID and v % (GRID // 48) == 0 for v in p.values)
-    with pytest.raises(ValueError):
-        random_point_sample(rng, max_scale=13)
-    for generate in (random_int_set, random_point_sample):
-        for bad in (0, -1, True, 2.0):
+    # random's own "empty range for randrange()" once answered max_value=0
+    # and max_scale=-1
+    for bad in (0, -1, True, 2.0):
+        for generate in (random_int_set, random_point_sample):
             with pytest.raises(ValueError, match="max_size must be an integer of at least 1"):
                 generate(rng, max_size=bad)
+        with pytest.raises(ValueError, match="max_value must be an integer of at least 1"):
+            random_int_set(rng, max_value=bad)
+    for bad in (-1, 13, True, 2.0):
+        with pytest.raises(ValueError, match="max_scale must be an integer from 0 to 12"):
+            random_point_sample(rng, max_scale=bad)
+    # at max_scale 0 the points are 0 and 1, or thirds k / 3 with k < 6
+    assert all(v % (GRID // 3) == 0 for v in random_point_sample(rng, max_scale=0).values)
 
 
 def test_empty_sets_are_refused_before_any_cell_is_built(monkeypatch):
