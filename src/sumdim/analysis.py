@@ -167,11 +167,8 @@ def _g12(x):
     return format(float(x), ".12g")
 
 
-def render_count_trace_csv(trace, header=None):
-    lines = []
-    if header:
-        lines.append(f"# {header}")
-    lines.append("j,fold,lower,upper,exp_lower,exp_upper,predicted,mode")
+def render_count_trace_csv(trace, header):
+    lines = [f"# {header}", "j,fold,lower,upper,exp_lower,exp_upper,predicted,mode"]
     for e in trace.entries:
         # Decimal renders counts of any size; str(int) stops at 4,300 digits
         lower, upper = decimal.Decimal(e.lower), decimal.Decimal(e.upper)
@@ -182,11 +179,8 @@ def render_count_trace_csv(trace, header=None):
     return "\n".join(lines) + "\n"
 
 
-def render_off_trace_csv(entries, header=None):
-    lines = []
-    if header:
-        lines.append(f"# {header}")
-    lines.append("n,off,off_num,off_den")
+def render_off_trace_csv(entries, header):
+    lines = [f"# {header}", "n,off,off_num,off_den"]
     for n, off in entries:
         lines.append(f"{n},{_g12(off)},{off.numerator},{off.denominator}")
     return "\n".join(lines) + "\n"

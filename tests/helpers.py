@@ -642,3 +642,55 @@ def string_values(mask):
         out.append(v)
         v = bits.find("1", v + 1)
     return tuple(out)
+
+
+def antichains(depth):
+    """Every nonempty antichain of ``depth``-bit masks under inclusion, as tuples.
+
+    Include/exclude recursion over the masks in increasing order: a mask
+    joins only if no mask already taken is a submask of it (a larger mask
+    comes later, so it cannot be a supermask).  167 at depth 4 and 7,580
+    at depth 5: the Dedekind numbers less the empty antichain.
+    """
+    out = []
+
+    def extend(m, taken):
+        if m == 1 << depth:
+            if taken:
+                out.append(tuple(taken))
+            return
+        extend(m + 1, taken)
+        if all(t & m != t for t in taken):
+            extend(m + 1, taken + [m])
+
+    extend(0, [])
+    return out
+
+
+def exhaustive_sweep(depth):
+    """(points per mode, disagreements) over every spec of ``depth``.
+
+    Each nonempty antichain of masks is a spec; at folds 1-3 and scales
+    0..depth, exact mode must equal ``brute_force_oracle``, and bracket
+    mode and exact mode at ``state_budget=2`` (which falls back) must
+    contain it.
+    """
+    scales = range(depth + 1)
+    points, bad = 0, []
+    for masks in antichains(depth):
+        spec = SetSpec(tuple(DigitPattern(depth, m) for m in masks), depth)
+        for fold in (1, 2, 3):
+            runs = {
+                "exact": engine.sum_prefix_counts(spec, fold, scales, mode="exact"),
+                "bracket": engine.sum_prefix_counts(spec, fold, scales, mode="bracket"),
+                "budget-2": engine.sum_prefix_counts(spec, fold, scales, state_budget=2),
+            }
+            for j in scales:
+                points += 1
+                want = engine.brute_force_oracle(spec, fold, j).lower
+                for mode, results in runs.items():
+                    got = results[j].bracket
+                    exact = mode != "exact" or got.lower == got.upper
+                    if not (exact and got.lower <= want <= got.upper):
+                        bad.append((masks, fold, j, mode, got))
+    return points, bad

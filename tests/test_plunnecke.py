@@ -203,8 +203,6 @@ def test_a_width_that_is_not_a_positive_int_is_refused_before_any_cell(width, mo
     monkeypatch.setattr(plunnecke, "cells", no_cells)
     with pytest.raises(ValueError):
         dyadic_count(grid((0, 1)), 2, width)
-    with pytest.raises(ValueError):
-        sumset_cover_bound_check([grid((0, 1))], 2, width)
 
 
 @pytest.mark.parametrize("scale", [True, 2.0, 1.5])
@@ -236,13 +234,10 @@ def test_prop31_check_fields():
     a = grid((0, 1), (1, 2))
     b = grid((0, 1), (1, 4), (1, 2))
     res = prop31_check(a, b, 2, [1, 2, 4])
+    assert res.keys() == {"check", "fold", "scales", "ok"}
     assert res["ok"]
-    assert res["j_star"] in (1, 2, 4)
     assert len(res["scales"]) == 3
     assert all(row["ok"] for row in res["scales"])
-    assert res["derived_exponent"] == pytest.approx(
-        2 * res["dim_ab_at_j_star"] - res["dim_a_at_j_star"]
-    )
     with pytest.raises(ValueError):
         prop31_check(a, b, 2, [])
     with pytest.raises(ValueError):
@@ -259,7 +254,7 @@ def test_prop31_rows_match_a_count_per_scale(seed, scales, fold):
     # prop31 coarsens A + B's cells from its finest scale, past GRID_SCALE
     # too; the reference counts A + B afresh at every scale
     rng = random.Random(seed)
-    a, b = (random_point_sample(rng, max_size=24) for _ in range(2))
+    a, b = (random_point_sample(rng) for _ in range(2))
     ab = a.sumset(b)
     rows = prop31_check(a, b, fold, scales)["scales"]
     assert [row["scale"] for row in rows] == sorted(set(scales))
@@ -272,27 +267,14 @@ def test_prop31_rows_match_a_count_per_scale(seed, scales, fold):
 
 def test_random_generators_are_bounded():
     rng = random.Random(3)
-    for _ in range(20):
-        s = random_int_set(rng, max_size=10, max_value=64)
-        assert 1 <= len(s) <= 10
-        assert all(v < 64 for v in s.values)
-        p = random_point_sample(rng, max_size=6, max_scale=4)
-        assert 1 <= len(p) <= 6
-        # points in [0, 2) with denominators dividing 3 * 2^4
-        assert all(0 <= v < 2 * GRID and v % (GRID // 48) == 0 for v in p.values)
-    # random's own "empty range for randrange()" once answered max_value=0
-    # and max_scale=-1
-    for bad in (0, -1, True, 2.0):
-        for generate in (random_int_set, random_point_sample):
-            with pytest.raises(ValueError, match="max_size must be an integer of at least 1"):
-                generate(rng, max_size=bad)
-        with pytest.raises(ValueError, match="max_value must be an integer of at least 1"):
-            random_int_set(rng, max_value=bad)
-    for bad in (-1, 13, True, 2.0):
-        with pytest.raises(ValueError, match="max_scale must be an integer from 0 to 12"):
-            random_point_sample(rng, max_scale=bad)
-    # at max_scale 0 the points are 0 and 1, or thirds k / 3 with k < 6
-    assert all(v % (GRID // 3) == 0 for v in random_point_sample(rng, max_scale=0).values)
+    for _ in range(200):
+        s = random_int_set(rng)
+        assert 1 <= len(s) <= 64
+        assert all(v < 4096 for v in s.values)
+        # points in [0, 2) on the grid, whose denominator 3 * 2^12 is the finest drawn
+        p = random_point_sample(rng)
+        assert 1 <= len(p) <= 24
+        assert all(0 <= v < 2 * GRID for v in p.values)
 
 
 def test_empty_sets_are_refused_before_any_cell_is_built(monkeypatch):
@@ -316,30 +298,50 @@ def test_empty_sets_are_refused_before_any_cell_is_built(monkeypatch):
     assert not built
 
 
-def test_suites_pass_and_are_deterministic():
-    r1 = ruzsa_suite(7, pairs=25)
-    assert r1 == ruzsa_suite(7, pairs=25)
-    assert r1["ok"] and r1["cases"] == 50 and r1["failures"] == []
-    c1 = cover_suite(7, samples=20, max_scale=8)
-    assert c1 == cover_suite(7, samples=20, max_scale=8)
-    assert c1["ok"] and c1["cases"] == 20
-    p1 = prop31_suite(7, samples=20, max_scale=8)
-    assert p1 == prop31_suite(7, samples=20, max_scale=8)
-    assert p1["ok"] and p1["cases"] == 20
+def sha256_json(doc):
+    return hashlib.sha256(json.dumps(doc, sort_keys=True).encode()).hexdigest()
 
 
 @pytest.mark.parametrize(
-    "suite, digest",
+    "suite, digest, records_digest",
     [
-        (ruzsa_suite, "216a1502bcec91c90c1054956bcc539f4cfa57ab04e2293371939c3b4dca8e23"),
-        (cover_suite, "45c1ade87623f3aa27cced25bd45660be7d38d07767c98f648ca74efc42c3356"),
-        (prop31_suite, "7fab99bcbc0f8640115b52c5ab58040d481dd4f2e1e3bb94e8bc0d1e9ab2d837"),
+        (
+            ruzsa_suite,
+            "216a1502bcec91c90c1054956bcc539f4cfa57ab04e2293371939c3b4dca8e23",
+            "34c6a29f32deb4c674ccf31a611dee13410519bd278fc81536334c91997e5de9",
+        ),
+        (
+            cover_suite,
+            "45c1ade87623f3aa27cced25bd45660be7d38d07767c98f648ca74efc42c3356",
+            "64527cd094bfcd1a4013a4c1612d0237ba56af9fd2f1946eb0cca881b2fc0dc7",
+        ),
+        (
+            prop31_suite,
+            "7fab99bcbc0f8640115b52c5ab58040d481dd4f2e1e3bb94e8bc0d1e9ab2d837",
+            "f9cdd9895daadb9839529955dbb7a6ab8f12705bc55a1046206a83083b468175",
+        ),
     ],
     ids=["ruzsa", "cover", "prop31"],
 )
-def test_full_size_suite_reports_are_pinned(suite, digest):
+def test_full_size_suite_reports_are_pinned(suite, digest, records_digest, monkeypatch):
     # the cover and prop31 digests were taken from reports computed with
     # Fraction points, the ruzsa digest before ruzsa_check took over the
-    # l-fold sumset from FiniteIntSet.iterated
-    report = json.dumps(suite(0), sort_keys=True)
-    assert hashlib.sha256(report.encode()).hexdigest() == digest
+    # l-fold sumset from FiniteIntSet.iterated.  A report lists only the
+    # failures, so every case's (ok, record) pair is pinned too, passing
+    # ones included
+    records = []
+    run_suite = plunnecke._run_suite
+
+    def recording_run_suite(name, seed, cases):
+        def recorded(rng):
+            for ok, record in cases(rng):
+                records.append([ok, record])
+                yield ok, record
+
+        return run_suite(name, seed, recorded)
+
+    monkeypatch.setattr(plunnecke, "_run_suite", recording_run_suite)
+    report = suite(0)
+    assert len(records) == report["cases"]
+    assert sha256_json(report) == digest
+    assert sha256_json(records) == records_digest
