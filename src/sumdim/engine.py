@@ -88,13 +88,16 @@ A lone combination is walked once per call, not once per scale.  The
 call's emit positions e_1 > ... > e_m, sorted once per call, cut its
 positions into stretches, and each stretch is walked once from every
 carry set met at its top: the scale's own initial set {0..h} and those
-the walks from above reach.  The carry steps map an interval of carries
-to an interval or to nothing, so every set met is an interval and at
-most l(l + 1)/2 walks share a stretch.  A stretch inside one run, as
-most are when a call asks for every scale, is one lookup of the rule,
-decided by one test on its segments' bytes.  The count is linear in the
-vector, so a bottom-up pass combines the stretch walks into every
-scale's count.
+the walks from above reach, kept as one bitmask over carry sets.  The
+carry steps map an interval of carries to an interval or to nothing, so
+every set met is an interval and at most l(l + 1)/2 walks share a
+stretch.  A stretch inside one run, as most are when a call asks for
+every scale, is one cached step for all the sets met (``_run_walks``):
+the rule of each, and the mask of the sets they reach.  One test on the
+stretch's segment bytes decides it, and a one-segment stretch needs
+none.  The count is linear in the vector, so a bottom-up pass combines
+the stretch walks into every scale's count, in two lists indexed by
+carry set that swap at each stretch.
 
 The constructions build their sets block by block, so over a short
 stretch of segments many combinations have the same free counts.  Cut
@@ -187,9 +190,10 @@ DEFAULT_ENUM_BUDGET = 1 << 24
 # packed one byte per segment, so larger folds would exhaust time or memory.
 MAX_FOLD = 8
 MODES = ("exact", "bracket")  # sum_prefix_counts's counting modes
-# Entries kept by each run cache, ``_compose`` and ``_run_rule``.  A deep
-# interleave at fold 3 fills at most about a thousand of ``_run_rule``'s and a
-# few dozen of ``_compose``'s (pairs of carry maps), so none is evicted.
+# Entries kept by each run cache, ``_compose``, ``_run_rule`` and ``_run_walks``.
+# The benchmark's deep-bracket pass fills 962 of ``_run_rule``'s, 1 of
+# ``_compose``'s (pairs of carry maps) and none of ``_run_walks``'s; its
+# cli-sweep pass fills 134, 8 and 80.  None is evicted.
 RUN_CACHE_SIZE = 4096
 # Segments per block of the lone walk's row memo (``_stretch_plan``).  On a
 # deep interleave 12-24 were best; 4 gave up a third of the gain, 64 nearly all.
@@ -745,6 +749,20 @@ def _block_walk(starts, column, pieces, carry_set, fold, rows):
     return vec, doublings
 
 
+@lru_cache(maxsize=RUN_CACHE_SIZE)
+def _run_walks(fold, f, r, met):
+    """A run of r positions with f addends free, from every carry set of ``met``.
+
+    ``met`` is a bitmask over carry sets: bit S is set when carry set S is
+    met.  Returns ``(walks, reached)``: walks holds ``(S, row,
+    doublings)``, the ``_run_rule`` of each S in increasing order, and
+    reached is the bitmask of the carry sets those rows reach.  A stretch
+    inside one run is then one lookup for all the sets met at its top.
+    """
+    walks = tuple((s, *_run_rule(fold, f, r, s)) for s in range(met.bit_length()) if met >> s & 1)
+    return walks, sum({1 << t for _, vec, _ in walks for t, _ in vec})  # distinct bits: sum is OR
+
+
 def _lone_counts(starts, column, plan, init, fold, rows):
     """Distinct outputs of one combination from carries 0..init[e] at each emit position e.
 
@@ -753,41 +771,46 @@ def _lone_counts(starts, column, plan, init, fold, rows):
     shifted.  The walk goes down through the emit positions, and each
     stretch between two of them is walked once from every carry set met
     there: the scale's own {0..init[e]}, as the mask (2 << init[e]) - 1,
-    and those the walks from above reach.  A stretch inside one run,
-    found by one test on its segments' bytes, is one ``_run_rule`` lookup;
-    otherwise its pieces share ``rows`` with the call's other combinations
-    (``_block_walk``).  The count is linear in the vector, so a bottom-up
-    pass combines them: count(e_i, S) = (sum of v_S(S') * count(e_{i+1},
-    S')) << doublings, with count(0, S) = popcount(S).  Returns the counts in ``plan`` order.
+    and those the walks from above reach, kept as one bitmask over carry
+    sets.  A stretch inside one run, found by one test on its segments'
+    bytes (none for a one-segment stretch), is one ``_run_walks`` lookup
+    for all its sets; otherwise its pieces share ``rows`` with the call's
+    other combinations (``_block_walk``), once per set.  The count is
+    linear in the vector, so a bottom-up pass combines them: count(e_i, S)
+    = (sum of v_S(S') * count(e_{i+1}, S')) << doublings, with count(0, S)
+    = popcount(S).  The pass keeps two lists indexed by carry set, swapped
+    at each stretch: every set a walk reaches was met, so written, at the
+    stretch below.  Returns the counts in ``plan`` order.
     """
     walked = []  # per stretch: (carry set, vec, doublings) per walk
-    met = set()
+    met = 0
     for hi, lo, a, z, pieces in plan:
-        met.add((2 << init[hi]) - 1)
-        run = column[a:z]
-        inside = not run.strip(run[:1])  # every segment of the stretch has one count
-        walks = []
-        reached = set()
-        for s in met:
-            if inside:
-                vec, d = _run_rule(fold, run[0], hi - lo + 1, s)
-            else:
-                vec, d = _block_walk(starts, column, pieces, s, fold, rows)
-            walks.append((s, vec, d))
-            reached.update(dict(vec))
+        met |= 1 << ((2 << init[hi]) - 1)
+        # every segment of the stretch has one count: a test with no slice for one segment
+        if z - a == 1 or not column[a + 1 : z].strip(column[a : a + 1]):
+            walks, met = _run_walks(fold, column[a], hi - lo + 1, met)
+        else:
+            walks = []
+            reached = 0
+            for s in range(met.bit_length()):
+                if met >> s & 1:
+                    vec, d = _block_walk(starts, column, pieces, s, fold, rows)
+                    walks.append((s, vec, d))
+                    for t, _ in vec:
+                        reached |= 1 << t
+            met = reached
         walked.append(walks)
-        met = reached
     out = []
     below = [s.bit_count() for s in range(1 << fold)]
+    here = [0] * (1 << fold)
     for (hi, _, _, _, _), walks in zip(reversed(plan), reversed(walked)):
-        here = {}
         for s, vec, d in walks:
             n = 0
             for t, x in vec:
                 n += x * below[t]
             here[s] = n << d
         out.append(here[(2 << init[hi]) - 1])
-        below = here
+        below, here = here, below
     out.reverse()
     return out
 

@@ -694,3 +694,37 @@ def exhaustive_sweep(depth):
                     if not (exact and got.lower <= want <= got.upper):
                         bad.append((masks, fold, j, mode, got))
     return points, bad
+
+
+def block_sweep(depth, block):
+    """(points, block walks, disagreements) of whole-stretch bracket calls at ``depth``.
+
+    Over scales 0..depth every stretch of the lone walk is one position,
+    so ``exhaustive_sweep`` never reaches ``_block_walk``.  Here each
+    nonempty antichain of masks is counted in bracket mode at folds 1-3
+    and scales [depth] and [depth, 2], with BLOCK_SEGMENTS = ``block``,
+    and each bracket must contain the brute-force oracle's count.
+    """
+    walks = 0
+    real = engine._block_walk
+
+    def block_walk(*args):
+        nonlocal walks
+        walks += 1
+        return real(*args)
+
+    points, bad = 0, []
+    with mock.patch.object(engine, "BLOCK_SEGMENTS", block), \
+            mock.patch.object(engine, "_block_walk", block_walk):
+        for masks in antichains(depth):
+            spec = SetSpec(tuple(DigitPattern(depth, m) for m in masks), depth)
+            for fold in (1, 2, 3):
+                for scales in ([depth], [depth, 2]):
+                    results = engine.sum_prefix_counts(spec, fold, scales, mode="bracket")
+                    for j in scales:
+                        points += 1
+                        want = engine.brute_force_oracle(spec, fold, j).lower
+                        got = results[j].bracket
+                        if not got.lower <= want <= got.upper:
+                            bad.append((masks, fold, scales, j, got))
+    return points, walks, bad

@@ -49,6 +49,7 @@ from sumdim.patterns import DigitPattern, SetSpec
 
 from helpers import (
     _run_steps,
+    block_sweep,
     carry_values_mask,
     exhaustive_sweep,
     free_count_runs,
@@ -150,6 +151,18 @@ def test_every_spec_of_depth_4_matches_the_oracle():
     # the same sweep at depth 5
     points, bad = exhaustive_sweep(4)
     assert points == 167 * 3 * 5
+    assert not bad, bad[:5]
+
+
+@pytest.mark.parametrize("block", [1, 2, engine.BLOCK_SEGMENTS])
+def test_every_spec_of_depth_4_walks_whole_stretches_inside_the_oracle_bracket(block):
+    # the sweep above asks for every scale, so each stretch is one position
+    # and no bracket call reaches a block walk; scales [4] and [4, 2] walk
+    # stretches of several segments through the block rows.  CI runs blocks
+    # of 2 segments at depth 5
+    points, walks, bad = block_sweep(4, block)
+    assert points == 167 * 3 * 3
+    assert walks
     assert not bad, bad[:5]
 
 
@@ -402,6 +415,22 @@ def test_shared_walk_matches_per_scale_walks_on_the_canonical_specs(name):
         check_shared_walk(spec, fold, 7 * step if fold == 3 else step)
 
 
+def test_cold_and_warm_run_caches_give_the_same_brackets():
+    # the walk's cached steps and rows are built on first use: a call that
+    # builds every one must equal a call that reads them all, and both the
+    # per-scale references, checked at every third scale and the depth
+    spec = build_canonical("all-dims-3")
+    fold = 3
+    scales = range(1, spec.depth + 1)
+    for cache in (engine._run_walks, engine._run_rule, engine._power_row):
+        cache.cache_clear()
+    cold = sum_prefix_counts(spec, fold, scales, mode="bracket")
+    warm = sum_prefix_counts(spec, fold, scales, mode="bracket")
+    assert cold == warm
+    checked = [*scales[::3], spec.depth]
+    assert {j: cold[j].bracket for j in checked} == reference_brackets(spec, fold, checked)
+
+
 @pytest.mark.parametrize("budget", [3, 6])
 def test_exact_fallbacks_match_per_scale_walks_on_the_oracle_corpus(budget):
     # the scales that overflow share one lone walk per combination, while
@@ -423,15 +452,17 @@ def test_exact_fallbacks_match_per_scale_walks_on_the_oracle_corpus(budget):
 def record_walks(monkeypatch):
     """Patch the lone walk to log what it walks, per bracket call.
 
-    ``log.lookups`` holds (column, hi, lo, rule key) for each ``_run_rule``
-    lookup that ``_lone_counts`` makes itself, for a stretch inside one run.
+    ``log.lookups`` holds (column, hi, lo, rule key) for each carry set of
+    the ``_run_walks`` step that ``_lone_counts`` takes for a stretch inside
+    one run: one ``_run_rule`` lookup per carry set met, made (or cached)
+    inside that step.
     ``log.blocks`` holds, for each ``_block_walk``, its (column, pieces,
     carry set), the call's row memo, the memo keys it read in order and the
     (hi, lo, carry set) of each ``_stretch`` it made to build a row.
     ``_lone_counts`` makes no ``_stretch`` of its own: that would fail.
     """
     log = types.SimpleNamespace(lookups=[], blocks=[])
-    real_lone, real_rule = engine._lone_counts, engine._run_rule
+    real_lone, real_walks = engine._lone_counts, engine._run_walks
     real_stretch, real_block = engine._stretch, engine._block_walk
     memos = {}  # id of a call's memo: (that memo, the recording one used instead)
     current = []  # the block walk in progress
@@ -455,10 +486,17 @@ def record_walks(monkeypatch):
         finally:
             here.clear()
 
-    def rule(fold, f, r, s):
-        if here and not current:  # not for a block walk's rows
+    def run_walks(fold, f, r, met):
+        assert here and not current, (f, r)  # only the lone walk itself takes the step
+        walks, reached = real_walks(fold, f, r, met)
+        sets = [s for s in range(1 << fold) if met >> s & 1]
+        assert [s for s, _, _ in walks] == sets, (met, walks)  # one walk per set, in order
+        for s, vec, d in walks:
+            assert (vec, d) == _run_rule(fold, f, r, s), (f, r, s)
             log.lookups.append((*here, (fold, f, r, s)))
-        return real_rule(fold, f, r, s)
+        reach = {t for t in range(1 << fold) if reached >> t & 1}
+        assert reach == {t for _, vec, _ in walks for t, _ in vec}, (met, reached)
+        return walks, reached
 
     def stretch(starts, column, hi, lo, carry_set, fold):
         assert current, (hi, lo)  # only a block walk builds rows
@@ -476,7 +514,7 @@ def record_walks(monkeypatch):
             log.blocks.append(current.pop())
 
     monkeypatch.setattr(engine, "_lone_counts", lone_counts)
-    monkeypatch.setattr(engine, "_run_rule", rule)
+    monkeypatch.setattr(engine, "_run_walks", run_walks)
     monkeypatch.setattr(engine, "_stretch", stretch)
     monkeypatch.setattr(engine, "_block_walk", block_walk)
     return log
@@ -588,8 +626,9 @@ def test_fold_above_max_fold_is_refused_before_any_table(monkeypatch, fold):
     monkeypatch.setattr(engine, "_carry_tables", no_tables)
     # the stub is in the way of a bracket call at MAX_FOLD: the low phase
     # leaves carries 0..7 at emit position 3, which no shortcut of
-    # _run_rule covers, so the walk builds a row of _power_row.  The two
+    # _run_rule covers, so the walk builds a row of _power_row.  The three
     # caches are emptied first, so that no earlier call answers from them
+    engine._run_walks.cache_clear()
     engine._run_rule.cache_clear()
     engine._power_row.cache_clear()
     spec = from_rows(["a" * 6])
@@ -1237,11 +1276,12 @@ def test_bracket_walk_makes_one_vector_product_per_run(monkeypatch):
 
 @pytest.mark.parametrize("name, fold", [("all-dims-3", 2), ("haus-lowbox", 3)])
 def test_a_stretch_inside_one_run_is_one_rule_lookup(monkeypatch, name, fold):
-    # a stretch inside one run reads the shared rule once per carry set met
-    # there, and walks nothing, even where it holds whole blocks: over every
-    # scale most stretches are such, and over the default scales, in blocks
-    # of 2 segments, some combinations lie in one run across whole blocks.
-    # The runs are the reference's, found on the whole column
+    # a stretch inside one run is one cached step for every carry set met
+    # there, which reads the shared rule once per set, and walks nothing,
+    # even where it holds whole blocks: over every scale most stretches are
+    # such, and over the default scales, in blocks of 2 segments, some
+    # combinations lie in one run across whole blocks.  The runs are the
+    # reference's, found on the whole column
     spec = build_canonical(name)
     lookups = []
     real_rule = engine._run_rule
