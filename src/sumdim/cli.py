@@ -65,11 +65,14 @@ def _integer(key, value):
     return value
 
 
-def _positive(key, value):
-    _integer(key, value)
-    if value < 1:
-        raise ConfigError(f"{key} must be at least 1, got {value}")
-    return value
+def _at_least(low):
+    def check(key, value):
+        _integer(key, value)
+        if value < low:
+            raise ConfigError(f"{key} must be at least {low}, got {value}")
+        return value
+
+    return check
 
 
 def _integers(key, value):
@@ -139,9 +142,9 @@ class RunConfig:
     folds: tuple = _key((1, 2), _folds)
     scales: object = _key("boundaries", _scales)
     mode: str = _key("bracket", _choice(*MODES))
-    seed: int = _key(0, _integer)
-    budget_enum: int = _key(DEFAULT_ENUM_BUDGET, _positive)
-    budget_states: int = _key(DEFAULT_STATE_BUDGET, _positive)
+    seed: int = _key(0, _at_least(0))  # Random(-s) draws as Random(s) does
+    budget_enum: int = _key(DEFAULT_ENUM_BUDGET, _at_least(1))
+    budget_states: int = _key(DEFAULT_STATE_BUDGET, _at_least(1))
 
     @classmethod
     def from_dict(cls, raw):

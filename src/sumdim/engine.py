@@ -141,10 +141,15 @@ lanes (combinations) that hold carry c.  From carry c a lane with f
 addends free reaches carry c' with output bit b when s = 2c' + b - c
 lies in 0..f, so a step ANDs slices with the segment's lanes of at least
 s free: at most fold * (fold + 1) ANDs a state, however many lanes are
-occupied.  A merge moves the bits of lanes whose target is another; a
-slice's kill mask, the OR of what its killers dominate, is memoised per
-slice and per level that changes something, and found before any drop as
-dominance is transitive.
+occupied.  Each raw successor slice is then made canonical ("Pruning"
+above) through one memo per level that changes something, from the raw
+slice to its merged-and-pruned form: the raw slices repeat, so nearly
+every slice costs one lookup.  Only a miss merges, moving the bits of
+lanes whose target is another (the identity on a slice with none), and
+then drops what its killers dominate: their kill mask, the OR of those,
+is memoised by killer set at the same levels and found before any drop,
+as dominance is transitive.  In ``all-dims-3``'s fold-3 scale-102 call,
+15,647 of 321,492 lookups miss.
 
 One sweep
 ---------
@@ -844,8 +849,9 @@ def _count_outputs(table, emit, carry_shift, init, fold, state_budget, antichain
     successor is kept canonical over the positions still to come, by
     the ``_antichain`` tables: a lane moves into its merge target's, and a
     member whose carry a live strict dominator holds is dropped.  The top
-    level's tables enter as changes, as every level's do; the merge and
-    kill memos are emptied only at a level that changes something.
+    level's tables enter as changes, as every level's do; the memo of
+    canonical slices, and the kill masks behind it, are emptied only at a
+    level that changes something.
 
     Scales with one emit position share a walk, whose initial state joins
     the sweep just before its first position ("One sweep" above).  Each
@@ -898,8 +904,7 @@ def _count_outputs(table, emit, carry_shift, init, fold, state_budget, antichain
     node = {}  # per walk, its node
     groups = {}
     settled = True
-    moves = None  # this segment's _slice_moves
-    moving = True  # lanes that move to a merge target may be occupied
+    halves = None  # this segment's _slice_moves, for bit 0 and for bit 1
     fixed = False  # the last step left the states and groups as they were
     i = bisect_right(starts, top) - 1  # the segment that holds position t
     for t in range(top, -1, -1):
@@ -913,13 +918,12 @@ def _count_outputs(table, emit, carry_shift, init, fold, state_budget, antichain
             nodes.append([1, -1])
             group(groups, frozenset([x]), node[t])
             settled = settled and not any(s0[1:])
-            moving = True
             fixed = False
         if not t or not index and not walks:  # done, or every walk left
             break
         if t < starts[i]:  # free counts change
             i -= 1
-            moves = None
+            halves = None
             fixed = False
         if k and starts[k - 1] == t:  # positions below t leave level k
             changes, k = undo[k], k - 1
@@ -934,51 +938,48 @@ def _count_outputs(table, emit, carry_shift, init, fold, state_budget, antichain
                     d ^= 1 << b
                 movers |= (r != a) << a  # targets only move down: a mover stays one
             changes = None
-            merged, kills = {}, {}  # memos of merges and of kept (unkilled) lanes
-            moving, fixed = True, False
+            canonical, kills = {}, {}  # memos of merged-and-pruned slices and of kept lanes
+            fixed = False
         if not index or settled and not busy[i]:
             continue  # nothing to step, or zero digits leave carry 0 where it is
         if fixed:  # this step would repeat the last one
             rows.append(rows[-1])
             continue
-        if moves is None:
+        if halves is None:
             row = bytes(col[i] for col in reversed(columns))  # lane 0 is the low bit
             ge = [int(row.translate(_count_map(s)), 2) for s in range(fold + 1)]
             moves = _slice_moves(ge)
+            halves = moves[:fold], moves[fold:]
         new = {}
         succ = []  # state x's successors on bits 0 and 1 at 2x and 2x + 1
         for state in index:
-            out = []
-            for pairs in moves:
-                x = 0
-                for c, g in pairs:
-                    x |= state[c] & g
-                if moving and x & movers:
-                    m = x & movers
-                    to = merged.get(m)
-                    if to is None:
-                        to, y = 0, m
-                        while y:
-                            b = y.bit_length() - 1
-                            to |= 1 << targets[b]
-                            y ^= 1 << b
-                        merged[m] = to
-                    x = x ^ m | to
-                key = x & killers
-                if key:
-                    keep = kills.get(key)
-                    if keep is None:
-                        kill, y = 0, key
-                        while y:
-                            b = y.bit_length() - 1
-                            kill |= dominated[b]
-                            y ^= 1 << b
-                        keep = kills[key] = ~kill
-                    x &= keep
-                out.append(x)
-            for s in tuple(out[:fold]), tuple(out[fold:]):
+            for half in halves:
+                out = []
+                for pairs in half:
+                    x = 0
+                    for c, g in pairs:
+                        x |= state[c] & g
+                    y = canonical.get(x)
+                    if y is None:  # merge the movers into their targets, then drop the killed
+                        m = x & movers
+                        y = x ^ m
+                        while m:
+                            b = m.bit_length() - 1
+                            y |= 1 << targets[b]
+                            m ^= 1 << b
+                        key = y & killers
+                        keep = kills.get(key)
+                        if keep is None:
+                            kill, z = 0, key
+                            while z:
+                                b = z.bit_length() - 1
+                                kill |= dominated[b]
+                                z ^= 1 << b
+                            keep = kills[key] = ~kill
+                        y = canonical[x] = y & keep
+                    out.append(y)
+                s = tuple(out)
                 succ.append(new.setdefault(s, len(new)) if any(s) else -1)
-        moving = False
         zero, one = succ[::2], succ[1::2]
         images = {}
         for reach, n in groups.items():

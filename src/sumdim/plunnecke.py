@@ -307,7 +307,13 @@ def random_point_sample(rng):
 
 
 def _run_suite(name, seed, cases):
-    """Run ``cases(Random(seed))``, which yields (ok, failure record) per case."""
+    """Run ``cases(Random(seed))``, which yields (ok, failure record) per case.
+
+    A negative seed is a ValueError: ``Random(-s)`` draws as ``Random(s)``
+    does, so it would record seed s's cases under another seed.
+    """
+    if seed < 0:
+        raise ValueError(f"a suite seed must be at least 0, got {seed}")
     failures, count = [], 0
     for count, (ok, failure) in enumerate(cases(random.Random(seed)), 1):
         if not ok:

@@ -3,6 +3,7 @@
 import dataclasses
 import json
 import os
+import random
 import re
 import stat
 import time
@@ -394,6 +395,23 @@ def test_plunnecke_suites_pass(capsys):
     doc, _ = json.JSONDecoder().raw_decode(text)
     assert [r["suite"] for r in doc["reports"]] == ["ruzsa", "sumset-cover", "prop31"]
     assert all(r["seed"] == 5 for r in doc["reports"])
+
+
+@pytest.mark.parametrize(
+    "doc, argv", [({}, ["--seed", "-1"]), ({"seed": -1}, [])], ids=["flag", "config"]
+)
+def test_negative_seed_is_exit_2(tmp_path, monkeypatch, capsys, doc, argv):
+    # Random(-1) draws as Random(1) does, so a negative seed would write seed
+    # 1's cases under another seed and digest; no suite may start
+    assert random.Random(-1).random() == random.Random(1).random()
+    with pytest.raises(ConfigError):
+        RunConfig.from_dict({**SMALL, "seed": -1})
+    for name in ("ruzsa_suite", "cover_suite", "prop31_suite"):
+        monkeypatch.setattr(cli, name, None)
+    path = tmp_path / "run.json"
+    path.write_text(json.dumps({**SMALL, **doc}))
+    assert run(["plunnecke", "--config", str(path), *argv]) == 2
+    assert "seed must be at least 0, got -1" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize(
